@@ -5,7 +5,8 @@ import math
 
 import numpy as np
 
-from .core import InvalidInput, InvalidProblem, IterateTrace, as_vector, make_rng
+from .core import (InvalidInput, InvalidProblem, IterateTrace, as_vector, make_rng,
+                   record)
 from .mirror import kl_divergence
 
 
@@ -40,30 +41,26 @@ def run_ram(problem, x0, N, seed=0):
     argmin = problem.require("block_argmin")
     D = problem.n_blocks
     rng = make_rng(seed)
-    x = as_vector(x0).copy()
-    trace = IterateTrace(problem.f_star)
-    trace.add(0, problem.value(x))
-    for n in range(1, N + 1):
-        i = int(rng.integers(D))
-        x = argmin(i, x)
-        trace.add(n, problem.value(x))
-    trace.final_point = x
-    return trace
+
+    def iterates(x):
+        while True:
+            yield x, problem.value(x), None, {}
+            x = argmin(int(rng.integers(D)), x)
+
+    return record(iterates, x0, N, problem.f_star)
 
 
 def run_gauss_southwell(problem, h, x0, N):
     """Coordinate descent on the coordinate with the largest gradient entry."""
-    x = as_vector(x0).copy()
-    trace = IterateTrace(problem.f_star)
-    for n in range(N + 1):
-        g = problem.subgradient(x)
-        trace.add(n, problem.value(x), grad_norm=float(np.max(np.abs(g))))
-        if n < N:
+    def iterates(x):
+        while True:
+            g = problem.subgradient(x)
+            yield x, problem.value(x), float(np.max(np.abs(g))), {}
             i = int(np.argmax(np.abs(g)))
             x = x.copy()
             x[i] -= h * g[i]
-    trace.final_point = x
-    return trace
+
+    return record(iterates, x0, N, problem.f_star)
 
 
 def alternating_projections(proj1, proj2, x0, N):

@@ -1,10 +1,12 @@
 """Command-line harness: run solvers on problem files, fit observed rates
 against theory, and execute the acceptance suite.
 
-Exit codes: 0 success, 1 acceptance/rate failure, 2 usage error, 3 missing
-oracle capability. Flags are long-form only; each of --iters/--step/--seed
-falls back to the CONVEXKIT_ITERS/CONVEXKIT_STEP/CONVEXKIT_SEED environment
-variable before its default.
+Exit codes: 0 success, 1 acceptance/rate failure or a failed run (e.g. a
+diverging solver), 2 usage error or invalid problem file, 3 missing oracle
+capability. `run` writes only the trace CSV to stdout; summaries go to
+stderr. Flags are long-form only; each of --iters/--step/--seed falls back to
+the CONVEXKIT_ITERS/CONVEXKIT_STEP/CONVEXKIT_SEED environment variable before
+its default.
 """
 
 import argparse
@@ -16,8 +18,8 @@ import time
 import numpy as np
 
 from . import acceptance, gradient, nonsmooth, problems
-from .core import (CapabilityError, ConvexkitError, InvalidInput, IterateTrace,
-                   fit_rate, run_solver)
+from .core import (CapabilityError, ConvexkitError, InvalidInput, InvalidProblem,
+                   IterateTrace, fit_rate, run_solver)
 
 
 # --- problem spec files ------------------------------------------------------
@@ -42,6 +44,8 @@ def _parse_fields(path):
             key, _, rest = line.partition(" ")
             if not rest.strip():
                 raise InvalidInput("problem file line %r has no value" % line)
+            if key in fields:
+                raise InvalidInput("problem file repeats field %r" % key)
             fields[key] = rest.split()
     return fields
 
@@ -195,7 +199,7 @@ def cmd_run(args):
         sys.stdout.write(csv_text)
     gap = trace.final_gap()
     print("final value %.17g%s" % (trace.final_value(),
-                                   "" if gap is None else " gap %.17g" % gap))
+                                   "" if gap is None else " gap %.17g" % gap), file=sys.stderr)
     print("wall time %.3fs" % elapsed, file=sys.stderr)
     return 0
 
@@ -324,7 +328,7 @@ def main(argv=None):
     except CapabilityError as exc:
         print("capability error: %s" % exc, file=sys.stderr)
         return 3
-    except (InvalidInput, OSError) as exc:
+    except (InvalidInput, InvalidProblem, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except ConvexkitError as exc:

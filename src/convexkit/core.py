@@ -1,4 +1,4 @@
-"""Shared numeric types: oracles, traces, step schedules, rate fitting, solver dispatch."""
+"""Shared numeric types: oracles, traces, the recording driver, rate fitting, solver dispatch."""
 
 import io
 import math
@@ -50,10 +50,6 @@ class InfeasibleOrBudget(ConvexkitError):
     pass
 
 
-class InnerSolveFailed(ConvexkitError):
-    pass
-
-
 class DomainError(ConvexkitError):
     pass
 
@@ -63,14 +59,6 @@ class SingularHessian(ConvexkitError):
 
 
 class CenteringFailed(ConvexkitError):
-    pass
-
-
-class PathLost(ConvexkitError):
-    pass
-
-
-class ReductionStalled(ConvexkitError):
     pass
 
 
@@ -212,50 +200,36 @@ class IterateTrace:
         return text
 
 
-class StepSchedule:
-    """Step-size schedules: constant, polynomial n^-gamma, 2/(alpha(n+1)), or custom."""
-
-    def __init__(self, variant, param):
-        self.variant = variant
-        self.param = param
-
-    @classmethod
-    def constant(cls, h):
-        if h <= 0:
-            raise InvalidInput("step must be positive")
-        return cls("constant", float(h))
-
-    @classmethod
-    def polynomial(cls, gamma):
-        return cls("polynomial", float(gamma))
-
-    @classmethod
-    def harmonic_strong(cls, alpha):
-        if alpha <= 0:
-            raise InvalidInput("alpha must be positive")
-        return cls("harmonic_strong", float(alpha))
-
-    @classmethod
-    def custom(cls, steps):
-        steps = [float(h) for h in steps]
-        if any(h <= 0 for h in steps):
-            raise InvalidInput("custom steps must be positive")
-        return cls("custom", steps)
-
-    def __call__(self, n):
-        """Step size h_n for iteration n >= 1 (custom schedules index from n=1)."""
-        if self.variant == "constant":
-            return self.param
-        if self.variant == "polynomial":
-            return float(n) ** (-self.param)
-        if self.variant == "harmonic_strong":
-            return 2.0 / (self.param * (n + 1))
-        return self.param[n - 1]
-
-
 def check_divergence(value, x, scale):
-    if not np.all(np.isfinite(x)) or not math.isfinite(value) or abs(value) > DIVERGENCE_FACTOR * scale:
+    if not (math.isfinite(value) and abs(value) <= DIVERGENCE_FACTOR * scale
+            and np.isfinite(x).all()):
         raise DivergenceError("iterate diverged (value %r)" % (value,))
+
+
+def record(iterates, x0, N, f_star):
+    """Trace the first N+1 items of the generator iterates(x0 copy).
+
+    Each item is (point, value, grad_norm, custom). No step is taken after
+    record N; a value beyond 1e12 (1 + |value at n = 0|) or a non-finite point
+    raises DivergenceError. The last point becomes the trace's final_point.
+    """
+    if N < 0:
+        raise InvalidInput("budget must be >= 0")
+    trace = IterateTrace(f_star)
+    for n, (x, value, grad_norm, custom) in zip(range(N + 1), iterates(as_vector(x0).copy())):
+        if n == 0:
+            scale = 1.0 + abs(value)
+        check_divergence(value, x, scale)
+        trace.add(n, value, grad_norm, **custom)
+    trace.final_point = x
+    return trace
+
+
+def composite_value(f, g):
+    """The value function of F = f + g; g = None reads as 0."""
+    def F(z):
+        return f.value(z) + (g.value(z) if g is not None else 0.0)
+    return F
 
 
 def finite_diff_gradient(f, x, h=1e-6):
@@ -338,15 +312,13 @@ def _solver_registry():
         return tr
 
     def run_pgd(problem, x0, N, seed, p):
-        f = problem.extra.get("smooth") or problem.require("smooth")
-        g = problem.extra.get("reg")
+        f = problem.extra.get("smooth", problem)
         h = p.get("step", 1.0 / f.beta)
-        return proximal.run_pgd(f, g, h, x0, N)
+        return proximal.run_pgd(f, problem.extra.get("reg"), h, x0, N, problem.f_star)
 
     def run_apgd(problem, x0, N, seed, p):
-        f = problem.extra.get("smooth") or problem.require("smooth")
-        g = problem.extra.get("reg")
-        return proximal.run_apgd(f, g, x0, N)
+        f = problem.extra.get("smooth", problem)
+        return proximal.run_apgd(f, problem.extra.get("reg"), x0, N, problem.f_star)
 
     def run_ppm(problem, x0, N, seed, p):
         problem.require("prox")
@@ -414,6 +386,8 @@ def run_solver(problem, algo, budget, seed=0):
     name = algo.get("name")
     if name not in SOLVERS:
         raise InvalidInput("unknown algorithm %r (have: %s)" % (name, ", ".join(sorted(SOLVERS))))
+    if budget < 0:
+        raise InvalidInput("budget must be >= 0")
     caps, runner = SOLVERS[name]
     for cap in caps:
         problem.require(cap)

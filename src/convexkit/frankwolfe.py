@@ -1,10 +1,11 @@
 """Frank-Wolfe over linear optimization oracles, plus constructive approximate Caratheodory."""
 
+import itertools
 import math
 
 import numpy as np
 
-from .core import InvalidInput, IterateTrace, NumericalError, as_vector
+from .core import NumericalError, as_vector, record
 
 
 def loo_box(p, lo, hi):
@@ -39,19 +40,19 @@ def run_fw(problem, loo, x0, N):
     column "fw_gap"; the iterate after n steps is a convex combination of at
     most n+1 vertices.
     """
-    x = as_vector(x0).copy()
-    vertices = [x.copy()]
-    weights = [1.0]
-    trace = IterateTrace(problem.f_star)
-    for n in range(N + 1):
-        g = problem.subgradient(x)
-        s = loo(g)
-        fw_gap = float(g @ (x - s))
-        trace.add(n, problem.value(x), grad_norm=float(np.linalg.norm(g)), fw_gap=fw_gap)
-        if n < N:
+    vertices, weights = [], []
+
+    def iterates(x):
+        vertices.append(x.copy())
+        weights.append(1.0)
+        for n in itertools.count():
+            g = problem.subgradient(x)
+            s = loo(g)
+            fw_gap = float(g @ (x - s))
+            yield x, problem.value(x), float(np.linalg.norm(g)), {"fw_gap": fw_gap}
             h = 2.0 / (n + 2.0)
             x = (1.0 - h) * x + h * s
-            weights = [w * (1.0 - h) for w in weights]
+            weights[:] = [w * (1.0 - h) for w in weights]
             for i, v in enumerate(vertices):  # merge exact duplicates
                 if np.array_equal(v, s):
                     weights[i] += h
@@ -59,7 +60,8 @@ def run_fw(problem, loo, x0, N):
             else:
                 vertices.append(s.copy())
                 weights.append(h)
-    trace.final_point = x
+
+    trace = record(iterates, x0, N, problem.f_star)
     return trace, list(zip(vertices, weights))
 
 

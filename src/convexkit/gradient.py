@@ -1,11 +1,12 @@
 """Gradient flow simulation, GD, AGD, PL rates, and the weak/strong convexity reductions."""
 
+import itertools
 import math
 
 import numpy as np
 
-from .core import (DivergenceError, InvalidInput, IterateTrace, ProblemOracle,
-                   ReductionStalled, as_vector, check_divergence)
+from .core import (DivergenceError, InvalidInput, NumericalError, ProblemOracle,
+                   as_vector, record)
 
 
 def default_dt(problem):
@@ -22,25 +23,22 @@ def simulate_gf(problem, t_end, dt=None, x0=None):
     """
     if dt is None:
         dt = default_dt(problem)
-    x = np.zeros(problem.dim) if x0 is None else as_vector(x0).copy()
-    scale = problem.scale_at(x)
-    trace = IterateTrace(problem.f_star)
-    n_steps = int(round(t_end / dt))
     have_lyap = problem.f_star is not None and problem.x_star is not None
-    for k in range(n_steps + 1):
-        t = k * dt
-        g = problem.subgradient(x)
-        v = problem.value(x)
-        check_divergence(v, x, scale)
-        custom = {"t": t}
-        if have_lyap:
-            custom["lyapunov"] = (t * t * float(g @ g) + 2 * t * (v - problem.f_star)
-                                  + float(np.linalg.norm(x - problem.x_star) ** 2))
-        trace.add(k, v, grad_norm=float(np.linalg.norm(g)), **custom)
-        if k < n_steps:
+
+    def iterates(x):
+        for k in itertools.count():
+            t = k * dt
+            g = problem.subgradient(x)
+            v = problem.value(x)
+            custom = {"t": t}
+            if have_lyap:
+                custom["lyapunov"] = (t * t * float(g @ g) + 2 * t * (v - problem.f_star)
+                                      + float(np.linalg.norm(x - problem.x_star) ** 2))
+            yield x, v, float(np.linalg.norm(g)), custom
             x = x - dt * g
-    trace.final_point = x
-    return trace
+
+    x0 = np.zeros(problem.dim) if x0 is None else x0
+    return record(iterates, x0, int(round(t_end / dt)), problem.f_star)
 
 
 def simulate_agf(problem, t_end, dt=None, x0=None, mode="convex", alpha=None):
@@ -61,52 +59,45 @@ def simulate_agf(problem, t_end, dt=None, x0=None, mode="convex", alpha=None):
         gamma_const = 2.0 * math.sqrt(alpha)
     elif mode != "convex":
         raise InvalidInput("mode must be 'convex' or 'strong'")
-    x = np.zeros(problem.dim) if x0 is None else as_vector(x0).copy()
-    p = np.zeros_like(x)
-    scale = problem.scale_at(x)
-    trace = IterateTrace(problem.f_star)
-    n_steps = int(round(t_end / dt))
     have_star = problem.f_star is not None and problem.x_star is not None
-    for k in range(n_steps + 1):
-        t = dt * (k + 1)
-        g = problem.subgradient(x)
-        v = problem.value(x)
-        check_divergence(v, x, scale)
-        custom = {"t": t}
-        if have_star:
-            if mode == "convex":
-                z = x + (t / 2.0) * p
-                custom["lyapunov"] = ((t * t / 2.0) * (v - problem.f_star)
-                                      + float(np.linalg.norm(z - problem.x_star) ** 2))
-            else:
-                z = x + (2.0 / gamma_const) * p
-                custom["lyapunov"] = (v - problem.f_star
-                                      + 0.5 * alpha * float(np.linalg.norm(z - problem.x_star) ** 2))
-        trace.add(k, v, grad_norm=float(np.linalg.norm(g)), **custom)
-        if k < n_steps:
+
+    def iterates(x):
+        p = np.zeros_like(x)
+        for k in itertools.count():
+            t = dt * (k + 1)
+            g = problem.subgradient(x)
+            v = problem.value(x)
+            custom = {"t": t}
+            if have_star:
+                if mode == "convex":
+                    z = x + (t / 2.0) * p
+                    custom["lyapunov"] = ((t * t / 2.0) * (v - problem.f_star)
+                                          + float(np.linalg.norm(z - problem.x_star) ** 2))
+                else:
+                    z = x + (2.0 / gamma_const) * p
+                    custom["lyapunov"] = (v - problem.f_star
+                                          + 0.5 * alpha * float(np.linalg.norm(z - problem.x_star) ** 2))
+            yield x, v, float(np.linalg.norm(g)), custom
             gamma = 3.0 / t if mode == "convex" else gamma_const
             x = x + dt * p
             p = p - dt * (gamma * p + g)
-    trace.final_point = x
-    return trace
+
+    x0 = np.zeros(problem.dim) if x0 is None else x0
+    return record(iterates, x0, int(round(t_end / dt)), problem.f_star)
 
 
 def run_gd(problem, h, x0, N):
     """x_{n+1} = x_n - h grad f(x_n)."""
     if h <= 0:
         raise InvalidInput("step must be positive")
-    x = as_vector(x0).copy()
-    scale = problem.scale_at(x)
-    trace = IterateTrace(problem.f_star)
-    for n in range(N + 1):
-        g = problem.subgradient(x)
-        v = problem.value(x)
-        check_divergence(v, x, scale)
-        trace.add(n, v, grad_norm=float(np.linalg.norm(g)))
-        if n < N:
+
+    def iterates(x):
+        while True:
+            g = problem.subgradient(x)
+            yield x, problem.value(x), float(np.linalg.norm(g)), {}
             x = x - h * g
-    trace.final_point = x
-    return trace
+
+    return record(iterates, x0, N, problem.f_star)
 
 
 def gd_sharp_contraction_factor(alpha, beta):
@@ -129,28 +120,19 @@ def run_agd(problem, x0, N):
     if not math.isfinite(problem.beta):
         raise InvalidInput("AGD needs a finite smoothness constant")
     h = 1.0 / problem.beta
-    x = as_vector(x0).copy()
-    x_prev = x.copy()
-    scale = problem.scale_at(x)
     lam = agd_lambda_sequence(N)
-    trace = IterateTrace(problem.f_star)
-    for n in range(N + 1):
-        g = problem.subgradient(x)
-        v = problem.value(x)
-        check_divergence(v, x, scale)
-        trace.add(n, v, grad_norm=float(np.linalg.norm(g)))
-        if n < N:
+
+    def iterates(x):
+        x_prev = x
+        for n in itertools.count():
+            g = problem.subgradient(x)
+            yield x, problem.value(x), float(np.linalg.norm(g)), {}
             theta = (lam[n] - 1.0) / lam[n + 1]
             y = x + theta * (x - x_prev)
             x_prev = x
             x = y - h * problem.subgradient(y)
-    trace.final_point = x
-    return trace
 
-
-def run_gd_pl(problem, h, x0, N):
-    """GD on a PL problem; the (1 - alpha h)^N gap decay is checked by callers."""
-    return run_gd(problem, h, x0, N)
+    return record(iterates, x0, N, problem.f_star)
 
 
 def min_grad_norm_rate(problem, h, x0, N):
@@ -181,11 +163,11 @@ def reduce_to_strongly_convex(base_solver, problem, x0, R, eps):
         if problem.f_star is not None:
             gap = problem.value(x) - problem.f_star
             if gap > eps_k * (1 + 1e-6) + 1e-12:
-                raise ReductionStalled("round missed its target: gap %g > %g" % (gap, eps_k))
+                raise NumericalError("round missed its target: gap %g > %g" % (gap, eps_k))
         R_k /= 2.0
         if eps_k <= eps:
             return x
-    raise ReductionStalled("too many restart rounds")
+    raise NumericalError("too many restart rounds")
 
 
 def reduce_to_convex(strong_solver, problem, eps, R, x0):

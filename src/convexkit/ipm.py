@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from .core import (CenteringFailed, DomainError, InvalidInput, PathLost,
+from .core import (CenteringFailed, DomainError, InvalidInput, NumericalError,
                    SingularHessian, as_vector)
 
 
@@ -191,10 +191,10 @@ def path_follow(a, barrier, x_center, t0, eps, c0=C0):
         f_t = ShiftedBarrier(barrier, a, t)
         x, _ = newton_step(f_t, x)
         if not barrier.in_domain(x):
-            raise PathLost("Newton step left the domain at t = %g" % t)
+            raise NumericalError("Newton step left the domain at t = %g" % t)
         lam = newton_decrement(f_t, x)
         if lam > 0.25 + 1e-12:
-            raise PathLost("decrement %g > 1/4 at t = %g" % (lam, t))
+            raise NumericalError("decrement %g > 1/4 at t = %g" % (lam, t))
         states.append(PathState(t, x, lam))
     return x, states
 
@@ -221,10 +221,10 @@ def preliminary_stage(barrier, xbar0, a, c0=C0):
         f_t = ShiftedBarrier(barrier, -g0, t)
         x, _ = newton_step(f_t, x)
         if not barrier.in_domain(x):
-            raise PathLost("auxiliary Newton step left the domain")
+            raise NumericalError("auxiliary Newton step left the domain")
         lam = newton_decrement(f_t, x)
         if lam > 0.25 + 1e-12:
-            raise PathLost("auxiliary path decrement %g > 1/4" % lam)
+            raise NumericalError("auxiliary path decrement %g > 1/4" % lam)
         iterations += 1
         if iterations > 10000:
             raise CenteringFailed("preliminary stage did not converge")

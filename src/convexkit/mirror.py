@@ -1,10 +1,11 @@
 """Bregman geometry, mirror (proximal) descent, online mirror descent, zero-sum games."""
 
+import itertools
 import math
 
 import numpy as np
 
-from .core import DomainError, InvalidInput, IterateTrace, as_vector, make_rng
+from .core import DomainError, InvalidInput, as_vector, composite_value, record
 
 ENTROPIC_FLOOR = 1e-300  # guard before logs; no effect at test scales
 
@@ -85,20 +86,15 @@ def run_mpgd(f, g, geometry, h, x0, N, constraint=None):
     """
     if h <= 0:
         raise InvalidInput("step must be positive")
-    x = as_vector(x0).copy()
-    if not geometry.in_domain(x):
-        raise DomainError("x0 outside the mirror-map domain")
-    avg = x.copy()
-    trace = IterateTrace(f.f_star)
+    total = composite_value(f, g)
 
-    def total(z):
-        return f.value(z) + (g.value(z) if g is not None else 0.0)
-
-    for n in range(N + 1):
-        grad = f.subgradient(x)
-        trace.add(n, total(x), grad_norm=float(np.linalg.norm(grad)),
-                  avg_value=total(avg))
-        if n < N:
+    def iterates(x):
+        if not geometry.in_domain(x):
+            raise DomainError("x0 outside the mirror-map domain")
+        avg = x
+        for n in itertools.count():
+            grad = f.subgradient(x)
+            yield x, total(x), float(np.linalg.norm(grad)), {"avg_value": total(avg)}
             w = geometry.grad_star(geometry.grad(x) - h * grad)
             if g is not None:
                 w = g.prox(w, h)
@@ -108,9 +104,8 @@ def run_mpgd(f, g, geometry, h, x0, N, constraint=None):
                 raise DomainError("iterate left the mirror-map domain")
             x = w
             avg = avg + (x - avg) / (n + 2.0)
-    trace.final_point = x
-    trace.average_point = avg
-    return trace
+
+    return record(iterates, x0, N, f.f_star)
 
 
 def run_omd(geometry, losses, h, x0, constraint="simplex"):

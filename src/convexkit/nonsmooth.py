@@ -1,11 +1,13 @@
 """Projections, subgradient methods, functional constraints, and the ellipsoid method."""
 
+import itertools
 import math
 
 import numpy as np
 
 from .core import (InfeasibleOrBudget, InvalidInput, InvalidSeparator,
-                   IterateTrace, NoFeasiblePoint, NumericalError, as_vector)
+                   IterateTrace, NoFeasiblePoint, NumericalError, as_vector,
+                   record)
 
 
 def project_ball(x, c, r):
@@ -41,27 +43,23 @@ def run_psd(problem, projector, h, x0, N):
     """Projected subgradient descent with normalized steps and iterate averaging.
 
     x_{n+1} = proj(x_n - h p_n / ||p_n||). The trace's value column is f at the
-    running average (custom "raw" holds f at the raw iterate).
+    running average (custom "raw" holds f at the raw iterate). A zero
+    subgradient is exact stationarity: the iterate stays put.
     """
     if h <= 0:
         raise InvalidInput("step must be positive")
-    x = as_vector(x0).copy()
-    avg = x.copy()
-    trace = IterateTrace(problem.f_star)
-    for n in range(N + 1):
-        p = problem.subgradient(x)
-        pn = float(np.linalg.norm(p))
-        trace.add(n, problem.value(avg), grad_norm=pn, raw=problem.value(x))
-        if pn == 0.0:
-            # exact non-smooth stationarity: stay put, keep the record count
-            for k in range(n + 1, N + 1):
-                trace.add(k, problem.value(avg), grad_norm=0.0, raw=problem.value(x))
-            break
-        if n < N:
-            x = projector(x - (h / pn) * p)
-            avg = avg + (x - avg) / (n + 2.0)
-    trace.final_point = avg
-    return trace
+
+    def iterates(x):
+        avg = x
+        for n in itertools.count():
+            p = problem.subgradient(x)
+            pn = float(np.linalg.norm(p))
+            yield avg, problem.value(avg), pn, {"raw": problem.value(x)}
+            if pn != 0.0:
+                x = projector(x - (h / pn) * p)
+                avg = avg + (x - avg) / (n + 2.0)
+
+    return record(iterates, x0, N, problem.f_star)
 
 
 def run_psd_strong(problem, projector, x0, N):
@@ -70,22 +68,20 @@ def run_psd_strong(problem, projector, x0, N):
     if problem.alpha <= 0:
         raise InvalidInput("needs a strongly convex problem")
     alpha = problem.alpha
-    x = as_vector(x0).copy()
-    avg = x.copy()
-    wsum = 1.0
-    trace = IterateTrace(problem.f_star)
-    for n in range(N + 1):
-        p = problem.subgradient(x)
-        trace.add(n, problem.value(avg), grad_norm=float(np.linalg.norm(p)),
-                  raw=problem.value(x))
-        if n < N:
-            h = 2.0 / (alpha * (n + 1))
-            x = projector(x - h * p)
+
+    def iterates(x):
+        avg = x
+        wsum = 1.0
+        for n in itertools.count():
+            p = problem.subgradient(x)
+            yield avg, problem.value(avg), float(np.linalg.norm(p)), {"raw": problem.value(x)}
+            x = projector(x - (2.0 / (alpha * (n + 1))) * p)
             w = n + 2.0
             wsum += w
             avg = avg + (w / wsum) * (x - avg)
-    trace.final_point = avg
-    return avg, trace
+
+    trace = record(iterates, x0, N, problem.f_star)
+    return trace.final_point, trace
 
 
 def run_psd_functional(objective, constraints, projector, eps, x0, x_star_dist=None):

@@ -283,12 +283,6 @@ def make_finite_sum(components, g=None, name="finite-sum"):
     return oracle
 
 
-def finite_sum_c0(problem, x_star):
-    """(1/n) sum ||grad f_i(x*)||^2, the gradient noise level at the optimum."""
-    comps = problem.extra["components"]
-    return sum(float(np.linalg.norm(c.subgradient(x_star)) ** 2) for c in comps) / len(comps)
-
-
 def make_svm_hinge(X, Y, lam, ball_radius=None, name="svm-hinge"):
     """Soft-margin SVM: mean hinge loss plus (lam/2)||theta||^2 with labels in {-1, 1}."""
     X = np.asarray(X, dtype=float)

@@ -1,10 +1,11 @@
 """Proximal operators, PPM, ISTA/FISTA, Moreau envelope, numeric 1-D conjugation."""
 
+import itertools
 import math
 
 import numpy as np
 
-from .core import (InnerSolveFailed, InvalidInput, IterateTrace, as_vector)
+from .core import InvalidInput, NumericalError, as_vector, composite_value, record
 from .gradient import agd_lambda_sequence
 
 
@@ -39,7 +40,7 @@ def _agd_strong(value, grad, x0, alpha, beta, tol, max_iter):
         x = y - h * g
         if np.linalg.norm(grad(x)) <= tol:
             return x
-    raise InnerSolveFailed("inner AGD did not reach tolerance %g" % tol)
+    raise NumericalError("inner AGD did not reach tolerance %g" % tol)
 
 
 def prox_generic(problem, y, h, inner_tol=None):
@@ -67,7 +68,7 @@ def prox_generic(problem, y, h, inner_tol=None):
         budget = 100 * int(math.ceil(math.sqrt(1.0 + problem.beta * h))) + 100
         return _agd_strong(val, grad, y.copy(), alpha, beta, inner_tol, budget)
     if y.size != 1:
-        raise InnerSolveFailed("non-smooth prox supported in 1-D only")
+        raise NumericalError("non-smooth prox supported in 1-D only")
     # bracketed ternary search; the prox point is within h*L of y, expand until covered
     def val1(t):
         return problem.value(np.array([t])) + (t - y[0]) ** 2 / (2.0 * h)
@@ -76,7 +77,7 @@ def prox_generic(problem, y, h, inner_tol=None):
     while val1(lo) < val1(lo + 1e-9) or val1(hi) < val1(hi - 1e-9):
         lo, hi = y[0] - 2 * (y[0] - lo + 1), y[0] + 2 * (hi - y[0] + 1)
         if hi - lo > 1e12:
-            raise InnerSolveFailed("could not bracket the prox point")
+            raise NumericalError("could not bracket the prox point")
     for _ in range(200):
         m1 = lo + (hi - lo) / 3.0
         m2 = hi - (hi - lo) / 3.0
@@ -95,18 +96,19 @@ def _prox_of(problem):
 
 def run_ppm(problem, h, x0, N):
     """Proximal point method x_{n+1} = prox_{hf}(x_n)."""
+    if h <= 0:
+        raise InvalidInput("step must be positive")
     prox = _prox_of(problem)
-    x = as_vector(x0).copy()
-    trace = IterateTrace(problem.f_star)
-    for n in range(N + 1):
-        gn = None
-        if problem.subgradient is not None:
-            gn = float(np.linalg.norm(problem.subgradient(x)))
-        trace.add(n, problem.value(x), grad_norm=gn)
-        if n < N:
+
+    def iterates(x):
+        while True:
+            gn = None
+            if problem.subgradient is not None:
+                gn = float(np.linalg.norm(problem.subgradient(x)))
+            yield x, problem.value(x), gn, {}
             x = prox(x, h)
-    trace.final_point = x
-    return trace
+
+    return record(iterates, x0, N, problem.f_star)
 
 
 def run_pgd(f, g, h, x0, N, f_star=None):
@@ -116,20 +118,16 @@ def run_pgd(f, g, h, x0, N, f_star=None):
     """
     if h <= 0:
         raise InvalidInput("step must be positive")
-    x = as_vector(x0).copy()
-    trace = IterateTrace(f_star)
+    F = composite_value(f, g)
 
-    def F(z):
-        return f.value(z) + (g.value(z) if g is not None else 0.0)
-
-    for n in range(N + 1):
-        grad = f.subgradient(x)
-        trace.add(n, F(x), grad_norm=float(np.linalg.norm(grad)))
-        if n < N:
+    def iterates(x):
+        while True:
+            grad = f.subgradient(x)
+            yield x, F(x), float(np.linalg.norm(grad)), {}
             z = x - h * grad
             x = g.prox(z, h) if g is not None else z
-    trace.final_point = x
-    return trace
+
+    return record(iterates, x0, N, f_star)
 
 
 def run_apgd(f, g, x0, N, f_star=None):
@@ -137,27 +135,20 @@ def run_apgd(f, g, x0, N, f_star=None):
     if not math.isfinite(f.beta):
         raise InvalidInput("FISTA needs a finite smoothness constant")
     h = 1.0 / f.beta
-    x = as_vector(x0).copy()
-    x_prev = x.copy()
     lam = agd_lambda_sequence(N)
-    trace = IterateTrace(f_star)
+    F = composite_value(f, g)
 
-    def F(z):
-        return f.value(z) + (g.value(z) if g is not None else 0.0)
-
-    def step(z):
-        w = z - h * f.subgradient(z)
-        return g.prox(w, h) if g is not None else w
-
-    for n in range(N + 1):
-        trace.add(n, F(x))
-        if n < N:
+    def iterates(x):
+        x_prev = x
+        for n in itertools.count():
+            yield x, F(x), None, {}
             theta = (lam[n] - 1.0) / lam[n + 1]
             y = x + theta * (x - x_prev)
             x_prev = x
-            x = step(y)
-    trace.final_point = x
-    return trace
+            w = y - h * f.subgradient(y)
+            x = g.prox(w, h) if g is not None else w
+
+    return record(iterates, x0, N, f_star)
 
 
 def moreau_envelope(problem, h, y, inner_tol=None):

@@ -6,24 +6,20 @@ import math
 import numpy as np
 
 from .core import (DivergenceError, InvalidInput, IterateTrace, as_vector,
-                   check_divergence, make_rng)
+                   check_divergence, composite_value, make_rng, record)
 
 
 def run_sgd(problem, h, x0, N, seed=0):
     """Plain SGD with a constant step; the trace records the exact objective."""
     grad = problem.require("stochastic_gradient")
     rng = make_rng(seed)
-    x = as_vector(x0).copy()
-    scale = problem.scale_at(x)
-    trace = IterateTrace(problem.f_star)
-    for n in range(N + 1):
-        v = problem.value(x)
-        check_divergence(v, x, scale)
-        trace.add(n, v)
-        if n < N:
+
+    def iterates(x):
+        while True:
+            yield x, problem.value(x), None, {}
             x = x - h * grad(x, rng)
-    trace.final_point = x
-    return trace
+
+    return record(iterates, x0, N, problem.f_star)
 
 
 def smpgd_lambda(alpha_f, alpha_g, h):
@@ -34,28 +30,23 @@ def run_smpgd(f, g, geometry, h, x0, N, seed=0, averaging="geometric"):
     """Stochastic mirror proximal gradient descent with the proof's weighting.
 
     The returned trace's final_point is the lambda_h-geometrically weighted
-    average of the iterates (weights lambda_h^(N-n)); averaging="uniform" is
-    available for the alpha = 0 case.
+    average of the iterates (weights lambda_h^(N-n)) and its last_iterate is
+    the last iterate; averaging="uniform" is available for the alpha = 0 case.
     """
     grad = f.require("stochastic_gradient")
     rng = make_rng(seed)
-    x = as_vector(x0).copy()
-    scale = f.scale_at(x)
     lam = smpgd_lambda(f.alpha, 0.0 if g is None else g.alpha, h)
     if averaging == "uniform":
         lam = 1.0
-    avg = x.copy()
-    W = 1.0
-    trace = IterateTrace(f.f_star)
+    total = composite_value(f, g)
+    last = {}
 
-    def total(z):
-        return f.value(z) + (g.value(z) if g is not None else 0.0)
-
-    for n in range(N + 1):
-        v = total(x)
-        check_divergence(v, x, scale)
-        trace.add(n, v, avg_value=total(avg))
-        if n < N:
+    def iterates(x):
+        avg = x
+        W = 1.0
+        while True:
+            last["x"] = x
+            yield avg, total(x), None, {"avg_value": total(avg)}
             w = geometry.grad_star(geometry.grad(x) - h * grad(x, rng))
             if g is not None:
                 w = g.prox(w, h)
@@ -63,8 +54,9 @@ def run_smpgd(f, g, geometry, h, x0, N, seed=0, averaging="geometric"):
             # running lambda-weighted average: older weights decay by lambda
             W = lam * W + 1.0
             avg = avg + (x - avg) / W
-    trace.final_point = avg
-    trace.last_iterate = x
+
+    trace = record(iterates, x0, N, f.f_star)
+    trace.last_iterate = last["x"]
     return trace
 
 
@@ -167,9 +159,7 @@ def run_svrg(problem, g=None, h=None, x0=None, epochs=20, epoch_plan="constant",
     anchor = (np.zeros(problem.dim) if x0 is None else as_vector(x0)).copy()
     scale = problem.scale_at(anchor)
     trace = IterateTrace(problem.f_star)
-
-    def total(z):
-        return problem.value(z) + (g.value(z) if g is not None else 0.0)
+    total = composite_value(problem, g)
 
     if epoch_plan == "constant":
         N_t = svrg_epoch_length(problem, g, h)

@@ -1,10 +1,15 @@
+import contextlib
+import io
+import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convexkit import cli
-from convexkit.core import InvalidInput
+from convexkit.core import InvalidInput, solver_names
 
 QUAD = """\
 # a 2-d quadratic
@@ -12,6 +17,15 @@ kind quadratic
 dim 2
 A 2 0 0 1
 b 1 1
+"""
+
+LASSO = """\
+kind lasso
+rows 4
+dim 2
+X 1 0.5 -0.3 2 0.7 -1 1.5 0.2
+Y 1 -2 0.5 3
+lam 0.1
 """
 
 LP = """\
@@ -94,7 +108,41 @@ def test_run_writes_trace_and_exits_zero(quad_file, tmp_path, capsys):
     lines = open(out).read().strip().split("\n")
     assert lines[0] == "iter,value,gap,grad_norm,time_s"
     assert len(lines) == 14  # header + budget+1 records
-    assert "final value" in capsys.readouterr().out
+    assert "final value" in capsys.readouterr().err
+
+
+def test_run_negative_iters_usage_error(quad_file, capsys):
+    assert cli.main(["run", "--problem", quad_file, "--algo", "gd", "--iters", "-1"]) == 2
+    assert "budget" in capsys.readouterr().err
+
+
+def test_run_repeated_field_usage_error(tmp_path, capsys):
+    p = tmp_path / "dup.prob"
+    p.write_text(QUAD + "b 5 5\n")
+    with pytest.raises(InvalidInput, match="repeats field 'b'"):
+        cli.parse_problem_file(str(p))
+    assert cli.main(["run", "--problem", str(p), "--algo", "gd", "--iters", "3"]) == 2
+
+
+def test_run_invalid_problem_usage_error(tmp_path, capsys):
+    p = tmp_path / "asym.prob"
+    p.write_text("kind quadratic\ndim 2\nA 2 1 0 1\nb 1 1\n")
+    assert cli.main(["run", "--problem", str(p), "--algo", "gd", "--iters", "3"]) == 2
+    assert "symmetric" in capsys.readouterr().err
+
+
+def test_run_ppm_nonpositive_step_usage_error(quad_file, capsys):
+    assert cli.main(["run", "--problem", quad_file, "--algo", "ppm", "--step", "-1",
+                     "--iters", "3"]) == 2
+
+
+def test_run_diverging_pgd_exits_1_without_rows(tmp_path, capsys):
+    p = tmp_path / "lasso.prob"
+    p.write_text(LASSO)
+    assert cli.main(["run", "--problem", str(p), "--algo", "pgd", "--step", "100"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "DivergenceError" in captured.err
 
 
 def test_run_byte_stable(quad_file, tmp_path):
@@ -158,3 +206,36 @@ def test_verify_only_filter(capsys):
     out = capsys.readouterr().out
     assert "PASS 01-gd-rate" in out
     assert cli.main(["verify", "--only", "zzz"]) == 2
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    paths = []
+    for name, text in (("quad.prob", QUAD), ("lasso.prob", LASSO)):
+        (d / name).write_text(text)
+        paths.append(str(d / name))
+    return paths
+
+
+def _finite_or_empty(field):
+    return field == "" or math.isfinite(float(field))
+
+
+@settings(max_examples=60, deadline=None)
+@given(algo=st.sampled_from(solver_names()), which=st.integers(0, 1),
+       step=st.floats(-1e3, 1e3).filter(lambda h: h != 0.0),
+       iters=st.integers(-2, 40))
+def test_fuzz_run_exit_codes_and_pure_csv(fuzz_files, algo, which, step, iters):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["run", "--problem", fuzz_files[which], "--algo", algo,
+                         "--step=%r" % step, "--iters=%d" % iters])
+    assert code in (0, 1, 2, 3)
+    if code == 0:
+        lines = out.getvalue().split("\n")
+        assert lines[0] == "iter,value,gap,grad_norm,time_s"
+        assert lines[-1] == ""
+        rows = [line.split(",") for line in lines[1:-1]]
+        assert [int(r[0]) for r in rows] == list(range(iters + 1))
+        assert all(len(r) == 5 and all(_finite_or_empty(v) for v in r[1:]) for r in rows)

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from convexkit import problems
 from convexkit.core import (CapabilityError, DivergenceError, InsufficientData,
                             InvalidInput, IterateTrace, NumericalError,
-                            ProblemOracle, StepSchedule, as_vector, check_divergence,
-                            finite_diff_gradient, fit_rate, make_rng,
-                            run_solver, solver_names)
+                            ProblemOracle, as_vector, check_divergence,
+                            composite_value, finite_diff_gradient, fit_rate,
+                            make_rng, record, run_solver, solver_names)
 
 
 def test_as_vector_rejects_bad_input():
@@ -57,23 +57,75 @@ def test_trace_gap_needs_f_star():
     assert tr.final_gap() == 1.0
 
 
-def test_step_schedules():
-    assert StepSchedule.constant(0.3)(5) == 0.3
-    assert StepSchedule.polynomial(0.5)(4) == 0.5
-    assert StepSchedule.harmonic_strong(2.0)(3) == 2.0 / (2.0 * 4)
-    assert StepSchedule.custom([0.1, 0.2])(2) == 0.2
-    with pytest.raises(InvalidInput):
-        StepSchedule.constant(0.0)
-    with pytest.raises(InvalidInput):
-        StepSchedule.custom([0.1, -0.2])
-
-
 def test_check_divergence():
     with pytest.raises(DivergenceError):
         check_divergence(math.inf, np.zeros(2), 1.0)
     with pytest.raises(DivergenceError):
         check_divergence(1e20, np.zeros(2), 1.0)
+    with pytest.raises(DivergenceError):
+        check_divergence(1.0, np.array([0.0, math.nan]), 1.0)
     check_divergence(1.0, np.zeros(2), 1.0)
+
+
+def _halving(steps):
+    """Iterates x/2^n with value ||x||; counts the steps taken in `steps`."""
+    def iterates(x):
+        while True:
+            yield x, float(np.linalg.norm(x)), None, {"n": len(steps)}
+            steps.append(1)
+            x = x / 2.0
+    return iterates
+
+
+def test_record_budget_contract_and_no_extra_step():
+    steps = []
+    tr = record(_halving(steps), [4.0, 0.0], 3, f_star=0.0)
+    assert list(tr.values()) == [4.0, 2.0, 1.0, 0.5]
+    assert list(tr.custom("n")) == [0, 1, 2, 3]
+    assert len(steps) == 3  # no step after record N
+    assert np.array_equal(tr.final_point, [0.5, 0.0])
+    assert len(record(_halving([]), [1.0], 0, None)) == 1
+
+
+def test_record_copies_x0_and_rejects_negative_budget():
+    x0 = np.array([1.0, 2.0])
+
+    def in_place(x):
+        while True:
+            yield x, 0.0, None, {}
+            x *= 2.0
+
+    record(in_place, x0, 2, None)
+    assert np.array_equal(x0, [1.0, 2.0])
+    with pytest.raises(InvalidInput):
+        record(in_place, x0, -1, None)
+
+
+def test_record_divergence_guard_is_relative_to_first_value():
+    def growing(x):
+        v = 2.0
+        while True:
+            yield x, v, None, {}
+            v *= 1e4
+
+    tr = record(growing, [0.0], 3, None)  # 2e12 <= 1e12 * (1 + 2)
+    assert tr.final_value() == 2e12
+    with pytest.raises(DivergenceError):
+        record(growing, [0.0], 4, None)
+
+    def nan_point(x):
+        yield x, 1.0, None, {}
+        yield np.array([math.nan]), 1.0, None, {}
+
+    with pytest.raises(DivergenceError):
+        record(nan_point, [0.0], 1, None)
+
+
+def test_composite_value():
+    f = ProblemOracle(1, lambda x: float(x[0]) ** 2)
+    g = ProblemOracle(1, lambda x: abs(float(x[0])))
+    assert composite_value(f, g)(np.array([-3.0])) == 12.0
+    assert composite_value(f, None)(np.array([-3.0])) == 9.0
 
 
 def test_finite_diff_gradient_matches_analytic():
@@ -138,6 +190,21 @@ def test_run_solver_budget_contract(algo):
     tr = run_solver(q, algo, 13)
     assert len(tr) == 14
     assert tr.iters()[-1] == 13
+
+
+def test_run_solver_negative_budget():
+    q = problems.make_quadratic(np.eye(2), np.zeros(2))
+    for algo in ("gd", "cg"):
+        with pytest.raises(InvalidInput, match="budget"):
+            run_solver(q, algo, -1)
+
+
+def test_prox_methods_run_on_plain_smooth_problems():
+    q = problems.make_quadratic(np.diag([2.0, 1.0]), np.array([1.0, 1.0]))
+    gd = run_solver(q, {"name": "gd", "step": 0.3}, 20)
+    assert run_solver(q, {"name": "ista", "step": 0.3}, 20).to_csv() == gd.to_csv()
+    agd = run_solver(q, "agd", 20)
+    assert np.array_equal(run_solver(q, "fista", 20).values(), agd.values())
 
 
 def test_run_solver_unknown_algo():

@@ -85,7 +85,7 @@ def test_agd_beats_gd_on_ill_conditioned():
 def test_gd_pl_geometric_decay():
     q = _quad(5, kappa=8.0)
     h = 1.0 / q.beta
-    tr = gradient.run_gd_pl(q, h, np.ones(q.dim), 40)
+    tr = gradient.run_gd(q, h, np.ones(q.dim), 40)
     gaps = tr.gaps()
     rho = 1.0 - q.alpha * h
     for n in range(1, 41):
