@@ -104,7 +104,8 @@ def crit_05_subgradient():
     Y = np.sign(rng.normal(size=40))
     svm = problems.make_svm_hinge(X, Y, 0.5)
     ball = svm.extra["ball_radius"]
-    proj = lambda z: nonsmooth.project_ball(z, np.zeros(5), ball)
+    centre = np.zeros(5)
+    proj = lambda z: nonsmooth.project_ball(z, centre, ball)
     x_ref, _ = nonsmooth.run_psd_strong(svm, proj, np.zeros(5), 200000)
     f_ref = svm.value(x_ref)
     ref_err = 2.0 * svm.L ** 2 / (svm.alpha * 200001)
@@ -311,15 +312,19 @@ def _two_block_quadratic(H, b=None):
     d = H.shape[0]
     if b is None:
         b = np.zeros(d)
-    blocks = [np.array([i]) for i in range(d)]
     q = problems.make_quadratic(H, b)
+    # per block i: its index, the rest, H[i, rest] and H[i, i]
+    blocks = []
+    for i in range(d):
+        idx = np.array([i])
+        rest = np.setdiff1d(np.arange(d), idx)
+        blocks.append((idx, rest, H[np.ix_(idx, rest)], H[np.ix_(idx, idx)]))
 
     def block_argmin(i, x):
-        idx = blocks[i]
-        rest = np.setdiff1d(np.arange(d), idx)
+        idx, rest, H_rest, H_block = blocks[i]
         x = x.copy()
-        rhs = b[idx] - H[np.ix_(idx, rest)] @ x[rest]
-        x[idx] = np.linalg.solve(H[np.ix_(idx, idx)], rhs)
+        rhs = b[idx] - H_rest @ x[rest]
+        x[idx] = np.linalg.solve(H_block, rhs)
         return x
 
     q.block_argmin = block_argmin
@@ -386,11 +391,8 @@ def crit_15_smpgd_svrg():
     D0 = 0.5 * float(np.linalg.norm(x0 - q.x_star) ** 2)
     bound = q.alpha / (lam ** -N - 1.0) * D0 + sigma2d * h
     geom = mirror.euclidean_geometry(d)
-    gaps = []
-    for s in range(500):
-        tr = stochastic.run_smpgd(q, None, geom, h, x0, N, seed=s)
-        gaps.append(q.value(tr.final_point) - q.f_star)
-    mean_gap = float(np.mean(gaps))
+    tr = stochastic.run_smpgd(q, None, geom, h, x0, N, seed=range(500))
+    mean_gap = float(np.mean(q.value(tr.final_point) - q.f_star))
     assert mean_gap <= 2.0 * bound, (mean_gap, bound)
     # SVRG on a badly conditioned ridge-style finite sum (n=200, kappa=50)
     n, d = 200, 10
@@ -466,13 +468,8 @@ def crit_16_clt():
     prob.stochastic_gradient = lambda x, rng: grad(x) + rng.standard_normal(d)
     n = 4096
     checkpoints = np.unique(np.geomspace(64, n - 1, 12).astype(int))
-    acc = np.zeros(len(checkpoints))
-    trials = 80
-    for s in range(trials):
-        _, tr = stochastic.run_asgd(prob, gamma, np.ones(d), n, seed=s)
-        vals = tr.values()
-        acc += vals[checkpoints]
-    mean_sq = acc / trials
+    _, tr = stochastic.run_asgd(prob, gamma, np.ones(d), n, seed=range(80))
+    mean_sq = tr.values()[checkpoints].mean(axis=1)
     slope, _ = np.polyfit(np.log(checkpoints), np.log(mean_sq), 1)
     assert -gamma - 0.15 <= slope <= -gamma + 0.15, slope
 

@@ -40,14 +40,13 @@ def run_ram(problem, x0, N, seed=0):
     """Randomized alternating minimization: one uniform random block per step."""
     argmin = problem.require("block_argmin")
     D = problem.n_blocks
-    rng = make_rng(seed)
 
-    def iterates(x):
+    def iterates(x, rng):
         while True:
             yield x, problem.value(x), None, {}
             x = argmin(int(rng.integers(D)), x)
 
-    return record(iterates, x0, N, problem.f_star)
+    return record(iterates, x0, N, problem.f_star, seed)
 
 
 def run_gauss_southwell(problem, h, x0, N):

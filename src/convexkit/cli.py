@@ -67,9 +67,17 @@ def _scalar(fields, key):
     return float(_numbers(fields, key, 1)[0])
 
 
+def _integer(fields, key, minimum):
+    value = _scalar(fields, key)
+    if not (math.isfinite(value) and value == int(value) and value >= minimum):
+        raise InvalidInput("field %r must be an integer >= %d, got %r"
+                           % (key, minimum, value))
+    return int(value)
+
+
 def _design(fields):
-    rows = int(_scalar(fields, "rows"))
-    dim = int(_scalar(fields, "dim"))
+    rows = _integer(fields, "rows", 1)
+    dim = _integer(fields, "dim", 1)
     X = _numbers(fields, "X", rows * dim).reshape(rows, dim)
     Y = _numbers(fields, "Y", rows)
     return X, Y
@@ -82,7 +90,7 @@ def parse_problem_file(path):
         raise InvalidInput("problem file is missing field 'kind'")
     kind = fields["kind"][0]
     if kind == "quadratic":
-        dim = int(_scalar(fields, "dim"))
+        dim = _integer(fields, "dim", 1)
         A = _numbers(fields, "A", dim * dim).reshape(dim, dim)
         b = _numbers(fields, "b", dim)
         return problems.make_quadratic(A, b)
@@ -98,11 +106,11 @@ def parse_problem_file(path):
         return problems.make_svm_hinge(X, Y, _scalar(fields, "lam"))
     if kind == "worst-case-smooth":
         return problems.make_worst_case_smooth(
-            int(_scalar(fields, "steps")), _scalar(fields, "beta"),
-            int(_scalar(fields, "dim")))
+            _integer(fields, "steps", 0), _scalar(fields, "beta"),
+            _integer(fields, "dim", 1))
     if kind == "worst-case-nonsmooth":
         return problems.make_worst_case_nonsmooth(
-            int(_scalar(fields, "steps")), _scalar(fields, "L"),
+            _integer(fields, "steps", 0), _scalar(fields, "L"),
             _scalar(fields, "R"))
     raise InvalidInput("unknown problem kind %r" % kind)
 

@@ -72,7 +72,7 @@ def as_vector(x):
         v = v.reshape(1)
     if v.ndim != 1 or v.size < 1:
         raise InvalidInput("expected a vector of dimension >= 1")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise NumericalError("vector has non-finite entries")
     return v
 
@@ -206,23 +206,138 @@ def check_divergence(value, x, scale):
         raise DivergenceError("iterate diverged (value %r)" % (value,))
 
 
-def record(iterates, x0, N, f_star):
+def record(iterates, x0, N, f_star, seed=None):
     """Trace the first N+1 items of the generator iterates(x0 copy).
 
     Each item is (point, value, grad_norm, custom). No step is taken after
     record N; a value beyond 1e12 (1 + |value at n = 0|) or a non-finite point
     raises DivergenceError. The last point becomes the trace's final_point.
+    Given a seed, iterates takes (x, rng) with rng = make_rng(seed); a
+    sequence of seeds steps them all as one batch (see record_rows).
     """
     if N < 0:
         raise InvalidInput("budget must be >= 0")
+    x0 = as_vector(x0)
+    if seed is None:
+        items = iterates(x0.copy())
+    elif np.ndim(seed) == 0:
+        items = iterates(x0.copy(), make_rng(seed))
+    else:
+        return record_rows(iterates, x0, N, f_star, seed)
     trace = IterateTrace(f_star)
-    for n, (x, value, grad_norm, custom) in zip(range(N + 1), iterates(as_vector(x0).copy())):
+    for n, (x, value, grad_norm, custom) in zip(range(N + 1), items):
         if n == 0:
             scale = 1.0 + abs(value)
         check_divergence(value, x, scale)
         trace.add(n, value, grad_norm, **custom)
     trace.final_point = x
     return trace
+
+
+class BatchTrace:
+    """The records of S seeds stepped as one batch.
+
+    values()[n, s] is seed s's value at record n (likewise gaps and custom
+    columns), final_point[s] its final point. trace(s) builds
+    seed s's IterateTrace only when asked for.
+    """
+
+    def __init__(self, f_star, values, grad_norms, custom, final_point):
+        self.f_star = f_star
+        self._values = values
+        self._grad_norms = grad_norms
+        self._custom = custom
+        self.final_point = final_point
+
+    def __len__(self):
+        return self._values.shape[0]
+
+    def values(self):
+        return self._values
+
+    def gaps(self):
+        return None if self.f_star is None else self._values - self.f_star
+
+    def custom(self, key):
+        return self._custom.get(key, np.full(self._values.shape, math.nan))
+
+    def final_gap(self):
+        return None if self.f_star is None else self._values[-1] - self.f_star
+
+    def trace(self, s):
+        trace = IterateTrace(self.f_star)
+        for n in range(len(self)):
+            trace.add(n, self._values[n, s],
+                      None if self._grad_norms is None else self._grad_norms[n, s],
+                      **{key: float(col[n, s]) for key, col in self._custom.items()})
+        trace.final_point = self.final_point[s].copy()
+        return trace
+
+
+def record_rows(iterates, x0, N, f_star, seeds):
+    """Step S seeds as one (S, d) matrix through iterates(X, make_rng(seeds)).
+
+    Every item holds an (S, d) point, S values and S-vectors for grad_norm
+    and the custom columns, so the oracles the generator calls must be
+    row-wise. Row 0 of records 0 and 1 (the first stochastic-oracle call) is
+    checked against the single-seed run of seeds[0]; an oracle that fails
+    on, or mixes, the rows raises CapabilityError. Each row has its own
+    divergence guard. Returns a BatchTrace.
+    """
+    seeds = list(seeds)
+    S = len(seeds)
+    if S < 1:
+        raise InvalidInput("need at least one seed")
+    probe = [item for _, item in zip(range(min(N, 1) + 1),
+                                      iterates(x0.copy(), make_rng(seeds[0])))]
+    rows = iterates(np.tile(x0, (S, 1)), make_rng(seeds))
+    values = np.empty((N + 1, S))
+    grad_norms = None
+    custom = {}
+    for n in range(N + 1):
+        if n < len(probe):
+            try:
+                X, value, grad_norm, extra = item = next(rows)
+                _match_row0(probe[n], item, S)
+            except (TypeError, ValueError, IndexError, AttributeError) as exc:
+                raise CapabilityError("oracle is not row-wise: %s" % exc) from exc
+        else:
+            X, value, grad_norm, extra = next(rows)
+        if n == 0:
+            scale = 1.0 + np.abs(value)
+        ok = (np.isfinite(value) & (np.abs(value) <= DIVERGENCE_FACTOR * scale)
+              & np.isfinite(X).all(axis=1))
+        if not ok.all():
+            s = int(np.argmin(ok))
+            raise DivergenceError("iterate of seed %r diverged (value %r)"
+                                  % (seeds[s], float(value[s])))
+        values[n] = value
+        if grad_norm is not None:
+            if grad_norms is None:
+                grad_norms = np.empty((N + 1, S))
+            grad_norms[n] = grad_norm
+        for key, col in extra.items():
+            if key not in custom:
+                custom[key] = np.empty((N + 1, S))
+            custom[key][n] = col
+    return BatchTrace(f_star, values, grad_norms, custom, X)
+
+
+def _match_row0(ref, item, S):
+    """CapabilityError unless item holds S rows whose row 0 is the single-seed item ref."""
+    X, value, grad_norm, extra = item
+    x_ref, v_ref, g_ref, c_ref = ref
+    pairs = [(X, x_ref), (value, v_ref)] + [(extra.get(k), c) for k, c in c_ref.items()]
+    if g_ref is not None:
+        pairs.append((grad_norm, g_ref))
+    for rows, single in pairs:
+        if np.shape(rows) != (S,) + np.shape(single):
+            raise CapabilityError("oracle is not row-wise: a batch of %d rows gave "
+                                  "the wrong shapes" % S)
+        # a loose tolerance: this catches other rows, not rounding
+        if not np.all(np.abs(rows[0] - single) <= 1e-9 * (1.0 + np.abs(single))):
+            raise CapabilityError("oracle is not row-wise: row 0 of the batch "
+                                  "differs from the single-seed run")
 
 
 def composite_value(f, g):
@@ -249,8 +364,70 @@ def finite_diff_gradient(f, x, h=1e-6):
 
 
 def make_rng(seed):
-    """Counter-based generator so split streams are reproducible."""
-    return np.random.Generator(np.random.Philox(seed))
+    """Counter-based generator so split streams are reproducible.
+
+    A sequence of seeds gives a RowGenerator with one such stream per seed.
+    """
+    if np.ndim(seed) == 0:
+        return np.random.Generator(np.random.Philox(seed))
+    return RowGenerator(seed)
+
+
+ROW_BLOCK = 1 << 18  # numbers held at once by a RowGenerator, over all rows
+
+
+class RowGenerator:
+    """One make_rng stream per seed, drawn a row per seed at a time.
+
+    standard_normal(size) returns an (S, *size) array and integers(n) an
+    (S,) array; row s is what make_rng(seeds[s]) returns for the same call.
+    Rows are refilled from per-seed blocks of about ROW_BLOCK / S numbers: on
+    numpy's Philox one block draw equals the same number of single draws,
+    for either method. A stream serves one kind of draw (normals, or
+    integers below one n), since mixing kinds would reorder the blocks
+    against the single-seed streams.
+    """
+
+    def __init__(self, seeds):
+        self._gens = [make_rng(s) for s in seeds]
+        if not self._gens:
+            raise InvalidInput("need at least one seed")
+        self._kind = None
+        self._buf = None
+        self._pos = 0
+
+    def __len__(self):
+        return len(self._gens)
+
+    def _take(self, kind, k, draw):
+        if self._kind is None:
+            self._kind = kind
+        elif kind != self._kind:
+            raise CapabilityError("a row generator serves one kind of draw: "
+                                  "%r after %r" % (kind, self._kind))
+        if self._buf is None or self._pos + k > self._buf.shape[1]:
+            m = max(k, ROW_BLOCK // len(self._gens))
+            fresh = np.stack([draw(g, m) for g in self._gens])
+            self._buf = fresh if self._buf is None else np.concatenate(
+                [self._buf[:, self._pos:], fresh], axis=1)
+            self._pos = 0
+        out = self._buf[:, self._pos:self._pos + k]
+        self._pos += k
+        return out
+
+    def standard_normal(self, size=None):
+        shape = () if size is None else (size,) if np.ndim(size) == 0 else tuple(size)
+        k = math.prod(shape)
+        return self._take("normal", k, lambda g, m: g.standard_normal(m)).reshape(
+            (len(self),) + shape)
+
+    def integers(self, n):
+        return self._take(("integers", n), 1, lambda g, m: g.integers(n, size=m))[:, 0]
+
+
+def row_norm(v):
+    """||v|| of a vector, or the norm of each row of a row matrix."""
+    return float(np.linalg.norm(v)) if v.ndim == 1 else np.linalg.norm(v, axis=1)
 
 
 def fit_rate(trace, skip=0):

@@ -12,11 +12,10 @@ from .core import (InfeasibleOrBudget, InvalidInput, InvalidSeparator,
 
 def project_ball(x, c, r):
     x = as_vector(x)
-    c = np.broadcast_to(np.asarray(c, dtype=float), x.shape)
     if r <= 0:
         raise InvalidInput("radius must be positive")
     d = x - c
-    nd = float(np.linalg.norm(d))
+    nd = math.sqrt(d.dot(d))  # what np.linalg.norm computes, without its overhead
     if nd <= r:
         return x.copy()
     return c + (r / nd) * d

@@ -14,7 +14,11 @@ def _logsumexp(z):
 
 
 def make_quadratic(A, b, name="quadratic"):
-    """f(x) = 1/2 <x, Ax> - <b, x> with A symmetric PSD."""
+    """f(x) = 1/2 <x, Ax> - <b, x> with A symmetric PSD.
+
+    value and gradient are row-wise: given an (S, d) row matrix they return
+    S values and an (S, d) matrix of gradients.
+    """
     A = np.asarray(A, dtype=float)
     b = as_vector(b)
     if A.shape != (b.size, b.size):
@@ -32,9 +36,13 @@ def make_quadratic(A, b, name="quadratic"):
         f_star = -0.5 * float(b @ x_star)
 
     def value(x):
+        if getattr(x, "ndim", 1) == 2:  # an (S, d) row matrix
+            return 0.5 * np.einsum("ij,ij->i", x, x @ A.T) - x @ b
         return 0.5 * float(x @ (A @ x)) - float(b @ x)
 
     def grad(x):
+        if getattr(x, "ndim", 1) == 2:
+            return x @ A.T - b
         return A @ x - b
 
     def prox(y, h):
@@ -299,7 +307,7 @@ def make_svm_hinge(X, Y, lam, ball_radius=None, name="svm-hinge"):
     L = row_norm + lam * ball_radius
 
     def value(theta):
-        return float(np.mean(np.maximum(0.0, 1.0 - Y * (X @ theta)))) + 0.5 * lam * float(theta @ theta)
+        return float(np.maximum(0.0, 1.0 - Y * (X @ theta)).sum() / n) + 0.5 * lam * float(theta @ theta)
 
     def subgrad(theta):
         margin = Y * (X @ theta)

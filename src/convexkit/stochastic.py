@@ -1,25 +1,29 @@
 """Stochastic gradient methods: SGD/SMPGD, Polyak-Ruppert averaging with an
 empirical CLT check, and SVRG."""
 
+import itertools
 import math
 
 import numpy as np
 
 from .core import (DivergenceError, InvalidInput, IterateTrace, as_vector,
-                   check_divergence, composite_value, make_rng, record)
+                   check_divergence, composite_value, make_rng, record, row_norm)
 
 
 def run_sgd(problem, h, x0, N, seed=0):
-    """Plain SGD with a constant step; the trace records the exact objective."""
-    grad = problem.require("stochastic_gradient")
-    rng = make_rng(seed)
+    """Plain SGD with a constant step; the trace records the exact objective.
 
-    def iterates(x):
+    A sequence of seeds runs them all as one batch and returns a BatchTrace
+    (see core.record_rows); the oracles must then be row-wise.
+    """
+    grad = problem.require("stochastic_gradient")
+
+    def iterates(x, rng):
         while True:
             yield x, problem.value(x), None, {}
             x = x - h * grad(x, rng)
 
-    return record(iterates, x0, N, problem.f_star)
+    return record(iterates, x0, N, problem.f_star, seed)
 
 
 def smpgd_lambda(alpha_f, alpha_g, h):
@@ -32,16 +36,16 @@ def run_smpgd(f, g, geometry, h, x0, N, seed=0, averaging="geometric"):
     The returned trace's final_point is the lambda_h-geometrically weighted
     average of the iterates (weights lambda_h^(N-n)) and its last_iterate is
     the last iterate; averaging="uniform" is available for the alpha = 0 case.
+    A sequence of seeds runs as one batch, as in run_sgd.
     """
     grad = f.require("stochastic_gradient")
-    rng = make_rng(seed)
     lam = smpgd_lambda(f.alpha, 0.0 if g is None else g.alpha, h)
     if averaging == "uniform":
         lam = 1.0
     total = composite_value(f, g)
     last = {}
 
-    def iterates(x):
+    def iterates(x, rng):
         avg = x
         W = 1.0
         while True:
@@ -55,43 +59,46 @@ def run_smpgd(f, g, geometry, h, x0, N, seed=0, averaging="geometric"):
             W = lam * W + 1.0
             avg = avg + (x - avg) / W
 
-    trace = record(iterates, x0, N, f.f_star)
+    trace = record(iterates, x0, N, f.f_star, seed)
     trace.last_iterate = last["x"]
     return trace
 
 
 def run_sgd_pl(problem, h, x0, N, seeds):
-    """Mean final gap of SGD over the given seeds (PL noise-floor check)."""
+    """Mean final gap of SGD over the given seeds (PL noise-floor check),
+    run as one batch."""
     if problem.f_star is None:
         raise InvalidInput("needs a declared f*")
-    gaps = []
-    for s in seeds:
-        tr = run_sgd(problem, h, x0, N, seed=s)
-        gaps.append(tr.final_gap())
-    return float(np.mean(gaps))
+    return float(np.mean(run_sgd(problem, h, x0, N, seed=list(seeds)).final_gap()))
 
 
 def run_asgd(problem, gamma, x0, n, seed=0):
     """SGD with steps h_k = k^-gamma plus Polyak-Ruppert (uniform) averaging
-    of iterates 0..n-1. Returns (theta_bar, trace of squared distances)."""
+    of iterates 0..n-1. Returns (theta_bar, trace of squared distances).
+
+    A sequence of seeds runs as one batch, as in run_sgd: theta_bar is then
+    (S, d) and the trace a BatchTrace.
+    """
     if not 0.5 < gamma < 1.0:
         raise InvalidInput("gamma must lie in (1/2, 1)")
+    if n < 1:
+        raise InvalidInput("n must be >= 1")
     grad = problem.require("stochastic_gradient")
-    rng = make_rng(seed)
-    x = as_vector(x0).copy()
-    total = np.zeros_like(x)
-    trace = IterateTrace(None)
-    for k in range(n):
-        total += x
-        if problem.x_star is not None:
-            trace.add(k, float(np.linalg.norm(x - problem.x_star) ** 2))
-        else:
-            trace.add(k, 0.0)
-        x = x - (k + 1.0) ** (-gamma) * grad(x, rng)
-        if not np.all(np.isfinite(x)):
-            raise DivergenceError("ASGD iterate diverged")
-    theta_bar = total / n
-    trace.final_point = theta_bar
+    x_star = problem.x_star
+    sums = {}
+
+    def dist2(x):  # 0 (one per row) when x* is unknown
+        return row_norm(x - x_star) ** 2 if x_star is not None else 0.0 * row_norm(x)
+
+    def iterates(x, rng):
+        total = sums["total"] = np.zeros_like(x)
+        for k in itertools.count():
+            total += x
+            yield x, dist2(x), None, {}
+            x = x - (k + 1.0) ** (-gamma) * grad(x, rng)
+
+    trace = record(iterates, x0, n - 1, None, seed)
+    trace.final_point = theta_bar = sums["total"] / n
     return theta_bar, trace
 
 
@@ -136,6 +143,8 @@ def svrg_epoch_length(problem, g, h):
     lam = smpgd_lambda(problem.alpha, 0.0 if g is None else g.alpha, h)
     if lam >= 1.0:
         raise InvalidInput("needs a strongly convex problem")
+    if lam <= 0.0:
+        raise InvalidInput("needs a step h below 1/alpha")
     return int(math.ceil(math.log(2.0) / -math.log(lam)))
 
 
@@ -166,7 +175,8 @@ def run_svrg(problem, g=None, h=None, x0=None, epochs=20, epoch_plan="constant",
     else:
         N_t = 2
     evals = 0
-    trace.add(0, total(anchor))
+    value = total(anchor)
+    trace.add(0, value)
     for t in range(1, epochs + 1):
         full = problem.subgradient(anchor)
         evals += n_comp
@@ -180,15 +190,18 @@ def run_svrg(problem, g=None, h=None, x0=None, epochs=20, epoch_plan="constant",
             x = x - h * v
             if g is not None:
                 x = g.prox(x, h)
-            check_divergence(total(x), x, scale)
+            if not np.isfinite(x).all():
+                raise DivergenceError("SVRG iterate diverged")
             W = lam * W + 1.0
             avg = avg + (x - avg) / W
         anchor = avg
-        trace.add(t, total(anchor), evals=float(evals))
+        value = total(anchor)
+        check_divergence(value, anchor, scale)
+        trace.add(t, value, evals=float(evals))
         if epoch_plan == "doubling":
             N_t *= 2
         if target_gap is not None and problem.f_star is not None:
-            if total(anchor) - problem.f_star <= target_gap:
+            if value - problem.f_star <= target_gap:
                 break
     trace.final_point = anchor
     return trace, evals

@@ -145,6 +145,29 @@ def test_run_diverging_pgd_exits_1_without_rows(tmp_path, capsys):
     assert "DivergenceError" in captured.err
 
 
+@pytest.mark.parametrize("text", [
+    QUAD.replace("dim 2", "dim nan"), QUAD.replace("dim 2", "dim inf"),
+    QUAD.replace("dim 2", "dim 2.5"), QUAD.replace("dim 2", "dim 0"),
+    LASSO.replace("rows 4", "rows -inf"), LASSO.replace("rows 4", "rows 4.000001"),
+    "kind worst-case-smooth\nsteps nan\nbeta 1\ndim 3\n",
+    "kind worst-case-nonsmooth\nsteps -5\nL 1\nR 1\n",
+    "kind worst-case-nonsmooth\nsteps 2.5\nL 1\nR 1\n",
+], ids=["dim-nan", "dim-inf", "dim-2.5", "dim-0", "rows-minus-inf", "rows-4.000001",
+        "steps-nan", "steps-minus-5", "steps-2.5"])
+def test_run_non_integer_field_usage_error(tmp_path, capsys, text):
+    p = tmp_path / "bad.prob"
+    p.write_text(text)
+    assert cli.main(["run", "--problem", str(p), "--algo", "gd"]) == 2
+    assert "must be an integer" in capsys.readouterr().err
+
+
+def test_run_integral_float_field_is_accepted(tmp_path):
+    p = tmp_path / "q.prob"
+    p.write_text(QUAD.replace("dim 2", "dim 2.0"))
+    assert cli.main(["run", "--problem", str(p), "--algo", "gd", "--iters", "3",
+                     "--out", str(tmp_path / "t.csv")]) == 0
+
+
 def test_run_byte_stable(quad_file, tmp_path):
     outs = []
     for name in ("a.csv", "b.csv"):
@@ -239,3 +262,27 @@ def test_fuzz_run_exit_codes_and_pure_csv(fuzz_files, algo, which, step, iters):
         rows = [line.split(",") for line in lines[1:-1]]
         assert [int(r[0]) for r in rows] == list(range(iters + 1))
         assert all(len(r) == 5 and all(_finite_or_empty(v) for v in r[1:]) for r in rows)
+
+
+INTEGER_FIELDS = [  # (file text, field, its value in the text, minimum)
+    (QUAD, "dim", "2", 1),
+    (LASSO, "rows", "4", 1),
+    (LASSO, "dim", "2", 1),
+    ("kind worst-case-smooth\nsteps 8\nbeta 1\ndim 3\n", "steps", "8", 0),
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=st.sampled_from(INTEGER_FIELDS),
+       value=st.one_of(st.integers(-3, 10), st.floats(allow_nan=True, allow_infinity=True)))
+def test_fuzz_integer_fields_exit_codes(tmp_path_factory, case, value):
+    text, field, old, minimum = case
+    p = tmp_path_factory.mktemp("intfuzz") / "f.prob"
+    p.write_text(text.replace("%s %s\n" % (field, old), "%s %r\n" % (field, value)))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["run", "--problem", str(p), "--algo", "gd", "--iters", "3"])
+    assert code in (0, 1, 2, 3)
+    v = float(value)
+    if not (math.isfinite(v) and v == int(v) and v >= minimum):
+        assert code == 2 and "must be an integer" in err.getvalue()

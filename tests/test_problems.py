@@ -174,3 +174,16 @@ def test_quadratic_convexity_inequality(seed):
     x, y = rng.normal(size=3), rng.normal(size=3)
     g = q.subgradient(x)
     assert q.value(y) >= q.value(x) + g @ (y - x) - 1e-9
+
+
+def test_quadratic_value_and_gradient_are_rowwise():
+    rng = make_rng(20)
+    M = rng.normal(size=(4, 4))
+    q = problems.make_quadratic(M @ M.T + np.eye(4), rng.normal(size=4))
+    X = rng.normal(size=(6, 4))
+    values = q.value(X)
+    grads = q.gradient(X)
+    assert values.shape == (6,) and grads.shape == (6, 4)
+    for s in range(6):
+        assert values[s] == pytest.approx(q.value(X[s]), rel=1e-12)
+        assert np.linalg.norm(grads[s] - q.gradient(X[s])) <= 1e-12 * np.linalg.norm(q.gradient(X[s]))
