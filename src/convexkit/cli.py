@@ -3,10 +3,12 @@ against theory, and execute the acceptance suite.
 
 Exit codes: 0 success, 1 acceptance/rate failure or a failed run (e.g. a
 diverging solver), 2 usage error or invalid problem file, 3 missing oracle
-capability. `run` writes only the trace CSV to stdout; summaries go to
-stderr. Flags are long-form only; each of --iters/--step/--seed falls back to
-the CONVEXKIT_ITERS/CONVEXKIT_STEP/CONVEXKIT_SEED environment variable before
-its default.
+capability or no positive default step. `run` writes only the trace CSV to
+stdout; summaries go to stderr. Flags are long-form only; each of
+--iters/--step/--seed falls back to the CONVEXKIT_ITERS/CONVEXKIT_STEP/
+CONVEXKIT_SEED environment variable before its default. Worst-case problem
+files are size-capped (MAX_CHAIN_DIM, MAX_NONSMOOTH_STEPS): past a cap, exit 2
+before anything is allocated.
 """
 
 import argparse
@@ -31,8 +33,12 @@ from .core import (CapabilityError, ConvexkitError, InvalidInput, InvalidProblem
 #   kind logistic         rows, dim, X (rows*dim), Y (rows; 0/1)
 #   kind lasso            rows, dim, X (rows*dim), Y (rows), lam
 #   kind svm              rows, dim, X (rows*dim), Y (rows; +-1), lam
-#   kind worst-case-smooth     steps, beta, dim
-#   kind worst-case-nonsmooth  steps, L, R
+#   kind worst-case-smooth     steps, beta, dim <= MAX_CHAIN_DIM
+#   kind worst-case-nonsmooth  steps <= MAX_NONSMOOTH_STEPS, L, R
+
+MAX_CHAIN_DIM = 4096  # a dense dim x dim matrix: 128 MB at the cap
+MAX_NONSMOOTH_STEPS = 1000000  # vectors of steps + 1 entries: 8 MB at the cap
+
 
 def _parse_fields(path):
     fields = {}
@@ -67,11 +73,11 @@ def _scalar(fields, key):
     return float(_numbers(fields, key, 1)[0])
 
 
-def _integer(fields, key, minimum):
+def _integer(fields, key, minimum, maximum=math.inf):
     value = _scalar(fields, key)
-    if not (math.isfinite(value) and value == int(value) and value >= minimum):
-        raise InvalidInput("field %r must be an integer >= %d, got %r"
-                           % (key, minimum, value))
+    if not (math.isfinite(value) and value == int(value) and minimum <= value <= maximum):
+        raise InvalidInput("field %r must be an integer in [%d, %s], got %r"
+                           % (key, minimum, maximum, value))
     return int(value)
 
 
@@ -107,10 +113,10 @@ def parse_problem_file(path):
     if kind == "worst-case-smooth":
         return problems.make_worst_case_smooth(
             _integer(fields, "steps", 0), _scalar(fields, "beta"),
-            _integer(fields, "dim", 1))
+            _integer(fields, "dim", 1, MAX_CHAIN_DIM))
     if kind == "worst-case-nonsmooth":
         return problems.make_worst_case_nonsmooth(
-            _integer(fields, "steps", 0), _scalar(fields, "L"),
+            _integer(fields, "steps", 0, MAX_NONSMOOTH_STEPS), _scalar(fields, "L"),
             _scalar(fields, "R"))
     raise InvalidInput("unknown problem kind %r" % kind)
 
@@ -133,10 +139,15 @@ def parse_lp_file(path):
                 continue
             if current is None:
                 raise InvalidInput("LP file data before any section header")
-            sections[current].append([float(t) for t in line.replace(",", " ").split()])
+            try:
+                sections[current].append([float(t) for t in line.replace(",", " ").split()])
+            except ValueError:
+                raise InvalidInput("LP section %r holds non-numeric data: %r" % (current, line))
     for key in ("A", "b", "c"):
         if key not in sections or not sections[key]:
             raise InvalidInput("LP file is missing section %r" % key)
+    if len({len(row) for row in sections["A"]}) != 1:
+        raise InvalidInput("LP section 'A' has rows of different lengths")
     A = np.array(sections["A"])
     b = np.concatenate([np.array(r) for r in sections["b"]])
     c = np.concatenate([np.array(r) for r in sections["c"]])

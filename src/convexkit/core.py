@@ -470,8 +470,13 @@ def _solver_registry():
     def needs(*caps):
         return caps
 
+    def step(p, default):  # the given step, else a default that must be positive
+        if "step" not in p and not default > 0:
+            raise CapabilityError("%r has no positive default step here; give one" % p["name"])
+        return p.get("step", default)
+
     def run_gd(problem, x0, N, seed, p):
-        h = p.get("step") or (1.0 / problem.beta if math.isfinite(problem.beta) else 1.0)
+        h = step(p, 1.0 / problem.beta if math.isfinite(problem.beta) else 1.0)
         return gradient.run_gd(problem, h, x0, N)
 
     def run_agd(problem, x0, N, seed, p):
@@ -479,7 +484,7 @@ def _solver_registry():
 
     def run_psd(problem, x0, N, seed, p):
         R = p.get("radius", max(1.0, float(np.linalg.norm(x0)) * 2))
-        h = p.get("step", R / math.sqrt(max(N, 1)))
+        h = step(p, R / math.sqrt(max(N, 1)))
         proj = lambda z: nonsmooth.project_ball(z, np.zeros(problem.dim), R)
         return nonsmooth.run_psd(problem, proj, h, x0, N)
 
@@ -490,7 +495,7 @@ def _solver_registry():
 
     def run_pgd(problem, x0, N, seed, p):
         f = problem.extra.get("smooth", problem)
-        h = p.get("step", 1.0 / f.beta)
+        h = step(p, 1.0 / f.beta)
         return proximal.run_pgd(f, problem.extra.get("reg"), h, x0, N, problem.f_star)
 
     def run_apgd(problem, x0, N, seed, p):
@@ -499,12 +504,12 @@ def _solver_registry():
 
     def run_ppm(problem, x0, N, seed, p):
         problem.require("prox")
-        h = p.get("step", 1.0)
+        h = step(p, 1.0)
         return proximal.run_ppm(problem, h, x0, N)
 
     def run_md(problem, x0, N, seed, p):
         geom = mirror.entropic_geometry(problem.dim)
-        h = p.get("step", math.sqrt(2 * math.log(problem.dim) / max(N, 1)) /
+        h = step(p, math.sqrt(2 * math.log(problem.dim) / max(N, 1)) /
                  (problem.L if math.isfinite(problem.L) else 1.0))
         if x0 is None or not np.all(np.asarray(x0) > 0):
             x0 = np.full(problem.dim, 1.0 / problem.dim)
@@ -513,7 +518,7 @@ def _solver_registry():
     def run_sgd(problem, x0, N, seed, p):
         from . import stochastic
         problem.require("stochastic_gradient")
-        h = p.get("step", 1.0 / (2 * problem.beta) if math.isfinite(problem.beta) else 0.1)
+        h = step(p, 1.0 / (2 * problem.beta) if math.isfinite(problem.beta) else 0.1)
         return stochastic.run_sgd(problem, h, x0, N, seed)
 
     def run_cg(problem, x0, N, seed, p):

@@ -11,7 +11,8 @@ from .core import (CenteringFailed, DomainError, InvalidInput, NumericalError,
 class Barrier:
     """Self-concordant barrier: value/gradient/Hessian oracles, parameter nu."""
 
-    def __init__(self, dim, value, gradient, hessian, nu, in_domain, M=1.0, name="barrier"):
+    def __init__(self, dim, value, gradient, hessian, nu, in_domain, M=1.0, name="barrier",
+                 evaluate=None):
         self.dim = int(dim)
         self.value = value
         self.gradient = gradient
@@ -20,6 +21,14 @@ class Barrier:
         self.M = float(M)
         self.in_domain = in_domain
         self.name = name
+        if evaluate is not None:
+            self.evaluate = evaluate  # one pass over x instead of the method below
+
+    def evaluate(self, x):
+        """(gradient, Hessian) at x; DomainError outside the interior."""
+        if not self.in_domain(x):
+            raise DomainError("%s: point outside the domain" % self.name)
+        return self.gradient(x), self.hessian(x)
 
     def local_norm(self, x, v):
         """||v||_x = sqrt(<v, H(x) v>)."""
@@ -28,16 +37,21 @@ class Barrier:
 
     def dual_norm(self, x, v):
         """||v||*_x = sqrt(<v, H(x)^-1 v>)."""
-        H = self.hessian(x)
-        return math.sqrt(max(float(v @ _pd_solve(H, v)), 0.0))
+        return _decrement(_pd(self.hessian(x)), v)
 
 
-def _pd_solve(H, g):
+def _pd(H):
+    """H, once a Cholesky factorization has shown it positive definite."""
     try:
         np.linalg.cholesky(H)
     except np.linalg.LinAlgError:
         raise SingularHessian("Hessian not positive definite")
-    return np.linalg.solve(H, g)
+    return H
+
+
+def _decrement(H, g):
+    """sqrt(<g, H^-1 g>) for a positive definite H."""
+    return math.sqrt(max(float(g @ np.linalg.solve(H, g)), 0.0))
 
 
 def log_barrier_polytope(A, b):
@@ -48,7 +62,7 @@ def log_barrier_polytope(A, b):
 
     def slacks(x):
         s = b - A @ x
-        if np.any(s <= 0):
+        if not s.min() > 0:
             raise DomainError("point outside the polytope interior")
         return s
 
@@ -58,14 +72,15 @@ def log_barrier_polytope(A, b):
     def gradient(x):
         return A.T @ (1.0 / slacks(x))
 
-    def hessian(x):
+    def evaluate(x):
         w = 1.0 / slacks(x)
-        return (A * (w * w)[:, None]).T @ A
+        return A.T @ w, (A * (w * w)[:, None]).T @ A
 
     def in_domain(x):
         return bool(np.all(b - A @ x > 0))
 
-    return Barrier(d, value, gradient, hessian, m, in_domain, name="log-polytope")
+    return Barrier(d, value, gradient, lambda x: evaluate(x)[1], m, in_domain,
+                   name="log-polytope", evaluate=evaluate)
 
 
 def logdet_barrier(d):
@@ -83,13 +98,6 @@ def logdet_barrier(d):
             raise DomainError("matrix not positive definite")
         return -logdet
 
-    def gradient(x):
-        return -np.linalg.inv(mat(x)).ravel()
-
-    def hessian(x):
-        inv = np.linalg.inv(mat(x))
-        return np.kron(inv, inv)
-
     def in_domain(x):
         X = mat(x)
         try:
@@ -98,7 +106,14 @@ def logdet_barrier(d):
         except np.linalg.LinAlgError:
             return False
 
-    return Barrier(d * d, value, gradient, hessian, d, in_domain, name="logdet")
+    def evaluate(x):
+        if not in_domain(x):
+            raise DomainError("matrix not positive definite")
+        inv = np.linalg.inv(mat(x))
+        return -inv.ravel(), np.kron(inv, inv)
+
+    return Barrier(d * d, value, lambda x: evaluate(x)[0], lambda x: evaluate(x)[1], d,
+                   in_domain, name="logdet", evaluate=evaluate)
 
 
 class ShiftedBarrier:
@@ -112,25 +127,25 @@ class ShiftedBarrier:
     def value(self, x):
         return self.t * float(self.a @ x) + self.barrier.value(x)
 
-    def gradient(self, x):
-        return self.t * self.a + self.barrier.gradient(x)
+    def evaluate(self, x):
+        g, H = self.barrier.evaluate(x)
+        return self.t * self.a + g, H
 
-    def hessian(self, x):
-        return self.barrier.hessian(x)
+
+def _newton(f, x):
+    """(H^-1 g, lambda) at x from one evaluation of f."""
+    g, H = f.evaluate(x)
+    direction = np.linalg.solve(_pd(H), g)
+    return direction, math.sqrt(max(float(g @ direction), 0.0))
 
 
 def newton_decrement(f, x):
-    g = f.gradient(x)
-    H = f.hessian(x)
-    return math.sqrt(max(float(g @ _pd_solve(H, g)), 0.0))
+    return _newton(f, x)[1]
 
 
 def newton_step(f, x):
     """Full Newton step; returns (x_plus, lambda_before)."""
-    g = f.gradient(x)
-    H = f.hessian(x)
-    direction = _pd_solve(H, g)
-    lam = math.sqrt(max(float(g @ direction), 0.0))
+    direction, lam = _newton(f, x)
     return x - direction, lam
 
 
@@ -140,10 +155,7 @@ def damped_newton(f, x, target=1e-10, max_iter=500):
     no_decrease = 0
     v = f.value(x)
     for _ in range(max_iter):
-        g = f.gradient(x)
-        H = f.hessian(x)
-        direction = _pd_solve(H, g)
-        lam = math.sqrt(max(float(g @ direction), 0.0))
+        direction, lam = _newton(f, x)
         if lam <= target:
             return x
         x = x - direction / (1.0 + lam)
@@ -174,13 +186,15 @@ def path_follow(a, barrier, x_center, t0, eps, c0=C0):
 
     Requires the centering precondition lambda_{f_t0}(x_center) <= 1/4; stops
     once t >= 2 nu / eps, where the certificate is below eps. Returns
-    (x, list of PathState).
+    (x, list of PathState). H depends on x alone, so one evaluation per point
+    serves the decrement at t and the step to the next t.
     """
     a = as_vector(a)
     nu = barrier.nu
     t = float(t0)
     x = as_vector(x_center).copy()
-    lam = newton_decrement(ShiftedBarrier(barrier, a, t), x)
+    grad, H = barrier.evaluate(x)
+    lam = _decrement(_pd(H), t * a + grad)
     if lam > 0.25 + 1e-12:
         raise InvalidInput("x_center is not centered for t0 (decrement %g)" % lam)
     states = [PathState(t, x, lam)]
@@ -188,11 +202,12 @@ def path_follow(a, barrier, x_center, t0, eps, c0=C0):
     growth = 1.0 + c0 / math.sqrt(nu)
     while t < t_stop:
         t *= growth
-        f_t = ShiftedBarrier(barrier, a, t)
-        x, _ = newton_step(f_t, x)
-        if not barrier.in_domain(x):
+        x = x - np.linalg.solve(H, t * a + grad)
+        try:
+            grad, H = barrier.evaluate(x)
+        except DomainError:
             raise NumericalError("Newton step left the domain at t = %g" % t)
-        lam = newton_decrement(f_t, x)
+        lam = _decrement(_pd(H), t * a + grad)
         if lam > 0.25 + 1e-12:
             raise NumericalError("decrement %g > 1/4 at t = %g" % (lam, t))
         states.append(PathState(t, x, lam))
@@ -207,22 +222,21 @@ def preliminary_stage(barrier, xbar0, a, c0=C0):
     then finishes with damped Newton on phi and picks the largest safe t0.
     """
     a = as_vector(a)
-    nu = barrier.nu
-    g0 = barrier.gradient(xbar0)
     x = as_vector(xbar0).copy()
+    g0, H = barrier.evaluate(x)
+    _pd(H)
+    grad = g0
     t = 1.0
-    shrink = 1.0 - c0 / math.sqrt(nu)
+    shrink = 1.0 - c0 / math.sqrt(barrier.nu)
     iterations = 0
-    while True:
-        gnorm = barrier.dual_norm(x, barrier.gradient(x))
-        if t * barrier.dual_norm(x, g0) <= 1.0 / 16.0 and gnorm <= 0.5:
-            break
+    while not (t * _decrement(H, g0) <= 1.0 / 16.0 and _decrement(H, grad) <= 0.5):
         t *= shrink
-        f_t = ShiftedBarrier(barrier, -g0, t)
-        x, _ = newton_step(f_t, x)
-        if not barrier.in_domain(x):
+        x = x - np.linalg.solve(H, grad - t * g0)
+        try:
+            grad, H = barrier.evaluate(x)
+        except DomainError:
             raise NumericalError("auxiliary Newton step left the domain")
-        lam = newton_decrement(f_t, x)
+        lam = _decrement(_pd(H), grad - t * g0)
         if lam > 0.25 + 1e-12:
             raise NumericalError("auxiliary path decrement %g > 1/4" % lam)
         iterations += 1

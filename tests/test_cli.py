@@ -88,6 +88,12 @@ def test_parse_lp_file(tmp_path):
     p.write_text("A:\n1 0\nb:\n1\n")  # missing c
     with pytest.raises(InvalidInput, match="c"):
         cli.parse_lp_file(str(p))
+    p.write_text(LP.replace("0.2 0.1", "0 x"))  # non-numeric token
+    with pytest.raises(InvalidInput, match="non-numeric"):
+        cli.parse_lp_file(str(p))
+    p.write_text(LP.replace("-1, 0\n", "-1\n", 1))  # ragged A rows
+    with pytest.raises(InvalidInput, match="rows of different lengths"):
+        cli.parse_lp_file(str(p))
 
 
 def test_read_losses_csv(tmp_path):
@@ -186,6 +192,70 @@ def test_run_unknown_algo_usage_error(quad_file, capsys):
 def test_run_capability_exit_3(quad_file):
     assert cli.main(["run", "--problem", quad_file, "--algo", "fw",
                      "--iters", "5"]) == 3
+
+
+SVM = """\
+kind svm
+rows 4
+dim 2
+X 1 0.5 -0.3 2 0.7 -1 1.5 0.2
+Y 1 -1 1 -1
+lam 0.1
+"""
+
+
+@pytest.mark.parametrize("text, algo", [
+    ("kind worst-case-nonsmooth\nsteps 0\nL 1\nR 1\n", "md"),  # dim 1: sqrt(2 log 1 / N) = 0
+    (SVM, "pgd"), (SVM, "ista"),  # hinge loss: beta = inf, 1 / beta = 0
+], ids=["md-dim-1", "pgd-svm", "ista-svm"])
+def test_run_zero_default_step_exit_3(tmp_path, capsys, text, algo):
+    p = tmp_path / "f.prob"
+    p.write_text(text)
+    assert cli.main(["run", "--problem", str(p), "--algo", algo, "--iters", "3"]) == 3
+    assert "capability error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, algo", [
+    ("kind worst-case-nonsmooth\nsteps 0\nL 1\nR 1\n", "md"), (SVM, "pgd"), (QUAD, "gd"),
+], ids=["md-dim-1", "pgd-svm", "gd-quadratic"])
+@pytest.mark.parametrize("step", ["0", "-0.5"])
+def test_run_explicit_nonpositive_step_still_exit_2(tmp_path, text, algo, step):
+    p = tmp_path / "f.prob"
+    p.write_text(text)
+    assert cli.main(["run", "--problem", str(p), "--algo", algo, "--iters", "3",
+                     "--step", step]) == 2
+
+
+@pytest.mark.parametrize("text, field", [
+    ("kind worst-case-smooth\nsteps 8\nbeta 1\ndim 1e9\n", "dim"),
+    ("kind worst-case-nonsmooth\nsteps 1e15\nL 1\nR 1\n", "steps"),
+], ids=["smooth-dim-1e9", "nonsmooth-steps-1e15"])
+def test_run_worst_case_size_cap_exit_2(tmp_path, capsys, monkeypatch, text, field):
+    def no_build(*args, **kwargs):
+        raise AssertionError("the size cap must be checked before the problem is built")
+    monkeypatch.setattr(cli.problems, "make_worst_case_smooth", no_build)
+    monkeypatch.setattr(cli.problems, "make_worst_case_nonsmooth", no_build)
+    p = tmp_path / "w.prob"
+    p.write_text(text)
+    assert cli.main(["run", "--problem", str(p), "--algo", "gd", "--iters", "3"]) == 2
+    assert "field %r must be an integer in [" % field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, field, cap, other", [
+    ("worst-case-smooth", "dim", cli.MAX_CHAIN_DIM, "steps 8\nbeta 1\n"),
+    ("worst-case-nonsmooth", "steps", cli.MAX_NONSMOOTH_STEPS, "L 1\nR 1\n"),
+])
+def test_worst_case_size_caps_are_inclusive(tmp_path, monkeypatch, kind, field, cap, other):
+    built = []
+    for name in ("make_worst_case_smooth", "make_worst_case_nonsmooth"):
+        monkeypatch.setattr(cli.problems, name, lambda *args: built.append(args))
+    p = tmp_path / "w.prob"
+    p.write_text("kind %s\n%s%s %d\n" % (kind, other, field, cap))
+    cli.parse_problem_file(str(p))
+    assert cap in built[0]
+    p.write_text("kind %s\n%s%s %d\n" % (kind, other, field, cap + 1))
+    with pytest.raises(InvalidInput, match=r"must be an integer in \[\d+, %d\]" % cap):
+        cli.parse_problem_file(str(p))
 
 
 def test_run_missing_file_exit_2(tmp_path):

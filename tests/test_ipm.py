@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convexkit import ipm, problems
-from convexkit.core import (CenteringFailed, DomainError, InvalidInput,
+from convexkit.core import (CenteringFailed, DomainError, InvalidInput, NumericalError,
                             SingularHessian, finite_diff_gradient, make_rng)
 
 
@@ -137,3 +139,122 @@ def test_preliminary_stage_centers():
     assert t0 > 0 and iters >= 1
     f_t0 = ipm.ShiftedBarrier(barrier, lp.c, t0)
     assert ipm.newton_decrement(f_t0, x0) <= 0.25 + 1e-12
+
+
+def _same_bytes(u, v):
+    return u.shape == v.shape and u.tobytes() == v.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 12), d=st.integers(1, 4),
+       u=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4), frac=st.floats(0.0, 0.9))
+def test_polytope_evaluate_matches_oracles(seed, m, d, u, frac):
+    rng = make_rng(seed)
+    A = rng.normal(size=(m, d))
+    b = rng.uniform(0.5, 2.0, size=m)  # the origin is interior
+    barrier = ipm.log_barrier_polytope(A, b)
+    direction = np.array(u[:d])
+    ad = A @ direction
+    reach = min(1.0, float(np.min(b[ad > 0] / ad[ad > 0]))) if np.any(ad > 0) else 1.0
+    x = frac * reach * direction
+    g, H = barrier.evaluate(x)
+    assert _same_bytes(g, barrier.gradient(x))
+    assert _same_bytes(H, barrier.hessian(x))
+    fd = finite_diff_gradient(barrier.value, x)
+    assert np.allclose(g, fd, rtol=1e-5, atol=1e-5 * (1.0 + np.abs(g).max()))
+    on_face = b.copy()
+    on_face[0] = (A @ x)[0]  # slack exactly 0 in row 0
+    for b_out in (on_face, on_face - 1.0):
+        with pytest.raises(DomainError):
+            ipm.log_barrier_polytope(A, b_out).evaluate(x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(2, 4), shift=st.floats(0.05, 5.0),
+       v=st.lists(st.integers(-4, 4), min_size=4, max_size=4))
+def test_logdet_evaluate_matches_oracles(seed, d, shift, v):
+    ld = ipm.logdet_barrier(d)
+    M = make_rng(seed).normal(size=(d, d))
+    x = (M @ M.T + shift * np.eye(d)).ravel()
+    g, H = ld.evaluate(x)
+    assert _same_bytes(g, ld.gradient(x))
+    assert _same_bytes(H, ld.hessian(x))
+    fd = finite_diff_gradient(ld.value, x)
+    assert np.allclose(g, fd, rtol=1e-4, atol=1e-4 * (1.0 + np.abs(g).max()))
+    v = np.array(v[:d], dtype=float)
+    v[0] = v[0] or 1.0  # an integer vector: the rank-1 v v^T has exact zero pivots
+    for outside in (np.outer(v, v), -(M @ M.T + shift * np.eye(d))):  # singular, negative definite
+        with pytest.raises(DomainError):
+            ld.evaluate(outside.ravel())
+
+
+def _oracles_only(barrier, calls=None):
+    """The same barrier built by hand: no fused evaluation."""
+    def logged(name, fn):
+        def call(x):
+            if calls is not None:
+                calls.append(name)
+            return fn(x)
+        return call
+    return ipm.Barrier(barrier.dim, barrier.value, logged("gradient", barrier.gradient),
+                       logged("hessian", barrier.hessian), barrier.nu,
+                       logged("in_domain", barrier.in_domain))
+
+
+def test_evaluate_falls_back_to_in_domain_gradient_hessian():
+    calls = []
+    box = _oracles_only(_box_barrier(), calls)
+    g, H = box.evaluate(np.array([0.3, -0.2]))
+    assert calls == ["in_domain", "gradient", "hessian"]
+    assert _same_bytes(g, _box_barrier().gradient(np.array([0.3, -0.2])))
+    calls.clear()
+    with pytest.raises(DomainError):
+        box.evaluate(np.array([1.5, 0.0]))
+    assert calls == ["in_domain"]
+
+
+def test_shifted_evaluate_adds_the_linear_term():
+    box = _box_barrier()
+    x, a = np.array([0.3, -0.2]), np.array([0.5, 2.0])
+    g, H = ipm.ShiftedBarrier(box, a, 3.0).evaluate(x)
+    assert _same_bytes(g, 3.0 * a + box.gradient(x))
+    assert _same_bytes(H, box.hessian(x))
+
+
+# On the box barrier from x = 0 (H = 2I), the first main-stage step is
+# x1 = -(t1 / 2) a with t1 = t0 (1 + c0 / 2): a large c0 makes it overshoot.
+
+def test_path_follow_step_out_of_domain_is_numerical_error():
+    with pytest.raises(NumericalError, match="Newton step left the domain at t = 5.1"):
+        ipm.path_follow(np.array([1.0, 0.0]), _box_barrier(), np.zeros(2), 0.1, 1e-3, c0=100.0)
+
+
+def test_path_follow_decrement_above_quarter_is_numerical_error():
+    # t1 = 1.5 puts x1 = (-0.75, 0) inside the box, where lambda_{f_t1} = 0.48
+    with pytest.raises(NumericalError, match="decrement .* > 1/4"):
+        ipm.path_follow(np.array([1.0, 0.0]), _box_barrier(), np.zeros(2), 0.1, 1e-3, c0=28.0)
+
+
+def test_path_follow_raises_singular_hessian():
+    box = _box_barrier()
+
+    def hessian(x):  # positive definite at the center only
+        return box.hessian(x) if not x.any() else np.zeros((2, 2))
+
+    flat = ipm.Barrier(2, box.value, box.gradient, hessian, box.nu, box.in_domain)
+    with pytest.raises(SingularHessian):
+        ipm.path_follow(np.array([1.0, 0.0]), flat, np.zeros(2), 0.1, 1e-3)
+
+
+def test_hand_built_barrier_solves_the_interval_lp():
+    # test_solve_lp_1d_interval's LP through a Barrier without a fused evaluation
+    A = np.array([[1.0], [-1.0]])
+    b = np.array([1.0, 0.0])
+    c = np.array([1.0])
+    runs = []
+    for barrier in (ipm.log_barrier_polytope(A, b), _oracles_only(ipm.log_barrier_polytope(A, b))):
+        t0, x0, _ = ipm.preliminary_stage(barrier, np.array([0.5]), c)
+        x, states = ipm.path_follow(c, barrier, x0, t0, 1e-6)
+        assert abs(float(c @ x)) <= 1e-6
+        runs.append([(s.t, s.lam, s.x.tobytes()) for s in states])
+    assert runs[0] == runs[1]
