@@ -53,8 +53,8 @@ def run_gauss_southwell(problem, h, x0, N):
     """Coordinate descent on the coordinate with the largest gradient entry."""
     def iterates(x):
         while True:
-            g = problem.subgradient(x)
-            yield x, problem.value(x), float(np.max(np.abs(g))), {}
+            v, g = problem.value_and_grad(x)
+            yield x, v, float(np.max(np.abs(g))), {}
             i = int(np.argmax(np.abs(g)))
             x = x.copy()
             x[i] -= h * g[i]

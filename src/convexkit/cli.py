@@ -2,8 +2,11 @@
 against theory, and execute the acceptance suite.
 
 Exit codes: 0 success, 1 acceptance/rate failure or a failed run (e.g. a
-diverging solver), 2 usage error or invalid problem file, 3 missing oracle
-capability or no positive default step. `run` writes only the trace CSV to
+diverging solver), 2 usage error or invalid problem file (including a step
+given to agd, apgd, cg, fista or fw, which take none, and agd/apgd/fista on
+a problem whose smoothness constant is 0 or infinite), 3 missing oracle
+capability or no positive finite default step (1/beta with beta = 0 or
+infinite, for example). `run` writes only the trace CSV to
 stdout; summaries go to stderr. Flags are long-form only; each of
 --iters/--step/--seed falls back to the CONVEXKIT_ITERS/CONVEXKIT_STEP/
 CONVEXKIT_SEED environment variable before its default. Worst-case problem
@@ -21,7 +24,7 @@ import numpy as np
 
 from . import acceptance, gradient, nonsmooth, problems
 from .core import (CapabilityError, ConvexkitError, InvalidInput, InvalidProblem,
-                   IterateTrace, fit_rate, run_solver)
+                   IterateTrace, fit_rate, run_solver, takes_step)
 
 
 # --- problem spec files ------------------------------------------------------
@@ -206,6 +209,8 @@ def cmd_run(args):
     step = _setting(args.step, "STEP", None, float)
     algo = {"name": args.algo}
     if step is not None:
+        if not takes_step(args.algo):
+            raise InvalidInput("algorithm %s takes no step" % args.algo)
         algo["step"] = step
     started = time.monotonic()
     trace = run_solver(problem, algo, iters, seed=seed)

@@ -80,6 +80,9 @@ def as_vector(x):
 class ProblemOracle:
     """Bundle of value/subgradient oracles, optional capabilities, and declared constants.
 
+    value_and_grad(x) returns (value(x), subgradient(x)); a problem that can
+    share one pass over its data passes a fused function that returns
+    bitwise the same pair. Without one it calls subgradient, then value.
     Capabilities (all optional): prox(y, h), loo(p), separate(x),
     block_argmin(i, x), stochastic_gradient(x, rng), component_gradient(i, x).
     Constants: alpha (strong convexity, >= 0), beta (smoothness, may be inf),
@@ -87,8 +90,8 @@ class ProblemOracle:
     sigma2d, c0, c1 for stochastic oracles.
     """
 
-    def __init__(self, dim, value, subgradient=None, *, prox=None, loo=None,
-                 separate=None, block_argmin=None, stochastic_gradient=None,
+    def __init__(self, dim, value, subgradient=None, *, value_and_grad=None, prox=None,
+                 loo=None, separate=None, block_argmin=None, stochastic_gradient=None,
                  component_gradient=None, n_components=None, n_blocks=None,
                  alpha=0.0, beta=math.inf, L=math.inf, f_star=None, x_star=None,
                  sigma2d=None, c0=None, c1=None, diameter=None, name="problem",
@@ -100,6 +103,8 @@ class ProblemOracle:
         self.dim = int(dim)
         self.value = value
         self.subgradient = subgradient
+        if value_and_grad is not None:
+            self.value_and_grad = value_and_grad
         self.prox = prox
         self.loo = loo
         self.separate = separate
@@ -123,6 +128,10 @@ class ProblemOracle:
     # the gradient, where f is differentiable
     def gradient(self, x):
         return self.subgradient(x)
+
+    def value_and_grad(self, x):
+        g = self.subgradient(x)
+        return self.value(x), g
 
     def kappa(self):
         if self.alpha > 0 and math.isfinite(self.beta):
@@ -343,8 +352,13 @@ def _match_row0(ref, item, S):
 def composite_value(f, g):
     """The value function of F = f + g; g = None reads as 0."""
     def F(z):
-        return f.value(z) + (g.value(z) if g is not None else 0.0)
+        return plus_reg(f.value(z), g, z)
     return F
+
+
+def plus_reg(v, g, z):
+    """F(z) from v = f(z): the float composite_value(f, g)(z) gives."""
+    return v + (g.value(z) if g is not None else 0.0)
 
 
 def finite_diff_gradient(f, x, h=1e-6):
@@ -470,13 +484,21 @@ def _solver_registry():
     def needs(*caps):
         return caps
 
-    def step(p, default):  # the given step, else a default that must be positive
-        if "step" not in p and not default > 0:
-            raise CapabilityError("%r has no positive default step here; give one" % p["name"])
-        return p.get("step", default)
+    def step(p, default):
+        """The given step, else default(), which must be positive and finite."""
+        if "step" in p:
+            return p["step"]
+        h = default()
+        if not 0 < h < math.inf:
+            raise CapabilityError("%r has no positive finite default step here; give one"
+                                  % p["name"])
+        return h
+
+    def inverse(c):  # 1/c; 1/0 reads as inf, which no default step may be
+        return 1.0 / c if c > 0 else math.inf
 
     def run_gd(problem, x0, N, seed, p):
-        h = step(p, 1.0 / problem.beta if math.isfinite(problem.beta) else 1.0)
+        h = step(p, lambda: inverse(problem.beta) if math.isfinite(problem.beta) else 1.0)
         return gradient.run_gd(problem, h, x0, N)
 
     def run_agd(problem, x0, N, seed, p):
@@ -484,7 +506,7 @@ def _solver_registry():
 
     def run_psd(problem, x0, N, seed, p):
         R = p.get("radius", max(1.0, float(np.linalg.norm(x0)) * 2))
-        h = step(p, R / math.sqrt(max(N, 1)))
+        h = step(p, lambda: R / math.sqrt(max(N, 1)))
         proj = lambda z: nonsmooth.project_ball(z, np.zeros(problem.dim), R)
         return nonsmooth.run_psd(problem, proj, h, x0, N)
 
@@ -495,7 +517,7 @@ def _solver_registry():
 
     def run_pgd(problem, x0, N, seed, p):
         f = problem.extra.get("smooth", problem)
-        h = step(p, 1.0 / f.beta)
+        h = step(p, lambda: inverse(f.beta))
         return proximal.run_pgd(f, problem.extra.get("reg"), h, x0, N, problem.f_star)
 
     def run_apgd(problem, x0, N, seed, p):
@@ -504,12 +526,12 @@ def _solver_registry():
 
     def run_ppm(problem, x0, N, seed, p):
         problem.require("prox")
-        h = step(p, 1.0)
+        h = step(p, lambda: 1.0)
         return proximal.run_ppm(problem, h, x0, N)
 
     def run_md(problem, x0, N, seed, p):
         geom = mirror.entropic_geometry(problem.dim)
-        h = step(p, math.sqrt(2 * math.log(problem.dim) / max(N, 1)) /
+        h = step(p, lambda: math.sqrt(2 * math.log(problem.dim) / max(N, 1)) /
                  (problem.L if math.isfinite(problem.L) else 1.0))
         if x0 is None or not np.all(np.asarray(x0) > 0):
             x0 = np.full(problem.dim, 1.0 / problem.dim)
@@ -518,7 +540,7 @@ def _solver_registry():
     def run_sgd(problem, x0, N, seed, p):
         from . import stochastic
         problem.require("stochastic_gradient")
-        h = step(p, 1.0 / (2 * problem.beta) if math.isfinite(problem.beta) else 0.1)
+        h = step(p, lambda: inverse(2 * problem.beta) if math.isfinite(problem.beta) else 0.1)
         return stochastic.run_sgd(problem, h, x0, N, seed)
 
     def run_cg(problem, x0, N, seed, p):
@@ -532,45 +554,56 @@ def _solver_registry():
             tr.add(last["iter"] + 1, last["value"], grad_norm=last["grad_norm"])
         return tr
 
-    return {
-        "gd": (needs("subgradient"), run_gd),
-        "agd": (needs("subgradient"), run_agd),
-        "psd": (needs("subgradient"), run_psd),
-        "fw": (needs("loo"), run_fw),
-        "ista": (needs(), run_pgd),
-        "pgd": (needs(), run_pgd),
-        "fista": (needs(), run_apgd),
-        "apgd": (needs(), run_apgd),
-        "ppm": (needs("prox"), run_ppm),
-        "md": (needs("subgradient"), run_md),
-        "sgd": (needs("stochastic_gradient"), run_sgd),
-        "cg": (needs(), run_cg),
+    return {  # name: (capabilities, runner, whether it takes a step)
+        "gd": (needs("subgradient"), run_gd, True),
+        "agd": (needs("subgradient"), run_agd, False),
+        "psd": (needs("subgradient"), run_psd, True),
+        "fw": (needs("loo"), run_fw, False),
+        "ista": (needs(), run_pgd, True),
+        "pgd": (needs(), run_pgd, True),
+        "fista": (needs(), run_apgd, False),
+        "apgd": (needs(), run_apgd, False),
+        "ppm": (needs("prox"), run_ppm, True),
+        "md": (needs("subgradient"), run_md, True),
+        "sgd": (needs("stochastic_gradient"), run_sgd, True),
+        "cg": (needs(), run_cg, False),
     }
 
 
 SOLVERS = None
 
 
-def solver_names():
+def _solvers():
     global SOLVERS
     if SOLVERS is None:
         SOLVERS = _solver_registry()
-    return sorted(SOLVERS)
+    return SOLVERS
+
+
+def solver_names():
+    return sorted(_solvers())
+
+
+def _solver(name):
+    solvers = _solvers()
+    if name not in solvers:
+        raise InvalidInput("unknown algorithm %r (have: %s)" % (name, ", ".join(sorted(solvers))))
+    return solvers[name]
+
+
+def takes_step(name):
+    """False for the solvers that choose their own steps: agd, apgd, cg, fista, fw."""
+    return _solver(name)[2]
 
 
 def run_solver(problem, algo, budget, seed=0):
     """Dispatch a named algorithm; returns a trace with budget+1 records."""
-    global SOLVERS
-    if SOLVERS is None:
-        SOLVERS = _solver_registry()
     if isinstance(algo, str):
         algo = {"name": algo}
     name = algo.get("name")
-    if name not in SOLVERS:
-        raise InvalidInput("unknown algorithm %r (have: %s)" % (name, ", ".join(sorted(SOLVERS))))
+    caps, runner, _ = _solver(name)
     if budget < 0:
         raise InvalidInput("budget must be >= 0")
-    caps, runner = SOLVERS[name]
     for cap in caps:
         problem.require(cap)
     x0 = algo.get("x0")

@@ -46,10 +46,10 @@ def run_fw(problem, loo, x0, N):
         vertices.append(x.copy())
         weights.append(1.0)
         for n in itertools.count():
-            g = problem.subgradient(x)
+            v, g = problem.value_and_grad(x)
             s = loo(g)
             fw_gap = float(g @ (x - s))
-            yield x, problem.value(x), float(np.linalg.norm(g)), {"fw_gap": fw_gap}
+            yield x, v, float(np.linalg.norm(g)), {"fw_gap": fw_gap}
             h = 2.0 / (n + 2.0)
             x = (1.0 - h) * x + h * s
             weights[:] = [w * (1.0 - h) for w in weights]

@@ -28,8 +28,7 @@ def simulate_gf(problem, t_end, dt=None, x0=None):
     def iterates(x):
         for k in itertools.count():
             t = k * dt
-            g = problem.subgradient(x)
-            v = problem.value(x)
+            v, g = problem.value_and_grad(x)
             custom = {"t": t}
             if have_lyap:
                 custom["lyapunov"] = (t * t * float(g @ g) + 2 * t * (v - problem.f_star)
@@ -65,8 +64,7 @@ def simulate_agf(problem, t_end, dt=None, x0=None, mode="convex", alpha=None):
         p = np.zeros_like(x)
         for k in itertools.count():
             t = dt * (k + 1)
-            g = problem.subgradient(x)
-            v = problem.value(x)
+            v, g = problem.value_and_grad(x)
             custom = {"t": t}
             if have_star:
                 if mode == "convex":
@@ -93,8 +91,8 @@ def run_gd(problem, h, x0, N):
 
     def iterates(x):
         while True:
-            g = problem.subgradient(x)
-            yield x, problem.value(x), float(np.linalg.norm(g)), {}
+            v, g = problem.value_and_grad(x)
+            yield x, v, float(np.linalg.norm(g)), {}
             x = x - h * g
 
     return record(iterates, x0, N, problem.f_star)
@@ -117,16 +115,16 @@ def agd_lambda_sequence(N):
 
 def run_agd(problem, x0, N):
     """Nesterov momentum: y_n = x_n + theta_n (x_n - x_{n-1}), gradient step from y_n."""
-    if not math.isfinite(problem.beta):
-        raise InvalidInput("AGD needs a finite smoothness constant")
+    if not 0 < problem.beta < math.inf:
+        raise InvalidInput("AGD needs a finite positive smoothness constant")
     h = 1.0 / problem.beta
     lam = agd_lambda_sequence(N)
 
     def iterates(x):
         x_prev = x
         for n in itertools.count():
-            g = problem.subgradient(x)
-            yield x, problem.value(x), float(np.linalg.norm(g)), {}
+            v, g = problem.value_and_grad(x)
+            yield x, v, float(np.linalg.norm(g)), {}
             theta = (lam[n] - 1.0) / lam[n + 1]
             y = x + theta * (x - x_prev)
             x_prev = x

@@ -7,8 +7,9 @@ import numpy as np
 from .core import IterateTrace, NotPositiveDefinite, as_vector
 
 
-def _quad_value(A, b, x):
-    return 0.5 * float(x @ (A @ x)) - float(b @ x)
+def _residual_value(x, b, r):
+    """f(x) = -1/2 <x, b + r> given r = b - Ax; 0.0 - keeps f(0) at +0.0."""
+    return 0.0 - 0.5 * float(x @ (b + r))
 
 
 def cg_solve(A, b, x0=None, N=None, tol=0.0, f_star=None):
@@ -16,8 +17,10 @@ def cg_solve(A, b, x0=None, N=None, tol=0.0, f_star=None):
 
     Returns (trace, directions). Stops when ||r|| <= tol * ||b|| or after N
     iterations. Directions p_0..p_k are kept for the orthogonality tests.
+    One A @ p per iteration: the value is -1/2 <x, b + r> from the residual
+    r = b - Ax that CG keeps (its recurrence, not a fresh A @ x).
     """
-    A = np.asarray(A, dtype=float)
+    A = np.asanyarray(A, dtype=float)
     b = as_vector(b)
     d = b.size
     if N is None:
@@ -35,7 +38,7 @@ def cg_solve(A, b, x0=None, N=None, tol=0.0, f_star=None):
     rr = float(r @ r)
     directions = []
     bnorm = float(np.linalg.norm(b))
-    trace.add(0, _quad_value(A, b, x), grad_norm=math.sqrt(rr))
+    trace.add(0, _residual_value(x, b, r), grad_norm=math.sqrt(rr))
     for n in range(1, N + 1):
         if math.sqrt(rr) <= tol * bnorm or rr == 0.0:
             break
@@ -50,7 +53,7 @@ def cg_solve(A, b, x0=None, N=None, tol=0.0, f_star=None):
         rr_new = float(r @ r)
         p = r + (rr_new / rr) * p
         rr = rr_new
-        trace.add(n, _quad_value(A, b, x), grad_norm=math.sqrt(rr))
+        trace.add(n, _residual_value(x, b, r), grad_norm=math.sqrt(rr))
     trace.final_point = x
     return trace, directions
 

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from .core import DomainError, InvalidInput, as_vector, composite_value, record
+from .core import DomainError, InvalidInput, as_vector, composite_value, plus_reg, record
 
 ENTROPIC_FLOOR = 1e-300  # guard before logs; no effect at test scales
 
@@ -93,8 +93,8 @@ def run_mpgd(f, g, geometry, h, x0, N, constraint=None):
             raise DomainError("x0 outside the mirror-map domain")
         avg = x
         for n in itertools.count():
-            grad = f.subgradient(x)
-            yield x, total(x), float(np.linalg.norm(grad)), {"avg_value": total(avg)}
+            v, grad = f.value_and_grad(x)
+            yield x, plus_reg(v, g, x), float(np.linalg.norm(grad)), {"avg_value": total(avg)}
             w = geometry.grad_star(geometry.grad(x) - h * grad)
             if g is not None:
                 w = g.prox(w, h)

@@ -51,9 +51,9 @@ def run_psd(problem, projector, h, x0, N):
     def iterates(x):
         avg = x
         for n in itertools.count():
-            p = problem.subgradient(x)
+            raw, p = problem.value_and_grad(x)
             pn = float(np.linalg.norm(p))
-            yield avg, problem.value(avg), pn, {"raw": problem.value(x)}
+            yield avg, problem.value(avg), pn, {"raw": raw}
             if pn != 0.0:
                 x = projector(x - (h / pn) * p)
                 avg = avg + (x - avg) / (n + 2.0)
@@ -72,8 +72,8 @@ def run_psd_strong(problem, projector, x0, N):
         avg = x
         wsum = 1.0
         for n in itertools.count():
-            p = problem.subgradient(x)
-            yield avg, problem.value(avg), float(np.linalg.norm(p)), {"raw": problem.value(x)}
+            raw, p = problem.value_and_grad(x)
+            yield avg, problem.value(avg), float(np.linalg.norm(p)), {"raw": raw}
             x = projector(x - (2.0 / (alpha * (n + 1))) * p)
             w = n + 2.0
             wsum += w

@@ -45,12 +45,18 @@ def make_quadratic(A, b, name="quadratic"):
             return x @ A.T - b
         return A @ x - b
 
+    def value_and_grad(x):  # value and grad's expressions, sharing A @ x
+        if getattr(x, "ndim", 1) == 2:
+            return value(x), grad(x)
+        Ax = A @ x
+        return 0.5 * float(x @ Ax) - float(b @ x), Ax - b
+
     def prox(y, h):
         # argmin of f + ||.-y||^2/(2h) solves (I + hA)x = y + hb
         return np.linalg.solve(np.eye(b.size) + h * A, y + h * b)
 
-    return ProblemOracle(b.size, value, grad, prox=prox, alpha=alpha, beta=beta,
-                         f_star=f_star, x_star=x_star, name=name,
+    return ProblemOracle(b.size, value, grad, value_and_grad=value_and_grad, prox=prox,
+                         alpha=alpha, beta=beta, f_star=f_star, x_star=x_star, name=name,
                          extra={"A": A, "b": b})
 
 
@@ -74,8 +80,13 @@ def make_logistic(X, Y, name="logistic"):
         s = 1.0 / (1.0 + np.exp(-z))
         return X.T @ (s - Y) / n
 
-    return ProblemOracle(X.shape[1], value, grad, beta=beta, name=name,
-                         extra={"X": X, "Y": Y})
+    def value_and_grad(theta):
+        z = X @ theta
+        s = 1.0 / (1.0 + np.exp(-z))
+        return float(np.mean(np.logaddexp(0.0, z) - Y * z)), X.T @ (s - Y) / n
+
+    return ProblemOracle(X.shape[1], value, grad, value_and_grad=value_and_grad, beta=beta,
+                         name=name, extra={"X": X, "Y": Y})
 
 
 def make_least_squares(X, Y, name="least-squares"):
@@ -95,13 +106,17 @@ def make_least_squares(X, Y, name="least-squares"):
     def grad(theta):
         return X.T @ (X @ theta - Y) / n
 
+    def value_and_grad(theta):
+        r = X @ theta - Y
+        return 0.5 * float(r @ r) / n, X.T @ r / n
+
     x_star = f_star = None
     if evals[0] > 1e-12 * max(1.0, evals[-1]):
         x_star = np.linalg.solve(H, X.T @ Y / n)
         f_star = value(x_star)
-    return ProblemOracle(X.shape[1], value, grad, alpha=max(evals[0], 0.0),
-                         beta=float(evals[-1]), f_star=f_star, x_star=x_star,
-                         name=name, extra={"X": X, "Y": Y})
+    return ProblemOracle(X.shape[1], value, grad, value_and_grad=value_and_grad,
+                         alpha=max(evals[0], 0.0), beta=float(evals[-1]), f_star=f_star,
+                         x_star=x_star, name=name, extra={"X": X, "Y": Y})
 
 
 def make_lasso(X, Y, lam, name="lasso"):
@@ -120,8 +135,12 @@ def make_lasso(X, Y, lam, name="lasso"):
     def subgrad(x):
         return f.subgradient(x) + lam * np.sign(x)
 
-    return ProblemOracle(f.dim, value, subgrad, alpha=f.alpha, beta=f.beta,
-                         name=name, extra={"smooth": f, "reg": g, "lam": lam})
+    def value_and_grad(x):
+        v, grad = f.value_and_grad(x)
+        return v + g.value(x), grad + lam * np.sign(x)
+
+    return ProblemOracle(f.dim, value, subgrad, value_and_grad=value_and_grad, alpha=f.alpha,
+                         beta=f.beta, name=name, extra={"smooth": f, "reg": g, "lam": lam})
 
 
 def make_softmax_smoothed(a_rows, b, lam, beta_smooth, name="softmax"):
@@ -178,8 +197,12 @@ def make_worst_case_smooth(N, beta, d, name="worst-case-smooth"):
     def grad(x):
         return A @ x - b
 
-    return ProblemOracle(d, value, grad, alpha=0.0, beta=float(beta),
-                         f_star=f_star, x_star=x_star, name=name,
+    def value_and_grad(x):
+        Ax = A @ x
+        return 0.5 * float(x @ Ax) - float(b @ x), Ax - b
+
+    return ProblemOracle(d, value, grad, value_and_grad=value_and_grad, alpha=0.0,
+                         beta=float(beta), f_star=f_star, x_star=x_star, name=name,
                          extra={"A": A, "b": b, "N": N})
 
 
@@ -314,7 +337,13 @@ def make_svm_hinge(X, Y, lam, ball_radius=None, name="svm-hinge"):
         active = margin < 1.0  # at the kink 0 is a valid subgradient
         return -(X.T @ (Y * active)) / n + lam * theta
 
-    return ProblemOracle(X.shape[1], value, subgrad, alpha=lam, L=L, name=name,
+    def value_and_grad(theta):
+        margin = Y * (X @ theta)
+        value = float(np.maximum(0.0, 1.0 - margin).sum() / n) + 0.5 * lam * float(theta @ theta)
+        return value, -(X.T @ (Y * (margin < 1.0))) / n + lam * theta
+
+    return ProblemOracle(X.shape[1], value, subgrad, value_and_grad=value_and_grad, alpha=lam,
+                         L=L, name=name,
                          extra={"ball_radius": ball_radius, "X": X, "Y": Y})
 
 

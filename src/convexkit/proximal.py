@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from .core import InvalidInput, NumericalError, as_vector, composite_value, record
+from .core import InvalidInput, NumericalError, as_vector, composite_value, plus_reg, record
 from .gradient import agd_lambda_sequence
 
 
@@ -102,10 +102,12 @@ def run_ppm(problem, h, x0, N):
 
     def iterates(x):
         while True:
-            gn = None
-            if problem.subgradient is not None:
-                gn = float(np.linalg.norm(problem.subgradient(x)))
-            yield x, problem.value(x), gn, {}
+            if problem.subgradient is None:
+                v, gn = problem.value(x), None
+            else:
+                v, g = problem.value_and_grad(x)
+                gn = float(np.linalg.norm(g))
+            yield x, v, gn, {}
             x = prox(x, h)
 
     return record(iterates, x0, N, problem.f_star)
@@ -118,12 +120,11 @@ def run_pgd(f, g, h, x0, N, f_star=None):
     """
     if h <= 0:
         raise InvalidInput("step must be positive")
-    F = composite_value(f, g)
 
     def iterates(x):
         while True:
-            grad = f.subgradient(x)
-            yield x, F(x), float(np.linalg.norm(grad)), {}
+            v, grad = f.value_and_grad(x)
+            yield x, plus_reg(v, g, x), float(np.linalg.norm(grad)), {}
             z = x - h * grad
             x = g.prox(z, h) if g is not None else z
 
@@ -132,8 +133,8 @@ def run_pgd(f, g, h, x0, N, f_star=None):
 
 def run_apgd(f, g, x0, N, f_star=None):
     """FISTA: proximal gradient with the AGD momentum schedule, h = 1/beta_f."""
-    if not math.isfinite(f.beta):
-        raise InvalidInput("FISTA needs a finite smoothness constant")
+    if not 0 < f.beta < math.inf:
+        raise InvalidInput("FISTA needs a finite positive smoothness constant")
     h = 1.0 / f.beta
     lam = agd_lambda_sequence(N)
     F = composite_value(f, g)

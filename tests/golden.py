@@ -1,6 +1,7 @@
 """Golden sha256 hashes of results that refactors must keep bit-identical.
 
-    PYTHONPATH=src python tests/golden.py     # rewrite tests/golden_traces.json
+    PYTHONPATH=src python tests/golden.py           # rewrite tests/golden_traces.json
+    PYTHONPATH=src python tests/golden.py --check   # list changed cases, write nothing
 
 Run it only at a commit whose results are known good: the test in
 tests/test_golden.py recomputes every case and compares. Each case maps to a
@@ -14,6 +15,15 @@ Cases:
          scaling LPs and one m = 100, d = 10 LP, all at eps = 1e-6. "states"
          hashes (t, lambda, x) of every PathState that path_follow returned
          inside solve_lp; "solve_lp" hashes solve_lp's (x, value, iterations).
+  trace/*  iterate traces: every run_solver name on seeded d = 5 quadratic,
+         least-squares, logistic, lasso, finite-sum and hinge-SVM problems,
+         with the default step and with step 0.1 (run_solver/<algo>/<kind>/
+         <step>); the 15 module-level solver loops on d = 5 inputs
+         (loop/<module.function>); run_psd and run_psd_strong on the hinge
+         SVM (svm/<function>). "csv" hashes to_csv(), "final_point" the final
+         point's bytes and "custom.<key>" each custom column; a case that
+         raises keeps only "raises", the hash of the exception class name
+         (plus that name as "error").
 """
 
 import hashlib
@@ -69,9 +79,122 @@ def _ipm_case(lp):
             "solve_lp": _sha([x.tobytes(), value, iterations]), "iterations": iterations}
 
 
+TRACE_D = 5
+TRACE_ROWS = 8
+TRACE_N = 25  # budget of every run_solver case
+LOOP_N = 40  # budget of every module-level loop
+TRACE_STEP = 0.1
+
+
+def _trace_problems():
+    """Seeded d = 5 problems, one per kind that run_solver accepts from data."""
+    from convexkit import problems
+    rng = np.random.Generator(np.random.Philox(2024))
+    d, n = TRACE_D, TRACE_ROWS
+    G = rng.standard_normal((d, d))
+    X = rng.standard_normal((n, d))
+    Y = rng.standard_normal(n)
+    signs = np.where(rng.standard_normal(n) > 0, 1.0, -1.0)
+    rows = rng.standard_normal((6, d))
+    targets = rng.standard_normal(6)
+    return {
+        "quadratic": problems.make_quadratic(G @ G.T / d + 0.5 * np.eye(d),
+                                             rng.standard_normal(d)),
+        "least-squares": problems.make_least_squares(X, Y),
+        "logistic": problems.make_logistic(X, (signs > 0).astype(float)),
+        "lasso": problems.make_lasso(X, Y, 0.1),
+        "finite-sum": problems.make_finite_sum(
+            [problems.make_least_squares(rows[i:i + 1], targets[i:i + 1]) for i in range(6)]),
+        "svm": problems.make_svm_hinge(X, signs, 0.1),
+    }
+
+
+def _trace_hashes(run):
+    """The hashes of the trace that run() returns, or of the exception it raises."""
+    try:
+        trace = run()
+    except Exception as exc:  # a case that raises is recorded by its exception class
+        name = type(exc).__name__
+        return {"raises": _sha([name.encode()]), "error": name}
+    point = trace.final_point
+    out = {"csv": _sha([trace.to_csv().encode()]), "records": len(trace),
+           "final_point": _sha([b"None" if point is None else np.asarray(point).tobytes()])}
+    for key in sorted({k for r in trace.records for k in r["custom"]}):
+        out["custom." + key] = _sha([trace.custom(key).tobytes()])
+    return out
+
+
+def _loops(probs):
+    """The 15 module-level solver loops on d = 5 inputs, name -> run()."""
+    from convexkit import (altmin, frankwolfe, gradient, krylov, mirror, nonsmooth,
+                           proximal, stochastic)
+    q, fs = probs["quadratic"], probs["finite-sum"]
+    f, g = probs["lasso"].extra["smooth"], probs["lasso"].extra["reg"]
+    A, b = q.extra["A"], q.extra["b"]
+    d, N = TRACE_D, LOOP_N
+    x0 = np.linspace(-1.0, 1.0, d)
+    ball = 1.5 * max(float(np.linalg.norm(x0)), float(np.linalg.norm(q.x_star)))
+    proj = lambda z: nonsmooth.project_ball(z, np.zeros(d), ball)
+    loo = lambda p: frankwolfe.loo_box(p, -2.0, 2.0)
+    dt = 1.0 / (100.0 * q.beta)
+    simplex0 = np.full(d, 1.0 / d)
+    return {
+        "gradient.run_gd": lambda: gradient.run_gd(q, 1.0 / q.beta, x0, N),
+        "gradient.run_agd": lambda: gradient.run_agd(q, x0, N),
+        "krylov.cg_solve": lambda: krylov.cg_solve(A, b, x0, d)[0],
+        "nonsmooth.run_psd": lambda: nonsmooth.run_psd(q, proj, ball / np.sqrt(N), x0, N),
+        "nonsmooth.run_psd_strong": lambda: nonsmooth.run_psd_strong(q, proj, x0, N)[1],
+        "proximal.run_pgd": lambda: proximal.run_pgd(f, g, 1.0 / f.beta, x0, N),
+        "proximal.run_apgd": lambda: proximal.run_apgd(f, g, x0, N),
+        "proximal.run_ppm": lambda: proximal.run_ppm(q, 1.0, x0, N),
+        "frankwolfe.run_fw": lambda: frankwolfe.run_fw(q, loo, x0, N)[0],
+        "mirror.run_mpgd": lambda: mirror.run_mpgd(q, None, mirror.entropic_geometry(d), 0.05,
+                                                   simplex0, N, constraint="simplex"),
+        "stochastic.run_sgd": lambda: stochastic.run_sgd(fs, 0.05, x0, N, 0),
+        "stochastic.run_smpgd": lambda: stochastic.run_smpgd(
+            fs, None, mirror.euclidean_geometry(d), 0.05, x0, N, 0),
+        "altmin.run_gauss_southwell": lambda: altmin.run_gauss_southwell(
+            q, 1.0 / float(np.max(np.diag(A))), x0, N),
+        "gradient.simulate_gf": lambda: gradient.simulate_gf(q, N * dt, dt, x0),
+        "gradient.simulate_agf": lambda: gradient.simulate_agf(q, N * dt, dt, x0, mode="convex"),
+    }
+
+
+def _trace_cases():
+    from convexkit import core, nonsmooth
+    probs = _trace_problems()
+    for algo in core.solver_names():
+        for kind, prob in probs.items():
+            for label, spec in (("default", {"name": algo}),
+                                ("step-%g" % TRACE_STEP, {"name": algo, "step": TRACE_STEP})):
+                yield ("trace/run_solver/%s/%s/%s" % (algo, kind, label),
+                       lambda prob=prob, spec=spec: core.run_solver(prob, spec, TRACE_N))
+    for name, run in _loops(probs).items():
+        yield "trace/loop/" + name, run
+    svm = probs["svm"]
+    proj = lambda z: nonsmooth.project_ball(z, np.zeros(TRACE_D), svm.extra["ball_radius"])
+    yield "trace/svm/nonsmooth.run_psd", lambda: nonsmooth.run_psd(
+        svm, proj, 0.5, np.zeros(TRACE_D), LOOP_N)
+    yield "trace/svm/nonsmooth.run_psd_strong", lambda: nonsmooth.run_psd_strong(
+        svm, proj, np.zeros(TRACE_D), LOOP_N)[1]
+
+
 def cases():
     """Every golden case, name -> dict of hashes and counts."""
-    return {name: _ipm_case(lp) for name, lp in _ipm_lps()}
+    out = {name: _ipm_case(lp) for name, lp in _ipm_lps()}
+    out.update((name, _trace_hashes(run)) for name, run in _trace_cases())
+    return out
+
+
+def changes(want, got):
+    """name -> sorted keys whose hash or count differs, over every case in either."""
+    diff = {}
+    for name in sorted(set(want) | set(got)):
+        a, b = want.get(name, {}), got.get(name, {})
+        keys = sorted(k for k in set(a) | set(b) if a.get(k) != b.get(k))
+        if keys:
+            diff[name] = keys
+    return diff
 
 
 def load():
@@ -79,7 +202,25 @@ def load():
         return json.load(fh)
 
 
-def main():
+def check():
+    """Print the cases whose hashes differ from the file; exit 1 if any do."""
+    want = load()
+    if want["numpy"] != np.__version__:
+        print("note: the file was made with numpy %s, this is numpy %s"
+              % (want["numpy"], np.__version__))
+    diff = changes(want["cases"], cases())
+    for name, keys in diff.items():
+        print("%s: %s" % (name, ", ".join(keys)))
+    print("%d of %d cases changed" % (len(diff), len(want["cases"])), file=sys.stderr)
+    return 1 if diff else 0
+
+
+def main(argv):
+    if argv == ["--check"]:
+        return check()
+    if argv:
+        print(__doc__, file=sys.stderr)
+        return 2
     golden = {"numpy": np.__version__, "cases": cases()}
     with open(PATH, "w") as fh:
         json.dump(golden, fh, indent=1, sort_keys=True)
@@ -89,4 +230,4 @@ def main():
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

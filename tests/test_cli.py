@@ -204,10 +204,19 @@ lam 0.1
 """
 
 
+ZERO = """\
+kind quadratic
+dim 2
+A 0 0 0 0
+b 0 0
+"""  # beta = 0
+
+
 @pytest.mark.parametrize("text, algo", [
     ("kind worst-case-nonsmooth\nsteps 0\nL 1\nR 1\n", "md"),  # dim 1: sqrt(2 log 1 / N) = 0
     (SVM, "pgd"), (SVM, "ista"),  # hinge loss: beta = inf, 1 / beta = 0
-], ids=["md-dim-1", "pgd-svm", "ista-svm"])
+    (ZERO, "gd"), (ZERO, "pgd"), (ZERO, "ista"),  # A = 0: beta = 0, 1 / beta = inf
+], ids=["md-dim-1", "pgd-svm", "ista-svm", "gd-zero-A", "pgd-zero-A", "ista-zero-A"])
 def test_run_zero_default_step_exit_3(tmp_path, capsys, text, algo):
     p = tmp_path / "f.prob"
     p.write_text(text)
@@ -224,6 +233,66 @@ def test_run_explicit_nonpositive_step_still_exit_2(tmp_path, text, algo, step):
     p.write_text(text)
     assert cli.main(["run", "--problem", str(p), "--algo", algo, "--iters", "3",
                      "--step", step]) == 2
+
+
+def _run(argv):
+    """cli.main's exit code, stdout and stderr; an exception escaping main fails the test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture
+def zero_file(tmp_path):
+    p = tmp_path / "zero.prob"
+    p.write_text(ZERO)
+    return str(p)
+
+
+@pytest.mark.parametrize("algo", ["agd", "fista", "apgd"])
+def test_run_zero_beta_accelerated_exit_2(zero_file, algo):
+    # beta <= 0 is refused like an infinite beta
+    code, out, err = _run(["run", "--problem", zero_file, "--algo", algo, "--iters", "3"])
+    assert code == 2 and out == "" and "finite positive smoothness constant" in err
+
+
+@pytest.mark.parametrize("algo", ["gd", "pgd", "ista"])
+def test_run_zero_beta_given_step_is_honoured(zero_file, algo):
+    code, out, _ = _run(["run", "--problem", zero_file, "--algo", algo, "--iters", "3",
+                         "--step", "0.1"])
+    assert code == 0 and out.count("\n") == 5
+
+
+@pytest.mark.parametrize("algo", solver_names())
+def test_run_zero_beta_every_solver_exits_0_2_or_3(zero_file, algo):
+    assert _run(["run", "--problem", zero_file, "--algo", algo, "--iters", "3"])[0] in (0, 2, 3)
+
+
+def test_sgd_zero_beta_default_step_is_a_capability_error():
+    from convexkit import problems
+    from convexkit.core import CapabilityError, run_solver
+    zero = problems.make_quadratic(np.zeros((2, 2)), np.zeros(2))
+    fs = problems.make_finite_sum([zero, zero])
+    assert fs.beta == 0.0
+    with pytest.raises(CapabilityError, match="default step"):
+        run_solver(fs, "sgd", 3)
+    assert len(run_solver(fs, {"name": "sgd", "step": 0.1}, 3)) == 4
+
+
+@pytest.mark.parametrize("algo", ["agd", "apgd", "cg", "fista", "fw"])
+def test_run_stepless_solver_refuses_a_step(quad_file, monkeypatch, algo):
+    code, out, err = _run(["run", "--problem", quad_file, "--algo", algo, "--step", "1e-9"])
+    assert code == 2 and out == ""
+    assert "algorithm %s takes no step" % algo in err
+    monkeypatch.setenv("CONVEXKIT_STEP", "1e-9")
+    code, out, err = _run(["run", "--problem", quad_file, "--algo", algo])
+    assert code == 2 and "algorithm %s takes no step" % algo in err
+
+
+def test_run_unknown_algo_with_step_is_named_unknown(quad_file):
+    code, _, err = _run(["run", "--problem", quad_file, "--algo", "zzz", "--step", "1"])
+    assert code == 2 and "unknown algorithm 'zzz'" in err
 
 
 @pytest.mark.parametrize("text, field", [
@@ -327,6 +396,33 @@ def test_fuzz_run_exit_codes_and_pure_csv(fuzz_files, algo, which, step, iters):
     assert code in (0, 1, 2, 3)
     if code == 0:
         lines = out.getvalue().split("\n")
+        assert lines[0] == "iter,value,gap,grad_norm,time_s"
+        assert lines[-1] == ""
+        rows = [line.split(",") for line in lines[1:-1]]
+        assert [int(r[0]) for r in rows] == list(range(iters + 1))
+        assert all(len(r) == 5 and all(_finite_or_empty(v) for v in r[1:]) for r in rows)
+
+
+@pytest.fixture(scope="module")
+def stepless_fuzz_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz-no-step")
+    paths = []
+    for name, text in (("quad.prob", QUAD), ("lasso.prob", LASSO), ("zero.prob", ZERO)):
+        (d / name).write_text(text)
+        paths.append(str(d / name))
+    return paths
+
+
+@settings(max_examples=60, deadline=None)
+@given(algo=st.sampled_from(solver_names()), which=st.integers(0, 2),
+       iters=st.integers(-2, 40))
+def test_fuzz_run_without_step_exit_codes_and_pure_csv(stepless_fuzz_files, algo, which,
+                                                        iters):
+    code, out, _ = _run(["run", "--problem", stepless_fuzz_files[which], "--algo", algo,
+                         "--iters=%d" % iters])
+    assert code in ((0, 1, 2, 3) if which < 2 else (0, 2, 3))
+    if code == 0:
+        lines = out.split("\n")
         assert lines[0] == "iter,value,gap,grad_norm,time_s"
         assert lines[-1] == ""
         rows = [line.split(",") for line in lines[1:-1]]

@@ -11,5 +11,5 @@ def test_golden_hashes():
         % (want["numpy"], np.__version__))
     got = golden.cases()
     assert sorted(got) == sorted(want["cases"])
-    changed = [name for name in sorted(got) if got[name] != want["cases"][name]]
+    changed = golden.changes(want["cases"], got)  # case -> the hashes that differ
     assert not changed, "results changed in %d golden cases: %s" % (len(changed), changed)
