@@ -494,8 +494,8 @@ def _solver_registry():
                                   % p["name"])
         return h
 
-    def inverse(c):  # 1/c; 1/0 reads as inf, which no default step may be
-        return 1.0 / c if c > 0 else math.inf
+    def inverse(c, numerator=1.0):  # numerator / c, or inf (no valid default) for c <= 0
+        return numerator / c if c > 0 else math.inf
 
     def run_gd(problem, x0, N, seed, p):
         h = step(p, lambda: inverse(problem.beta) if math.isfinite(problem.beta) else 1.0)
@@ -531,8 +531,8 @@ def _solver_registry():
 
     def run_md(problem, x0, N, seed, p):
         geom = mirror.entropic_geometry(problem.dim)
-        h = step(p, lambda: math.sqrt(2 * math.log(problem.dim) / max(N, 1)) /
-                 (problem.L if math.isfinite(problem.L) else 1.0))
+        h = step(p, lambda: inverse(problem.L if math.isfinite(problem.L) else 1.0,
+                                    math.sqrt(2 * math.log(problem.dim) / max(N, 1))))
         if x0 is None or not np.all(np.asarray(x0) > 0):
             x0 = np.full(problem.dim, 1.0 / problem.dim)
         return mirror.run_mpgd(problem, None, geom, h, x0, N, constraint="simplex")

@@ -10,8 +10,8 @@ from .core import (DivergenceError, InvalidInput, NumericalError, ProblemOracle,
 
 
 def default_dt(problem):
-    if not math.isfinite(problem.beta):
-        raise InvalidInput("gradient flow needs a finite smoothness constant")
+    if not 0 < problem.beta < math.inf:
+        raise InvalidInput("gradient flow needs a positive finite smoothness constant")
     return 1.0 / (100.0 * problem.beta)
 
 

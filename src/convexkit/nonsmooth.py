@@ -52,7 +52,7 @@ def run_psd(problem, projector, h, x0, N):
         avg = x
         for n in itertools.count():
             raw, p = problem.value_and_grad(x)
-            pn = float(np.linalg.norm(p))
+            pn = math.sqrt(p.dot(p))  # what np.linalg.norm computes for a real vector
             yield avg, problem.value(avg), pn, {"raw": raw}
             if pn != 0.0:
                 x = projector(x - (h / pn) * p)
@@ -73,7 +73,7 @@ def run_psd_strong(problem, projector, x0, N):
         wsum = 1.0
         for n in itertools.count():
             raw, p = problem.value_and_grad(x)
-            yield avg, problem.value(avg), float(np.linalg.norm(p)), {"raw": raw}
+            yield avg, problem.value(avg), math.sqrt(p.dot(p)), {"raw": raw}
             x = projector(x - (2.0 / (alpha * (n + 1))) * p)
             w = n + 2.0
             wsum += w

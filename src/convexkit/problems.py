@@ -229,9 +229,15 @@ def make_worst_case_nonsmooth(N, L, R, name="worst-case-nonsmooth"):
         e[i] = gamma
         return alpha * x + e
 
+    def value_and_grad(x):  # one argmax: x[i] is the max (nan, if x holds one)
+        i = int(np.argmax(x))
+        e = np.zeros(d)
+        e[i] = gamma
+        return gamma * float(x[i]) + 0.5 * alpha * float(x @ x), alpha * x + e
+
     return ProblemOracle(d, value, subgrad, alpha=alpha, L=float(L),
                          f_star=f_star, x_star=x_star, name=name,
-                         extra={"gamma": gamma, "R": R})
+                         extra={"gamma": gamma, "R": R}, value_and_grad=value_and_grad)
 
 
 class ResistingFeasibilityOracle:

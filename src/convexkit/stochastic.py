@@ -111,6 +111,11 @@ def clt_check(A, theta_star, gamma, n, trials, seed=0, noise_scale=1.0):
     so the averaged iterate matches the sample mean's efficiency. Returns
     (empirical covariance of sqrt(n)(theta_bar - theta*), target A^-1,
     relative Frobenius error).
+
+    Each step is theta -= (h (theta - X)) A^T, computed in place in
+    preallocated buffers: the scaling by h comes before the product, as the
+    expression reads, because for a non-diagonal A the other order rounds
+    differently.
     """
     A = np.asarray(A, dtype=float)
     theta_star = as_vector(theta_star)
@@ -119,11 +124,18 @@ def clt_check(A, theta_star, gamma, n, trials, seed=0, noise_scale=1.0):
     C = np.linalg.cholesky(np.linalg.inv(A)) * noise_scale
     theta = np.zeros((trials, d))
     total = np.zeros((trials, d))
+    Z = np.empty((trials, d))  # the step's normals
+    X = np.empty((trials, d))  # the step's samples, then the step itself
+    D = np.empty((trials, d))  # h (theta - X)
     for k in range(n):
         total += theta
-        X = theta_star[None, :] + rng.standard_normal((trials, d)) @ C.T
-        h = (k + 1.0) ** (-gamma)
-        theta = theta - h * (theta - X) @ A.T
+        rng.standard_normal(out=Z)
+        np.matmul(Z, C.T, out=X)
+        X += theta_star
+        np.subtract(theta, X, out=D)
+        D *= (k + 1.0) ** (-gamma)
+        np.matmul(D, A.T, out=X)
+        theta -= X
     theta_bar = total / n
     err = math.sqrt(n) * (theta_bar - theta_star[None, :])
     cov = err.T @ err / trials

@@ -23,7 +23,15 @@ Cases:
          SVM (svm/<function>). "csv" hashes to_csv(), "final_point" the final
          point's bytes and "custom.<key>" each custom column; a case that
          raises keeps only "raises", the hash of the exception class name
-         (plus that name as "error").
+         (plus that name as "error"). Also: run_sgd and run_smpgd at seeds
+         1-2 (seed 0 is the loop case), run_asgd at seeds 0-2 and run_svrg
+         with both epoch plans on a strongly convex d = 5 finite sum (whose
+         "evals" count is kept), and run_psd/run_psd_strong on the d = 5
+         worst-case nonsmooth instance.
+  clt/*  clt_check at n = 300 steps and 64 trials on I, diag(1, 4), a
+         non-diagonal 2 x 2 A with theta* != 0 and noise_scale 2, and a 3 x 3
+         A. "cov" hashes the empirical covariance's bytes, "rel" the relative
+         error.
 """
 
 import hashlib
@@ -109,16 +117,38 @@ def _trace_problems():
     }
 
 
+def _strongly_convex_finite_sum():
+    """A seeded d = 5 average of six strongly convex quadratics, with x* set."""
+    from convexkit import problems
+    rng = np.random.Generator(np.random.Philox(2025))
+    d = TRACE_D
+    rows = rng.standard_normal((6, d))
+    targets = rng.standard_normal((6, d))
+    comps = [problems.make_quadratic(np.outer(r, r) + 0.5 * np.eye(d), t)
+             for r, t in zip(rows, targets)]
+    fs = problems.make_finite_sum(comps)
+    fs.x_star = np.linalg.solve(sum(c.extra["A"] for c in comps),
+                                sum(c.extra["b"] for c in comps))
+    return fs
+
+
 def _trace_hashes(run):
-    """The hashes of the trace that run() returns, or of the exception it raises."""
+    """The hashes of the trace that run() returns, or of the exception it raises.
+
+    run() may also return (trace, counts): a dict of plain numbers kept as they are.
+    """
     try:
         trace = run()
     except Exception as exc:  # a case that raises is recorded by its exception class
         name = type(exc).__name__
         return {"raises": _sha([name.encode()]), "error": name}
+    counts = {}
+    if isinstance(trace, tuple):
+        trace, counts = trace
     point = trace.final_point
     out = {"csv": _sha([trace.to_csv().encode()]), "records": len(trace),
            "final_point": _sha([b"None" if point is None else np.asarray(point).tobytes()])}
+    out.update(counts)
     for key in sorted({k for r in trace.records for k in r["custom"]}):
         out["custom." + key] = _sha([trace.custom(key).tobytes()])
     return out
@@ -161,7 +191,7 @@ def _loops(probs):
 
 
 def _trace_cases():
-    from convexkit import core, nonsmooth
+    from convexkit import core, mirror, nonsmooth, problems, stochastic
     probs = _trace_problems()
     for algo in core.solver_names():
         for kind, prob in probs.items():
@@ -177,12 +207,62 @@ def _trace_cases():
         svm, proj, 0.5, np.zeros(TRACE_D), LOOP_N)
     yield "trace/svm/nonsmooth.run_psd_strong", lambda: nonsmooth.run_psd_strong(
         svm, proj, np.zeros(TRACE_D), LOOP_N)[1]
+    x0 = np.linspace(-1.0, 1.0, TRACE_D)
+    fs = probs["finite-sum"]
+    for seed in (1, 2):
+        yield ("trace/loop/stochastic.run_sgd/seed-%d" % seed,
+               lambda seed=seed: stochastic.run_sgd(fs, 0.05, x0, LOOP_N, seed))
+        yield ("trace/loop/stochastic.run_smpgd/seed-%d" % seed,
+               lambda seed=seed: stochastic.run_smpgd(
+                   fs, None, mirror.euclidean_geometry(TRACE_D), 0.05, x0, LOOP_N, seed))
+    sc = _strongly_convex_finite_sum()
+    for seed in (0, 1, 2):
+        yield ("trace/loop/stochastic.run_asgd/seed-%d" % seed,
+               lambda seed=seed: stochastic.run_asgd(sc, 0.75, x0, LOOP_N, seed)[1])
+
+    def svrg(plan, epochs, seed):
+        trace, evals = stochastic.run_svrg(sc, x0=x0, epochs=epochs, epoch_plan=plan, seed=seed)
+        return trace, {"evals": evals}
+
+    yield "trace/loop/stochastic.run_svrg/constant", lambda: svrg("constant", 8, 0)
+    yield "trace/loop/stochastic.run_svrg/doubling", lambda: svrg("doubling", 6, 1)
+    w = problems.make_worst_case_nonsmooth(TRACE_D - 1, 2.0, 1.0)
+    wproj = lambda z: nonsmooth.project_ball(z, np.zeros(w.dim), w.extra["R"])
+    yield "trace/worst-case-nonsmooth/nonsmooth.run_psd", lambda: nonsmooth.run_psd(
+        w, wproj, w.extra["R"] / np.sqrt(LOOP_N), np.zeros(w.dim), LOOP_N)
+    yield "trace/worst-case-nonsmooth/nonsmooth.run_psd/x0", lambda: nonsmooth.run_psd(
+        w, wproj, w.extra["R"] / np.sqrt(LOOP_N), x0, LOOP_N)
+    yield ("trace/worst-case-nonsmooth/nonsmooth.run_psd_strong",
+           lambda: nonsmooth.run_psd_strong(w, wproj, np.zeros(w.dim), LOOP_N)[1])
+
+
+CLT_N = 300
+CLT_TRIALS = 64
+
+
+def _clt_cases():
+    """name -> clt_check arguments (A, theta*, seed, noise_scale)."""
+    A3 = [[3.0, 0.4, 0.2], [0.4, 2.0, -0.3], [0.2, -0.3, 1.5]]
+    return {
+        "clt/identity-seed41": (np.eye(2), np.zeros(2), 41, 1.0),
+        "clt/diag-1-4-seed42": (np.diag([1.0, 4.0]), np.zeros(2), 42, 1.0),
+        "clt/full-2x2-shifted-noise2": ([[2.0, 0.5], [0.5, 1.0]], [0.5, -1.0], 43, 2.0),
+        "clt/full-3x3": (A3, [1.0, -0.5, 0.25], 44, 1.0),
+    }
+
+
+def _clt_case(A, theta_star, seed, noise_scale):
+    from convexkit import stochastic
+    cov, _, rel = stochastic.clt_check(A, theta_star, 0.75, CLT_N, CLT_TRIALS, seed=seed,
+                                       noise_scale=noise_scale)
+    return {"cov": _sha([cov.tobytes()]), "rel": _sha([rel])}
 
 
 def cases():
     """Every golden case, name -> dict of hashes and counts."""
     out = {name: _ipm_case(lp) for name, lp in _ipm_lps()}
     out.update((name, _trace_hashes(run)) for name, run in _trace_cases())
+    out.update((name, _clt_case(*args)) for name, args in _clt_cases().items())
     return out
 
 

@@ -219,6 +219,14 @@ def test_run_solver_capability_error():
         run_solver(q, "fw", 3)
 
 
+def test_run_solver_md_default_step_with_zero_lipschitz_constant():
+    # sqrt(2 log d / N) / L with L = 0 has no positive finite value
+    p = ProblemOracle(2, lambda x: 0.0, lambda x: np.zeros(2), L=0.0)
+    with pytest.raises(CapabilityError, match="default step"):
+        run_solver(p, "md", 3)
+    assert len(run_solver(p, {"name": "md", "step": 0.1}, 3)) == 4
+
+
 def test_solver_names_sorted():
     names = solver_names()
     assert names == sorted(names)

@@ -155,3 +155,13 @@ def test_agf_strong_mode_decays():
     assert ly[-1] < ly[0]
     with pytest.raises(InvalidInput):
         gradient.simulate_agf(q, 1.0, mode="bogus")
+
+
+@pytest.mark.parametrize("beta", [0.0, -1.0])
+def test_flows_default_dt_needs_positive_beta(beta):
+    q = problems.make_quadratic(np.zeros((2, 2)), np.zeros(2))  # A = 0: beta = 0
+    q.beta = beta
+    for simulate in (gradient.simulate_gf, gradient.simulate_agf):
+        with pytest.raises(InvalidInput, match="positive finite smoothness"):
+            simulate(q, 1.0)
+    assert len(gradient.simulate_gf(q, 0.5, dt=0.1)) == 6

@@ -34,11 +34,13 @@ def _problem(kind, seed):
         return problems.make_svm_hinge(X, np.where(Y > 0, 1.0, -1.0), 0.1)
     if kind == "worst-case-smooth":
         return problems.make_worst_case_smooth(D, 1.0 + seed % 5, D)
+    if kind == "worst-case-nonsmooth":
+        return problems.make_worst_case_nonsmooth(D - 1, 1.0 + seed % 5, 1.0)
     raise ValueError(kind)
 
 
 KINDS = ["quadratic", "least-squares", "logistic", "lasso", "lasso-smooth", "svm",
-         "worst-case-smooth"]
+         "worst-case-smooth", "worst-case-nonsmooth"]
 points = st.lists(st.floats(-2.0, 2.0), min_size=D, max_size=D).map(np.array)
 seeds = st.integers(0, 2 ** 16)
 
@@ -60,6 +62,9 @@ def test_fused_gradient_matches_finite_differences(kind, seed, x):
     if kind == "svm":  # the hinge has kinks at margin 1; stay clear of them
         X, Y = p.extra["X"], p.extra["Y"]
         assume(np.min(np.abs(Y * (X @ x) - 1.0)) > 1e-4)
+    if kind == "worst-case-nonsmooth":  # the max has kinks where two coordinates tie
+        top = np.sort(x)
+        assume(top[-1] - top[-2] > 1e-4)
     _, g = p.value_and_grad(x)
     fd = finite_diff_gradient(p.value, x)
     assert np.allclose(g, fd, rtol=1e-5, atol=1e-5)
