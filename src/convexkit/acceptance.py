@@ -163,7 +163,7 @@ def crit_07_ellipsoid():
 def crit_08_feasibility_lower_bound():
     """The ellipsoid feasibility solver pays >= d floor(log2(R/(2 eps))) queries."""
     d, R, eps = 4, 1.0, 2.0 ** -10
-    oracle = problems.resisting_feasibility_oracle(R, d)
+    oracle = problems.ResistingFeasibilityOracle(R, d)
     state = nonsmooth.EllipsoidState.ball(np.zeros(d), R * math.sqrt(d))
     while oracle.ball_radius() > eps:
         p = oracle.query(state.x)
@@ -585,8 +585,8 @@ CRITERIA = [
 ]
 
 
-def criterion_ids(include_slow=True):
-    return [cid for cid, _, slow in CRITERIA if include_slow or not slow]
+def criterion_ids():
+    return [cid for cid, _, _ in CRITERIA]
 
 
 def run_criterion(cid):

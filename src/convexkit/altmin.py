@@ -106,14 +106,13 @@ def _logsumexp_rows(M):
 
 
 class SinkhornResult:
-    def __init__(self, f, g, plan, mu_err, nu_err, kl_mu, kl_plan0):
+    def __init__(self, f, g, plan, mu_err, nu_err, kl_mu):
         self.f = f
         self.g = g
         self.plan = plan
         self.mu_err = np.asarray(mu_err)
         self.nu_err = np.asarray(nu_err)
         self.kl_mu = np.asarray(kl_mu)
-        self.kl_plan0 = kl_plan0
 
 
 def _plan(inst, f, g):
@@ -150,7 +149,7 @@ def sinkhorn(instance, N, tol=None):
         if tol is not None and mu_err[-1] <= tol and nu_err[-1] <= tol:
             break
     plan = _plan(inst, f, g)
-    return SinkhornResult(f, g, plan, mu_err, nu_err, kl_mu, None)
+    return SinkhornResult(f, g, plan, mu_err, nu_err, kl_mu)
 
 
 def sinkhorn_half_step_marginal(instance, N):

@@ -30,7 +30,8 @@ from .core import (CapabilityError, ConvexkitError, InvalidInput, InvalidProblem
 # --- problem spec files ------------------------------------------------------
 #
 # Textual key/value documents: one `key value...` pair per line, '#' comments.
-# Matrices are inline row-major number lists. Fields by kind:
+# Matrices are inline row-major number lists; every float must be finite and
+# the file UTF-8. Fields by kind:
 #   kind quadratic        dim, A (dim*dim), b (dim)
 #   kind least-squares    rows, dim, X (rows*dim), Y (rows)
 #   kind logistic         rows, dim, X (rows*dim), Y (rows; 0/1)
@@ -45,31 +46,36 @@ MAX_NONSMOOTH_STEPS = 1000000  # vectors of steps + 1 entries: 8 MB at the cap
 
 def _parse_fields(path):
     fields = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, _, rest = line.partition(" ")
-            if not rest.strip():
-                raise InvalidInput("problem file line %r has no value" % line)
-            if key in fields:
-                raise InvalidInput("problem file repeats field %r" % key)
-            fields[key] = rest.split()
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for line in fh:
+                line = line.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                key, _, rest = line.partition(" ")
+                if not rest.strip():
+                    raise InvalidInput("problem file line %r has no value" % line)
+                if key in fields:
+                    raise InvalidInput("problem file repeats field %r" % key)
+                fields[key] = rest.split()
+        except UnicodeDecodeError:
+            raise InvalidInput("problem file is not UTF-8 text")
     return fields
 
 
-def _numbers(fields, key, count=None):
+def _numbers(fields, key, count=None, finite=True):
     if key not in fields:
         raise InvalidInput("problem file is missing field %r" % key)
     try:
-        vals = [float(tok) for tok in fields[key]]
+        vals = np.array([float(tok) for tok in fields[key]])
     except ValueError:
         raise InvalidInput("field %r holds non-numeric data" % key)
     if count is not None and len(vals) != count:
         raise InvalidInput("field %r has %d numbers, expected %d"
                            % (key, len(vals), count))
-    return np.array(vals)
+    if finite and not np.isfinite(vals).all():
+        raise InvalidInput("field %r holds a non-finite number" % key)
+    return vals
 
 
 def _scalar(fields, key):
@@ -77,7 +83,7 @@ def _scalar(fields, key):
 
 
 def _integer(fields, key, minimum, maximum=math.inf):
-    value = _scalar(fields, key)
+    value = float(_numbers(fields, key, 1, finite=False)[0])
     if not (math.isfinite(value) and value == int(value) and minimum <= value <= maximum):
         raise InvalidInput("field %r must be an integer in [%d, %s], got %r"
                            % (key, minimum, maximum, value))
@@ -162,28 +168,6 @@ def parse_lp_file(path):
         if x0.size != c.size:
             raise InvalidInput("x0 has the wrong length")
     return A, b, c, x0
-
-
-def read_losses_csv(path):
-    """Loss stream for online mirror descent: one CSV row per round."""
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([float(t) for t in line.split(",")])
-    if not rows or any(len(r) != len(rows[0]) for r in rows):
-        raise InvalidInput("loss stream must be rectangular and non-empty")
-    return np.array(rows)
-
-
-def read_eot_csv(cost_path, mu_path, nu_path):
-    """Entropic OT instance from a (cost matrix, mu, nu) CSV triplet."""
-    from .altmin import EotInstance
-    C = read_losses_csv(cost_path)
-    mu = read_losses_csv(mu_path).ravel()
-    nu = read_losses_csv(nu_path).ravel()
-    return EotInstance(C, mu, nu)
 
 
 # --- config precedence: flag > CONVEXKIT_* env var > default -----------------

@@ -83,19 +83,17 @@ class ProblemOracle:
     value_and_grad(x) returns (value(x), subgradient(x)); a problem that can
     share one pass over its data passes a fused function that returns
     bitwise the same pair. Without one it calls subgradient, then value.
-    Capabilities (all optional): prox(y, h), loo(p), separate(x),
-    block_argmin(i, x), stochastic_gradient(x, rng), component_gradient(i, x).
+    Capabilities (all optional): prox(y, h), loo(p), block_argmin(i, x),
+    stochastic_gradient(x, rng), component_gradient(i, x).
     Constants: alpha (strong convexity, >= 0), beta (smoothness, may be inf),
-    L (Lipschitz, may be inf), f_star / x_star when known, noise constants
-    sigma2d, c0, c1 for stochastic oracles.
+    L (Lipschitz, may be inf), f_star / x_star when known.
     """
 
     def __init__(self, dim, value, subgradient=None, *, value_and_grad=None, prox=None,
-                 loo=None, separate=None, block_argmin=None, stochastic_gradient=None,
+                 loo=None, block_argmin=None, stochastic_gradient=None,
                  component_gradient=None, n_components=None, n_blocks=None,
                  alpha=0.0, beta=math.inf, L=math.inf, f_star=None, x_star=None,
-                 sigma2d=None, c0=None, c1=None, diameter=None, name="problem",
-                 extra=None):
+                 name="problem", extra=None):
         if dim < 1:
             raise InvalidProblem("dim must be >= 1")
         if math.isfinite(alpha) and math.isfinite(beta) and alpha > beta + 1e-12:
@@ -107,7 +105,6 @@ class ProblemOracle:
             self.value_and_grad = value_and_grad
         self.prox = prox
         self.loo = loo
-        self.separate = separate
         self.block_argmin = block_argmin
         self.stochastic_gradient = stochastic_gradient
         self.component_gradient = component_gradient
@@ -118,10 +115,6 @@ class ProblemOracle:
         self.L = float(L)
         self.f_star = f_star
         self.x_star = None if x_star is None else np.asarray(x_star, dtype=float)
-        self.sigma2d = sigma2d
-        self.c0 = c0
-        self.c1 = c1
-        self.diameter = diameter
         self.name = name
         self.extra = dict(extra) if extra else {}
 
@@ -158,13 +151,13 @@ class IterateTrace:
         self.records = []
         self.final_point = None
 
-    def add(self, it, value, grad_norm=None, time_s=0.0, **custom):
+    def add(self, it, value, grad_norm=None, **custom):
         if self.records and it <= self.records[-1]["iter"]:
             raise InvalidInput("trace iterations must be strictly increasing")
         gap = None if self.f_star is None else value - self.f_star
         self.records.append({"iter": int(it), "value": float(value), "gap": gap,
                              "grad_norm": None if grad_norm is None else float(grad_norm),
-                             "time_s": float(time_s), "custom": custom})
+                             "custom": custom})
 
     def __len__(self):
         return len(self.records)
@@ -194,14 +187,15 @@ class IterateTrace:
         return self.records[-1]["gap"]
 
     def to_csv(self, path=None):
+        """The trace as CSV; the time_s column is always 0, so equal runs give equal bytes."""
         def fmt(v):
             return "" if v is None else format(v, ".17g")
 
         buf = io.StringIO()
         buf.write("iter,value,gap,grad_norm,time_s\n")
         for r in self.records:
-            buf.write("%d,%s,%s,%s,%s\n" % (r["iter"], fmt(r["value"]), fmt(r["gap"]),
-                                            fmt(r["grad_norm"]), fmt(r["time_s"])))
+            buf.write("%d,%s,%s,%s,0\n" % (r["iter"], fmt(r["value"]), fmt(r["gap"]),
+                                           fmt(r["grad_norm"])))
         text = buf.getvalue()
         if path is not None:
             with open(path, "w") as fh:
@@ -481,9 +475,6 @@ def _solver_registry():
     # imported lazily so core stays at the bottom of the dependency order
     from . import gradient, krylov, nonsmooth, proximal, frankwolfe, mirror
 
-    def needs(*caps):
-        return caps
-
     def step(p, default):
         """The given step, else default(), which must be positive and finite."""
         if "step" in p:
@@ -505,7 +496,7 @@ def _solver_registry():
         return gradient.run_agd(problem, x0, N)
 
     def run_psd(problem, x0, N, seed, p):
-        R = p.get("radius", max(1.0, float(np.linalg.norm(x0)) * 2))
+        R = 1.0  # max(1, 2 ||x0||) from x0 = 0
         h = step(p, lambda: R / math.sqrt(max(N, 1)))
         proj = lambda z: nonsmooth.project_ball(z, np.zeros(problem.dim), R)
         return nonsmooth.run_psd(problem, proj, h, x0, N)
@@ -533,8 +524,7 @@ def _solver_registry():
         geom = mirror.entropic_geometry(problem.dim)
         h = step(p, lambda: inverse(problem.L if math.isfinite(problem.L) else 1.0,
                                     math.sqrt(2 * math.log(problem.dim) / max(N, 1))))
-        if x0 is None or not np.all(np.asarray(x0) > 0):
-            x0 = np.full(problem.dim, 1.0 / problem.dim)
+        x0 = np.full(problem.dim, 1.0 / problem.dim)  # x0 = 0 is not positive
         return mirror.run_mpgd(problem, None, geom, h, x0, N, constraint="simplex")
 
     def run_sgd(problem, x0, N, seed, p):
@@ -548,25 +538,25 @@ def _solver_registry():
         b = problem.extra.get("b")
         if A is None or b is None:
             raise CapabilityError("problem %r lacks the quadratic (A,b) data needed by cg" % problem.name)
-        tr, _ = krylov.cg_solve(A, b, x0, N, tol=p.get("tol", 0.0), f_star=problem.f_star)
+        tr, _ = krylov.cg_solve(A, b, x0, N, f_star=problem.f_star)
         while len(tr) < N + 1:  # converged early; pad to the budget+1 contract
             last = tr.records[-1]
             tr.add(last["iter"] + 1, last["value"], grad_norm=last["grad_norm"])
         return tr
 
     return {  # name: (capabilities, runner, whether it takes a step)
-        "gd": (needs("subgradient"), run_gd, True),
-        "agd": (needs("subgradient"), run_agd, False),
-        "psd": (needs("subgradient"), run_psd, True),
-        "fw": (needs("loo"), run_fw, False),
-        "ista": (needs(), run_pgd, True),
-        "pgd": (needs(), run_pgd, True),
-        "fista": (needs(), run_apgd, False),
-        "apgd": (needs(), run_apgd, False),
-        "ppm": (needs("prox"), run_ppm, True),
-        "md": (needs("subgradient"), run_md, True),
-        "sgd": (needs("stochastic_gradient"), run_sgd, True),
-        "cg": (needs(), run_cg, False),
+        "gd": (("subgradient",), run_gd, True),
+        "agd": (("subgradient",), run_agd, False),
+        "psd": (("subgradient",), run_psd, True),
+        "fw": (("loo",), run_fw, False),
+        "ista": ((), run_pgd, True),
+        "pgd": ((), run_pgd, True),
+        "fista": ((), run_apgd, False),
+        "apgd": ((), run_apgd, False),
+        "ppm": (("prox",), run_ppm, True),
+        "md": (("subgradient",), run_md, True),
+        "sgd": (("stochastic_gradient",), run_sgd, True),
+        "cg": ((), run_cg, False),
     }
 
 
@@ -600,15 +590,16 @@ def run_solver(problem, algo, budget, seed=0):
     """Dispatch a named algorithm; returns a trace with budget+1 records."""
     if isinstance(algo, str):
         algo = {"name": algo}
+    unknown = set(algo) - {"name", "step"}
+    if unknown:
+        raise InvalidInput("unknown algorithm settings: %s" % ", ".join(sorted(map(str, unknown))))
     name = algo.get("name")
     caps, runner, _ = _solver(name)
     if budget < 0:
         raise InvalidInput("budget must be >= 0")
     for cap in caps:
         problem.require(cap)
-    x0 = algo.get("x0")
-    x0 = np.zeros(problem.dim) if x0 is None else as_vector(x0)
-    trace = runner(problem, x0, int(budget), seed, algo)
+    trace = runner(problem, np.zeros(problem.dim), int(budget), seed, algo)
     if len(trace) != budget + 1:
         raise NumericalError("solver %s produced %d records, expected %d"
                              % (name, len(trace), budget + 1))

@@ -11,14 +11,13 @@ from .core import (CenteringFailed, DomainError, InvalidInput, NumericalError,
 class Barrier:
     """Self-concordant barrier: value/gradient/Hessian oracles, parameter nu."""
 
-    def __init__(self, dim, value, gradient, hessian, nu, in_domain, M=1.0, name="barrier",
+    def __init__(self, dim, value, gradient, hessian, nu, in_domain, name="barrier",
                  evaluate=None):
         self.dim = int(dim)
         self.value = value
         self.gradient = gradient
         self.hessian = hessian
         self.nu = float(nu)
-        self.M = float(M)
         self.in_domain = in_domain
         self.name = name
         if evaluate is not None:
@@ -29,11 +28,6 @@ class Barrier:
         if not self.in_domain(x):
             raise DomainError("%s: point outside the domain" % self.name)
         return self.gradient(x), self.hessian(x)
-
-    def local_norm(self, x, v):
-        """||v||_x = sqrt(<v, H(x) v>)."""
-        H = self.hessian(x)
-        return math.sqrt(max(float(v @ (H @ v)), 0.0))
 
     def dual_norm(self, x, v):
         """||v||*_x = sqrt(<v, H(x)^-1 v>)."""

@@ -103,7 +103,8 @@ def run_psd_functional(objective, constraints, projector, eps, x0, x_star_dist=N
     budget = int(math.ceil(L * L * R * R / (eps * eps)))
     best, best_val = None, math.inf
     for n in range(budget + 1):
-        fmax = max(c.value(x) for c in constraints)
+        fvals = [c.value(x) for c in constraints]
+        fmax = max(fvals)
         if fmax <= eps:
             v = objective.value(x)
             if v < best_val:
@@ -116,7 +117,7 @@ def run_psd_functional(objective, constraints, projector, eps, x0, x_star_dist=N
                 return x, n
             h = eps / pn2
         else:
-            i = int(np.argmax([c.value(x) for c in constraints]))
+            i = int(np.argmax(fvals))
             p = constraints[i].subgradient(x)
             pn2 = float(p @ p)
             if pn2 == 0.0:
@@ -178,7 +179,7 @@ def ellipsoid_update(state, p):
     return EllipsoidState(x_new, Sigma_new)
 
 
-def run_ellipsoid(objective, separation, center, radius, N, feasible_tol=0.0):
+def run_ellipsoid(objective, separation, center, radius, N):
     """Cutting-plane minimization over a convex set C inside the ball B(center, radius).
 
     separation(x) returns None when x is in C, else a separating vector.

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import (InvalidProblem, ProblemOracle, as_vector, make_rng)
+from .core import InvalidProblem, ProblemOracle, as_vector, composite_value, make_rng
 
 
 def _logsumexp(z):
@@ -34,7 +34,19 @@ def make_quadratic(A, b, name="quadratic"):
     if evals[0] > 1e-12 * max(1.0, evals[-1]):
         x_star = np.linalg.solve(A, b)
         f_star = -0.5 * float(b @ x_star)
+    value, grad, value_and_grad = _quadratic_oracles(A, b)
 
+    def prox(y, h):
+        # argmin of f + ||.-y||^2/(2h) solves (I + hA)x = y + hb
+        return np.linalg.solve(np.eye(b.size) + h * A, y + h * b)
+
+    return ProblemOracle(b.size, value, grad, value_and_grad=value_and_grad, prox=prox,
+                         alpha=alpha, beta=beta, f_star=f_star, x_star=x_star, name=name,
+                         extra={"A": A, "b": b})
+
+
+def _quadratic_oracles(A, b):
+    """make_quadratic's value, gradient and value_and_grad, shared with the chain quadratic."""
     def value(x):
         if getattr(x, "ndim", 1) == 2:  # an (S, d) row matrix
             return 0.5 * np.einsum("ij,ij->i", x, x @ A.T) - x @ b
@@ -51,13 +63,7 @@ def make_quadratic(A, b, name="quadratic"):
         Ax = A @ x
         return 0.5 * float(x @ Ax) - float(b @ x), Ax - b
 
-    def prox(y, h):
-        # argmin of f + ||.-y||^2/(2h) solves (I + hA)x = y + hb
-        return np.linalg.solve(np.eye(b.size) + h * A, y + h * b)
-
-    return ProblemOracle(b.size, value, grad, value_and_grad=value_and_grad, prox=prox,
-                         alpha=alpha, beta=beta, f_star=f_star, x_star=x_star, name=name,
-                         extra={"A": A, "b": b})
+    return value, grad, value_and_grad
 
 
 def make_logistic(X, Y, name="logistic"):
@@ -129,9 +135,6 @@ def make_lasso(X, Y, lam, name="lasso"):
     g = ProxTerm(value=lambda x: lam * float(np.sum(np.abs(x))),
                  prox=lambda y, h: prox_l1(y, lam * h), alpha=0.0)
 
-    def value(x):
-        return f.value(x) + g.value(x)
-
     def subgrad(x):
         return f.subgradient(x) + lam * np.sign(x)
 
@@ -139,8 +142,8 @@ def make_lasso(X, Y, lam, name="lasso"):
         v, grad = f.value_and_grad(x)
         return v + g.value(x), grad + lam * np.sign(x)
 
-    return ProblemOracle(f.dim, value, subgrad, value_and_grad=value_and_grad, alpha=f.alpha,
-                         beta=f.beta, name=name, extra={"smooth": f, "reg": g, "lam": lam})
+    return ProblemOracle(f.dim, composite_value(f, g), subgrad, value_and_grad=value_and_grad,
+                         alpha=f.alpha, beta=f.beta, name=name, extra={"smooth": f, "reg": g})
 
 
 def make_softmax_smoothed(a_rows, b, lam, beta_smooth, name="softmax"):
@@ -155,7 +158,6 @@ def make_softmax_smoothed(a_rows, b, lam, beta_smooth, name="softmax"):
         raise InvalidProblem("need m >= 1 rows with one offset each")
     if beta_smooth <= 0 or lam < 0:
         raise InvalidProblem("need beta_smooth > 0, lam >= 0")
-    m = A.shape[0]
     smooth_const = beta_smooth * float(np.linalg.eigvalsh(A.T @ A)[-1]) + lam
 
     def value(x):
@@ -171,7 +173,7 @@ def make_softmax_smoothed(a_rows, b, lam, beta_smooth, name="softmax"):
         return float(np.max(A @ x - b)) + 0.5 * lam * float(x @ x)
 
     return ProblemOracle(A.shape[1], value, grad, alpha=lam, beta=smooth_const,
-                         name=name, extra={"unsmoothed_value": unsmoothed, "m": m})
+                         name=name, extra={"unsmoothed_value": unsmoothed})
 
 
 def make_worst_case_smooth(N, beta, d, name="worst-case-smooth"):
@@ -190,17 +192,7 @@ def make_worst_case_smooth(N, beta, d, name="worst-case-smooth"):
     b[0] = beta / 4.0
     x_star = 1.0 - np.arange(1, d + 1) / (d + 1.0)
     f_star = -(beta / 8.0) * (1.0 - 1.0 / (d + 1.0))
-
-    def value(x):
-        return 0.5 * float(x @ (A @ x)) - float(b @ x)
-
-    def grad(x):
-        return A @ x - b
-
-    def value_and_grad(x):
-        Ax = A @ x
-        return 0.5 * float(x @ Ax) - float(b @ x), Ax - b
-
+    value, grad, value_and_grad = _quadratic_oracles(A, b)
     return ProblemOracle(d, value, grad, value_and_grad=value_and_grad, alpha=0.0,
                          beta=float(beta), f_star=f_star, x_star=x_star, name=name,
                          extra={"A": A, "b": b, "N": N})
@@ -237,7 +229,7 @@ def make_worst_case_nonsmooth(N, L, R, name="worst-case-nonsmooth"):
 
     return ProblemOracle(d, value, subgrad, alpha=alpha, L=float(L),
                          f_star=f_star, x_star=x_star, name=name,
-                         extra={"gamma": gamma, "R": R}, value_and_grad=value_and_grad)
+                         extra={"R": R}, value_and_grad=value_and_grad)
 
 
 class ResistingFeasibilityOracle:
@@ -273,9 +265,6 @@ class ResistingFeasibilityOracle:
         self.n += 1
         return sep
 
-    # duck-types the ProblemOracle separation capability (never feasible)
-    separate = query
-
     def ball_radius(self):
         return (self.R / 2.0) * 0.5 ** (self.n / self.d)
 
@@ -283,11 +272,7 @@ class ResistingFeasibilityOracle:
         return float(np.prod(self.hi - self.lo))
 
 
-def resisting_feasibility_oracle(R, d):
-    return ResistingFeasibilityOracle(R, d)
-
-
-def make_finite_sum(components, g=None, name="finite-sum"):
+def make_finite_sum(components, name="finite-sum"):
     """Average of smooth component oracles, with sampling and per-component gradients."""
     if not components:
         raise InvalidProblem("need at least one component")
@@ -311,13 +296,10 @@ def make_finite_sum(components, g=None, name="finite-sum"):
     def stochastic_gradient(x, rng):
         return components[int(rng.integers(n))].subgradient(x)
 
-    oracle = ProblemOracle(dim, value, grad, alpha=alpha, beta=beta,
-                           component_gradient=component_gradient,
-                           stochastic_gradient=stochastic_gradient,
-                           n_components=n, name=name,
-                           extra={"components": components, "beta_component": beta_comp,
-                                  "reg": g})
-    return oracle
+    return ProblemOracle(dim, value, grad, alpha=alpha, beta=beta,
+                         component_gradient=component_gradient,
+                         stochastic_gradient=stochastic_gradient,
+                         n_components=n, name=name, extra={"beta_component": beta_comp})
 
 
 def make_svm_hinge(X, Y, lam, ball_radius=None, name="svm-hinge"):

@@ -27,7 +27,17 @@ Cases:
          1-2 (seed 0 is the loop case), run_asgd at seeds 0-2 and run_svrg
          with both epoch plans on a strongly convex d = 5 finite sum (whose
          "evals" count is kept), and run_psd/run_psd_strong on the d = 5
-         worst-case nonsmooth instance.
+         worst-case nonsmooth instance. Loops that return more than a trace:
+         run_am on check 14's two-block quadratic; run_ellipsoid on check 07's
+         triangle LP and, in feasibility-only mode, from two infeasible
+         centers ("state" hashes the final ellipsoid); cg_solve stopping early
+         at three tolerances on a d = 40 quadratic ("directions" hashes the
+         search directions); run_svrg stopping at a target gap.
+  solve/*  run_psd_functional on check 06's instance and on a two-constraint
+         variant, from feasible and infeasible starts ("x" hashes the point,
+         "iterations" is the count); sinkhorn on check 13's first two
+         instances at N = 50 and, with a tolerance, stopping early ("f", "g",
+         "plan", "mu_err", "nu_err" and "kl_mu").
   clt/*  clt_check at n = 300 steps and 64 trials on I, diag(1, 4), a
          non-diagonal 2 x 2 A with theta* != 0 and noise_scale 2, and a 3 x 3
          A. "cov" hashes the empirical covariance's bytes, "rel" the relative
@@ -135,7 +145,8 @@ def _strongly_convex_finite_sum():
 def _trace_hashes(run):
     """The hashes of the trace that run() returns, or of the exception it raises.
 
-    run() may also return (trace, counts): a dict of plain numbers kept as they are.
+    run() may also return (trace, counts): a dict of plain numbers (or further
+    hashes) kept as they are.
     """
     try:
         trace = run()
@@ -220,12 +231,17 @@ def _trace_cases():
         yield ("trace/loop/stochastic.run_asgd/seed-%d" % seed,
                lambda seed=seed: stochastic.run_asgd(sc, 0.75, x0, LOOP_N, seed)[1])
 
-    def svrg(plan, epochs, seed):
-        trace, evals = stochastic.run_svrg(sc, x0=x0, epochs=epochs, epoch_plan=plan, seed=seed)
+    def svrg(prob, plan, epochs, seed, target_gap=None):
+        trace, evals = stochastic.run_svrg(prob, x0=x0, epochs=epochs, epoch_plan=plan,
+                                           seed=seed, target_gap=target_gap)
         return trace, {"evals": evals}
 
-    yield "trace/loop/stochastic.run_svrg/constant", lambda: svrg("constant", 8, 0)
-    yield "trace/loop/stochastic.run_svrg/doubling", lambda: svrg("doubling", 6, 1)
+    yield "trace/loop/stochastic.run_svrg/constant", lambda: svrg(sc, "constant", 8, 0)
+    yield "trace/loop/stochastic.run_svrg/doubling", lambda: svrg(sc, "doubling", 6, 1)
+    sct = _strongly_convex_finite_sum()
+    sct.f_star = sct.value(sct.x_star)
+    yield ("trace/loop/stochastic.run_svrg/target-gap",
+           lambda: svrg(sct, "constant", 200, 2, target_gap=1e-6))
     w = problems.make_worst_case_nonsmooth(TRACE_D - 1, 2.0, 1.0)
     wproj = lambda z: nonsmooth.project_ball(z, np.zeros(w.dim), w.extra["R"])
     yield "trace/worst-case-nonsmooth/nonsmooth.run_psd", lambda: nonsmooth.run_psd(
@@ -234,6 +250,93 @@ def _trace_cases():
         w, wproj, w.extra["R"] / np.sqrt(LOOP_N), x0, LOOP_N)
     yield ("trace/worst-case-nonsmooth/nonsmooth.run_psd_strong",
            lambda: nonsmooth.run_psd_strong(w, wproj, np.zeros(w.dim), LOOP_N)[1])
+    yield from _more_loops()
+
+
+def _triangle_lp():
+    """Check 07's LP, min -x - y/2 over x, y >= 0, x + y <= 1: (objective, separation)."""
+    from convexkit.core import ProblemOracle
+    c = np.array([-1.0, -0.5])
+    A = np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]])
+    b = np.array([0.0, 0.0, 1.0])
+
+    def separation(x):
+        viol = A @ x - b
+        i = int(np.argmax(viol))
+        return A[i].copy() if viol[i] > 0 else None
+
+    return ProblemOracle(2, lambda x: float(c @ x), lambda x: c.copy(), f_star=-1.0), separation
+
+
+def _more_loops():
+    """(name, run) for run_am, run_ellipsoid and cg_solve at tol > 0."""
+    from convexkit import acceptance, altmin, krylov, nonsmooth
+    am = acceptance._two_block_quadratic(np.array([[2.0, 0.5], [0.5, 1.0]]))
+    yield "trace/loop/altmin.run_am", lambda: altmin.run_am(am, np.array([1.0, -2.0]), 12)
+    obj, separation = _triangle_lp()
+
+    def ellipsoid(objective, center, radius, N):
+        _, trace, state = nonsmooth.run_ellipsoid(objective, separation, np.array(center),
+                                                  radius, N)
+        return trace, {"state": _sha([state.x.tobytes(), state.Sigma.tobytes()])}
+
+    yield ("trace/loop/nonsmooth.run_ellipsoid/triangle-lp",
+           lambda: ellipsoid(obj, [0.3, 0.3], 2.0, 2000))
+    for center, radius in (([1.5, 1.5], 3.0), ([3.0, -2.0], 6.0)):
+        yield ("trace/loop/nonsmooth.run_ellipsoid/feasibility-%g-%g" % tuple(center),
+               lambda center=center, radius=radius: ellipsoid(None, center, radius, 200))
+    rng = np.random.Generator(np.random.Philox(2026))
+    G = rng.standard_normal((40, 40))
+    A, b = G @ G.T / 40 + 0.1 * np.eye(40), rng.standard_normal(40)
+
+    def cg(tol):
+        trace, directions = krylov.cg_solve(A, b, tol=tol)
+        return trace, {"directions": _sha([np.concatenate(directions).tobytes()]),
+                       "n_directions": len(directions)}
+
+    for tol in (1e-2, 1e-4, 1e-6):
+        yield "trace/loop/krylov.cg_solve/tol-%g" % tol, lambda tol=tol: cg(tol)
+
+
+def _psd_functional_case(n_constraints, x0):
+    """run_psd_functional on check 06's instance (one half-plane) or with a second one."""
+    from convexkit import nonsmooth
+    from convexkit.core import ProblemOracle
+    c = np.array([1.0, 0.0] if n_constraints == 1 else [1.0, 1.0])
+    x_star = np.array([-0.3, 0.0] if n_constraints == 1 else [-0.3, -0.2])
+    obj = ProblemOracle(2, lambda x: float(c @ x), lambda x: c.copy(),
+                        L=float(np.linalg.norm(c)), f_star=float(c @ x_star), x_star=x_star)
+    cons = [ProblemOracle(2, lambda x: -x[0] - 0.3, lambda x: np.array([-1.0, 0.0]), L=1.0),
+            ProblemOracle(2, lambda x: -x[1] - 0.2, lambda x: np.array([0.0, -1.0]), L=1.0)]
+    proj = lambda z: nonsmooth.project_ball(z, np.zeros(2), 1.0)
+    x, iters = nonsmooth.run_psd_functional(obj, cons[:n_constraints], proj, 1e-2,
+                                             np.array(x0))
+    return {"x": _sha([x.tobytes()]), "iterations": iters}
+
+
+def _sinkhorn_case(nx, ny, seed, N, tol=None):
+    from convexkit import altmin
+    res = altmin.sinkhorn(altmin.EotInstance.random(nx, ny, seed=seed, cost_scale=3.0), N, tol)
+    out = {key: _sha([np.asarray(getattr(res, key)).tobytes()])
+           for key in ("f", "g", "plan", "mu_err", "nu_err", "kl_mu")}
+    out["iterations"] = len(res.mu_err)
+    return out
+
+
+def _solve_cases():
+    """name -> a zero-argument function returning the case's hashes."""
+    return {
+        "solve/nonsmooth.run_psd_functional/check-06": lambda: _psd_functional_case(1, [0.0, 0.0]),
+        "solve/nonsmooth.run_psd_functional/check-06/infeasible-start":
+            lambda: _psd_functional_case(1, [-0.8, 0.0]),
+        "solve/nonsmooth.run_psd_functional/two-constraints":
+            lambda: _psd_functional_case(2, [-0.8, 0.0]),
+        "solve/nonsmooth.run_psd_functional/two-constraints/both-violated":
+            lambda: _psd_functional_case(2, [-0.6, -0.6]),
+        "solve/altmin.sinkhorn/3x3-seed31": lambda: _sinkhorn_case(3, 3, 31, 50),
+        "solve/altmin.sinkhorn/5x7-seed32": lambda: _sinkhorn_case(5, 7, 32, 50),
+        "solve/altmin.sinkhorn/3x3-seed31-tol": lambda: _sinkhorn_case(3, 3, 31, 1000, 1e-10),
+    }
 
 
 CLT_N = 300
@@ -263,6 +366,7 @@ def cases():
     out = {name: _ipm_case(lp) for name, lp in _ipm_lps()}
     out.update((name, _trace_hashes(run)) for name, run in _trace_cases())
     out.update((name, _clt_case(*args)) for name, args in _clt_cases().items())
+    out.update((name, case()) for name, case in _solve_cases().items())
     return out
 
 

@@ -96,16 +96,6 @@ def test_parse_lp_file(tmp_path):
         cli.parse_lp_file(str(p))
 
 
-def test_read_losses_csv(tmp_path):
-    p = tmp_path / "losses.csv"
-    p.write_text("0.1,0.2\n-0.3,0.4\n")
-    losses = cli.read_losses_csv(str(p))
-    assert losses.shape == (2, 2)
-    p.write_text("0.1,0.2\n1.0\n")
-    with pytest.raises(InvalidInput):
-        cli.read_losses_csv(str(p))
-
-
 def test_run_writes_trace_and_exits_zero(quad_file, tmp_path, capsys):
     out = str(tmp_path / "trace.csv")
     code = cli.main(["run", "--problem", quad_file, "--algo", "gd",
@@ -452,3 +442,56 @@ def test_fuzz_integer_fields_exit_codes(tmp_path_factory, case, value):
     v = float(value)
     if not (math.isfinite(v) and v == int(v) and v >= minimum):
         assert code == 2 and "must be an integer" in err.getvalue()
+
+
+FIELDS_BY_KIND = {  # kind -> (field, a valid value) in file order
+    "quadratic": [("dim", "2"), ("A", "2 0 0 1"), ("b", "1 1")],
+    "least-squares": [("rows", "3"), ("dim", "2"), ("X", "1 0 0 1 1 1"), ("Y", "1 2 3")],
+    "logistic": [("rows", "3"), ("dim", "2"), ("X", "1 0 0 1 1 1"), ("Y", "0 1 1")],
+    "lasso": [("rows", "3"), ("dim", "2"), ("X", "1 0 0 1 1 1"), ("Y", "1 2 3"), ("lam", "0.1")],
+    "svm": [("rows", "3"), ("dim", "2"), ("X", "1 0 0 1 1 1"), ("Y", "1 -1 1"), ("lam", "0.1")],
+    "worst-case-smooth": [("steps", "8"), ("beta", "1"), ("dim", "3")],
+    "worst-case-nonsmooth": [("steps", "8"), ("L", "1"), ("R", "1")],
+}
+FLOAT_FIELDS = [(kind, field) for kind, fields in FIELDS_BY_KIND.items()
+                for field, _ in fields if field in ("A", "b", "X", "Y", "lam", "beta", "L", "R")]
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("kind, field", FLOAT_FIELDS, ids=["-".join(kf) for kf in FLOAT_FIELDS])
+def test_run_non_finite_float_field_exit_2(tmp_path, kind, field, bad):
+    def write(bad_field):
+        lines = ["kind " + kind] + [
+            "%s %s" % (f, " ".join([bad] + v.split()[1:]) if f == bad_field else v)
+            for f, v in FIELDS_BY_KIND[kind]]
+        p = tmp_path / "f.prob"
+        p.write_text("\n".join(lines) + "\n")
+        return str(p)
+
+    algo = "cg" if kind == "quadratic" else "gd"  # cg wrote nan rows and exited 0
+    assert _run(["run", "--problem", write(None), "--algo", algo, "--iters", "3"])[0] == 0
+    code, out, err = _run(["run", "--problem", write(field), "--algo", algo, "--iters", "3"])
+    assert code == 2 and out == ""
+    assert "field %r holds a non-finite number" % field in err
+
+
+def test_run_problem_file_not_utf8_exit_2(tmp_path):
+    p = tmp_path / "f.prob"
+    p.write_bytes(QUAD.encode().replace(b"b 1 1", b"b 1 \xff"))
+    code, out, err = _run(["run", "--problem", str(p), "--algo", "gd", "--iters", "3"])
+    assert code == 2 and out == "" and "not UTF-8" in err
+
+
+@pytest.fixture(scope="module")
+def bytes_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("bytes") / "f.prob"
+
+
+@settings(max_examples=100, deadline=None)
+@given(head=st.sampled_from([b"", b"kind quadratic\ndim 2\n", QUAD.encode()]),
+       tail=st.binary(max_size=48))
+def test_fuzz_problem_file_bytes_exit_codes(bytes_file, head, tail):
+    bytes_file.write_bytes(head + tail)
+    code, out, _ = _run(["run", "--problem", str(bytes_file), "--algo", "gd", "--iters", "3"])
+    assert code in (0, 1, 2, 3)
+    assert code == 0 or out == ""

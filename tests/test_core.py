@@ -213,6 +213,13 @@ def test_run_solver_unknown_algo():
         run_solver(q, "nope", 3)
 
 
+@pytest.mark.parametrize("key", ["x0", "radius", "tol", "stepsize"])
+def test_run_solver_refuses_settings_other_than_name_and_step(key):
+    q = problems.make_quadratic(np.eye(2), np.zeros(2))
+    with pytest.raises(InvalidInput, match="unknown algorithm settings: %s" % key):
+        run_solver(q, {"name": "gd", key: np.ones(2)}, 3)
+
+
 def test_run_solver_capability_error():
     q = problems.make_quadratic(np.eye(2), np.zeros(2))
     with pytest.raises(CapabilityError, match="loo"):

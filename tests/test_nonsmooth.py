@@ -114,7 +114,7 @@ def test_ellipsoid_contains_kept_halfspace_points():
 
 
 def test_run_ellipsoid_no_feasible_point():
-    oracle = problems.resisting_feasibility_oracle(1.0, 2)
+    oracle = problems.ResistingFeasibilityOracle(1.0, 2)
     obj = ProblemOracle(2, lambda x: 0.0, lambda x: np.zeros(2))
     with pytest.raises(NoFeasiblePoint):
         nonsmooth.run_ellipsoid(obj, oracle.query, np.zeros(2), 1.0, 30)

@@ -100,6 +100,15 @@ def test_quadratic_row_matrix_path_is_unchanged():
     assert np.array_equal(v, q.value(X)) and np.array_equal(g, q.gradient(X))
 
 
+def test_worst_case_smooth_oracle_is_row_wise():
+    w = _problem("worst-case-smooth", 3)
+    X = np.arange(3.0 * D).reshape(3, D) / 10.0
+    v, g = w.value_and_grad(X)
+    assert np.array_equal(v, w.value(X)) and np.array_equal(g, w.gradient(X))
+    for row, x in enumerate(X):
+        assert np.isclose(v[row], w.value(x)) and np.allclose(g[row], w.gradient(x))
+
+
 # --- oracle passes per iteration ------------------------------------------------
 
 def _counted(p):

@@ -101,7 +101,7 @@ def test_worst_case_nonsmooth_frozen_values():
 
 
 def test_resisting_oracle_halves_box():
-    o = problems.resisting_feasibility_oracle(1.0, 2)
+    o = problems.ResistingFeasibilityOracle(1.0, 2)
     r0 = o.ball_radius()
     v0 = o.box_volume()
     sep = o.query(np.zeros(2))
