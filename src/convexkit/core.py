@@ -213,8 +213,9 @@ def record(iterates, x0, N, f_star, seed=None):
     """Trace the first N+1 items of the generator iterates(x0 copy).
 
     Each item is (point, value, grad_norm, custom). No step is taken after
-    record N; a value beyond 1e12 (1 + |value at n = 0|) or a non-finite point
-    raises DivergenceError. The last point becomes the trace's final_point.
+    record N; a value beyond 1e12 (1 + max(|value at n = 0|, |f_star|)), with
+    |f_star| read as 0 when f_star is None, or a non-finite point raises
+    DivergenceError. The last point becomes the trace's final_point.
     Given a seed, iterates takes (x, rng) with rng = make_rng(seed); a
     sequence of seeds steps them all as one batch (see record_rows).
     """
@@ -230,7 +231,7 @@ def record(iterates, x0, N, f_star, seed=None):
     trace = IterateTrace(f_star)
     for n, (x, value, grad_norm, custom) in zip(range(N + 1), items):
         if n == 0:
-            scale = 1.0 + abs(value)
+            scale = 1.0 + max(abs(value), 0.0 if f_star is None else abs(f_star))
         check_divergence(value, x, scale)
         trace.add(n, value, grad_norm, **custom)
     trace.final_point = x
@@ -285,7 +286,7 @@ def record_rows(iterates, x0, N, f_star, seeds):
     row-wise. Row 0 of records 0 and 1 (the first stochastic-oracle call) is
     checked against the single-seed run of seeds[0]; an oracle that fails
     on, or mixes, the rows raises CapabilityError. Each row has its own
-    divergence guard. Returns a BatchTrace.
+    divergence guard, scaled as in record. Returns a BatchTrace.
     """
     seeds = list(seeds)
     S = len(seeds)
@@ -307,7 +308,7 @@ def record_rows(iterates, x0, N, f_star, seeds):
         else:
             X, value, grad_norm, extra = next(rows)
         if n == 0:
-            scale = 1.0 + np.abs(value)
+            scale = 1.0 + np.maximum(np.abs(value), 0.0 if f_star is None else abs(f_star))
         ok = (np.isfinite(value) & (np.abs(value) <= DIVERGENCE_FACTOR * scale)
               & np.isfinite(X).all(axis=1))
         if not ok.all():

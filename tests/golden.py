@@ -38,6 +38,13 @@ Cases:
          "iterations" is the count); sinkhorn on check 13's first two
          instances at N = 50 and, with a tolerance, stopping early ("f", "g",
          "plan", "mu_err", "nu_err" and "kl_mu").
+  parse/*  parse_problem_file on seeded files of every kind, written once with
+         "%.17g" tokens and once with "%+.16e" tokens (parse/<kind>/<format>).
+         The data mixes magnitudes from 1e-8 to 1e8 with -0, 0 and a
+         subnormal; integer fields are written in the same format. Each
+         array in the problem's extra (and in a nested problem's extra, as
+         "smooth.X") is hashed through its bytes, as are alpha, beta and f*
+         (the bytes of "None" when f* is unknown).
   clt/*  clt_check at n = 300 steps and 64 trials on I, diag(1, 4), a
          non-diagonal 2 x 2 A with theta* != 0 and noise_scale 2, and a 3 x 3
          A. "cov" hashes the empirical covariance's bytes, "rel" the relative
@@ -48,6 +55,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -361,9 +369,75 @@ def _clt_case(A, theta_star, seed, noise_scale):
     return {"cov": _sha([cov.tobytes()]), "rel": _sha([rel])}
 
 
+PARSE_FORMATS = {"g17": "%.17g", "e16": "%+.16e"}
+
+
+def _parse_files():
+    """kind -> [(field, numbers)] in file order, seeded, for every problem-file kind."""
+    rng = np.random.Generator(np.random.Philox(2027))
+    d, n = 6, 9
+
+    def spread(size):  # magnitudes 1e-8 .. 1e8, with -0, 0 and a subnormal
+        v = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 9, size)
+        v[:3] = (-0.0, 0.0, 5e-324)
+        return v
+
+    G = rng.standard_normal((d, d))
+    A = G @ G.T / d + 0.5 * np.eye(d)
+    X = spread(n * d)
+    design = [("rows", [n]), ("dim", [d]), ("X", X)]
+    return {
+        "quadratic": [("dim", [d]), ("A", A.ravel()), ("b", spread(d))],
+        "least-squares": design + [("Y", spread(n))],
+        "logistic": design + [("Y", (rng.standard_normal(n) > 0).astype(float))],
+        "lasso": design + [("Y", spread(n)), ("lam", [0.1 * rng.random()])],
+        "svm": design + [("Y", np.where(rng.standard_normal(n) > 0, 1.0, -1.0)),
+                         ("lam", [0.1 * rng.random()])],
+        "worst-case-smooth": [("steps", [8]), ("beta", [rng.random() + 0.5]), ("dim", [17])],
+        "worst-case-nonsmooth": [("steps", [8]), ("L", [rng.random() + 0.5]),
+                                 ("R", [rng.random() + 0.5])],
+    }
+
+
+def _extra_hashes(extra, prefix=""):
+    from convexkit.core import ProblemOracle
+    out = {}
+    for key in sorted(extra):
+        value = extra[key]
+        if isinstance(value, ProblemOracle):
+            out.update(_extra_hashes(value.extra, prefix + key + "."))
+        elif isinstance(value, (np.ndarray, float, int)):
+            out["extra." + prefix + key] = _sha([np.asarray(value, dtype=float).tobytes()])
+    return out
+
+
+def _parse_case(path, kind, fields, fmt):
+    from convexkit import cli
+    with open(path, "w") as fh:
+        fh.write("kind %s\n" % kind)
+        for key, numbers in fields:
+            fh.write("%s %s\n" % (key, " ".join(fmt % v for v in np.asarray(numbers, float))))
+    p = cli.parse_problem_file(path)
+    out = _extra_hashes(p.extra)
+    out["constants"] = _sha([p.alpha, p.beta, b"None" if p.f_star is None else p.f_star])
+    out["dim"] = p.dim
+    return out
+
+
+def _parse_cases():
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f.prob")
+        for kind, fields in _parse_files().items():
+            for label, fmt in PARSE_FORMATS.items():
+                out["parse/%s/%s" % (kind, label)] = _parse_case(path, kind, fields, fmt)
+    return out
+
+
 def cases():
     """Every golden case, name -> dict of hashes and counts."""
     out = {name: _ipm_case(lp) for name, lp in _ipm_lps()}
+    out.update(_parse_cases())
     out.update((name, _trace_hashes(run)) for name, run in _trace_cases())
     out.update((name, _clt_case(*args)) for name, args in _clt_cases().items())
     out.update((name, case()) for name, case in _solve_cases().items())

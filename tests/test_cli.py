@@ -2,6 +2,8 @@ import contextlib
 import io
 import math
 import os
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -93,6 +95,15 @@ def test_parse_lp_file(tmp_path):
         cli.parse_lp_file(str(p))
     p.write_text(LP.replace("-1, 0\n", "-1\n", 1))  # ragged A rows
     with pytest.raises(InvalidInput, match="rows of different lengths"):
+        cli.parse_lp_file(str(p))
+    p.write_text(LP.replace("0, -1", "0, 1\n0, 1"))  # five rows of A, four of b
+    with pytest.raises(InvalidInput, match="inconsistent shapes"):
+        cli.parse_lp_file(str(p))
+    p.write_text(LP.replace("-1, 0", "nan, 0"))  # was returned as an A holding nan
+    with pytest.raises(InvalidInput, match="section 'A' holds a non-finite number"):
+        cli.parse_lp_file(str(p))
+    p.write_bytes(LP.encode().replace(b"1 1 1 1", b"1 1 1 \xff"))  # was a UnicodeDecodeError
+    with pytest.raises(InvalidInput, match="not UTF-8"):
         cli.parse_lp_file(str(p))
 
 
@@ -495,3 +506,118 @@ def test_fuzz_problem_file_bytes_exit_codes(bytes_file, head, tail):
     code, out, _ = _run(["run", "--problem", str(bytes_file), "--algo", "gd", "--iters", "3"])
     assert code in (0, 1, 2, 3)
     assert code == 0 or out == ""
+
+
+@pytest.mark.parametrize("algo", ["gd", "agd", "cg"])
+def test_run_large_optimum_is_not_divergence(tmp_path, algo):
+    # f* = -4e12 is reached from 0 in one step; a guard scaled only by the
+    # value at x0 = 0 called that step a divergence
+    p = tmp_path / "f.prob"
+    p.write_text("kind quadratic\ndim 2\nA 1 0 0 1\nb 2e6 2e6\n")
+    code, out, err = _run(["run", "--problem", str(p), "--algo", algo, "--iters", "3"])
+    assert code == 0
+    assert out.splitlines()[-1] == "3,-4000000000000,0,0,0"
+    assert "final value -4000000000000 gap 0" in err
+
+
+# --- the number reader ---------------------------------------------------------
+
+_DIGITS = st.text("0123456789", max_size=4)
+_DECIMAL = st.builds(  # sign, digits, an optional dot and fraction, an optional exponent
+    lambda sign, whole, dot, frac, exp: sign + whole + dot + frac + exp,
+    st.sampled_from(["", "+", "-"]), _DIGITS, st.sampled_from(["", "."]), _DIGITS,
+    st.one_of(st.just(""), st.builds(lambda e, s, d: e + s + d, st.sampled_from("eE"),
+                                     st.sampled_from(["", "+", "-"]), _DIGITS)))
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_TOKEN = st.one_of(
+    _DECIMAL,
+    _FINITE.map(lambda v: "%.17g" % v),
+    _FINITE.map(lambda v: "%+.16e" % v),
+    st.sampled_from(["nan", "NaN", "-nan", "inf", "-inf", "+inf", "Infinity", "-Infinity",
+                     "INF", "1e400", "-1e-400", "4.9e-324", "x", "1x", "--1", "0x10"]))
+_SEP = st.sampled_from([" ", "\t", "\n", "  ", " \t\n"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(tokens=st.lists(_TOKEN, min_size=1, max_size=12),
+       seps=st.lists(_SEP, min_size=11, max_size=11),
+       ends=st.tuples(st.sampled_from(["", " ", "\t"]), st.sampled_from(["", " ", "\n"])))
+def test_numbers_match_per_token_float(tokens, seps, ends):
+    text = ends[0] + tokens[0] + "".join(s + t for s, t in zip(seps, tokens[1:])) + ends[1]
+    try:
+        want = np.array([float(t) for t in text.split()])
+    except ValueError:
+        want = None
+    try:
+        got = cli._numbers({"A": text}, "A", finite=False)
+    except InvalidInput as exc:
+        assert "non-numeric" in str(exc)
+        got = None
+    assert (got is None) == (want is None), text
+    if got is not None:
+        # every nan is equal here: "-nan" reads as a nan without its sign bit,
+        # and no field accepts a nan
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes(), text
+
+
+@pytest.mark.parametrize("token, message", [
+    ("1_0", "non-numeric data"),  # float() accepts underscores between digits
+    ("\uff11", "non-numeric data"),  # a fullwidth digit
+    ("\u0663", "non-numeric data"),  # an Arabic-Indic digit
+    ("1\u00a01", "non-numeric data"),  # a no-break space between two numbers
+    ("1\u20031", "non-numeric data"),  # an em space
+    ("1\x1f1", "non-numeric data"),  # str.split() reads the ASCII separators 0x1c-0x1f as space
+    ("nan(12)", "a non-finite number"),  # read as a nan, which no float field accepts
+    ("1-2", "non-numeric data"),  # the rest were rejected before too
+    ("1.5.5", "non-numeric data"),
+    ("1,2", "non-numeric data"),
+    ("0x1p3", "non-numeric data"),
+])
+def test_run_token_outside_the_format_exit_2(tmp_path, token, message):
+    p = tmp_path / "f.prob"
+    p.write_text("kind quadratic\ndim 2\nA 1 0 0 1\nb 1 %s\n" % token, encoding="utf-8")
+    code, out, err = _run(["run", "--problem", str(p), "--algo", "gd", "--iters", "3"])
+    assert code == 2 and out == ""
+    assert "field 'b' holds %s" % message in err
+
+
+def test_parse_lp_file_comma_only_row_adds_nothing(tmp_path):
+    p = tmp_path / "box.lp"
+    p.write_text(LP.replace("b:\n", "b:\n,\n"))  # np.fromstring reads " " as [-1.0]
+    A, b, c, x0 = cli.parse_lp_file(str(p))
+    assert np.array_equal(b, np.ones(4))
+
+
+def test_numbers_bad_token_under_old_numpy(monkeypatch):
+    # numpy < 2 warns and returns the numbers before a bad token instead of raising
+    def fromstring(text, sep):
+        warnings.warn("string or file could not be read to its end", DeprecationWarning)
+        return np.array([1.0])
+
+    monkeypatch.setattr(np, "fromstring", fromstring)
+    with pytest.raises(InvalidInput, match="non-numeric"):
+        cli._numbers({"b": "1 x"}, "b", 1)
+
+
+def test_parse_memory_is_a_few_bytes_per_text_byte(tmp_path):
+    rows, dim = 2000, 100  # 200k numbers: ten random rows, written 200 times over
+    rng = np.random.default_rng(5)
+    block, Y = rng.standard_normal((10, dim)), rng.standard_normal(rows)
+    X = np.tile(block, (rows // 10, 1))
+    p = tmp_path / "ls.prob"
+    p.write_text("kind least-squares\nrows %d\ndim %d\nX%s\nY %s\n"
+                 % (rows, dim, (" " + " ".join(map(repr, block.ravel().tolist()))) * (rows // 10),
+                    " ".join(map(repr, Y.tolist()))))
+    size = p.stat().st_size
+    tracemalloc.start()
+    try:
+        q = cli.parse_problem_file(str(p))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(q.extra["X"], X)
+    # the line, its value text and the array; one str and one float per
+    # number took about 6 bytes per byte of text
+    assert peak < 3 * size, (peak, size)
