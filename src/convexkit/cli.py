@@ -25,7 +25,7 @@ import numpy as np
 
 from . import acceptance, gradient, nonsmooth, problems
 from .core import (CapabilityError, ConvexkitError, InvalidInput, InvalidProblem,
-                   IterateTrace, fit_rate, run_solver, takes_step)
+                   IterateTrace, fit_rate, run_solver)
 
 
 # --- problem spec files ------------------------------------------------------
@@ -220,8 +220,6 @@ def cmd_run(args):
     step = _setting(args.step, "STEP", None, float)
     algo = {"name": args.algo}
     if step is not None:
-        if not takes_step(args.algo):
-            raise InvalidInput("algorithm %s takes no step" % args.algo)
         algo["step"] = step
     started = time.monotonic()
     trace = run_solver(problem, algo, iters, seed=seed)
@@ -266,7 +264,7 @@ def _rate_rows(suite):
             R = w.extra["R"]
             proj = lambda z: nonsmooth.project_ball(z, np.zeros(w.dim), R)
             run = nonsmooth.run_psd(w, proj, R / math.sqrt(N), np.zeros(w.dim), N)
-            trace.add(N, run.gaps()[-1])
+            trace.add(N, run.final_gap())
         exponent, r2, kind = fit_rate(trace)
         return [("psd", exponent, r2, -0.5,
                  kind == "polynomial" and exponent <= -0.25)]

@@ -1,6 +1,5 @@
 """Shared numeric types: oracles, traces, the recording driver, rate fitting, solver dispatch."""
 
-import io
 import math
 
 import numpy as np
@@ -141,66 +140,165 @@ class ProblemOracle:
 
 
 class IterateTrace:
-    """Per-iteration records plus the final point.
+    """Per-iteration rows kept as columns, plus the final point.
 
-    Gap is recorded iff the problem declares f_star.
+    Columns: iter, value, grad_norm and one per custom key; gaps() is value -
+    f_star when f_star is declared. S seeds stepped as one batch
+    (record_rows) have S-vector cells, and trace(s) views seed s. grad_norm
+    and custom cells may be absent from a row: a per-row flag says so, and
+    the cell reads NaN. Rows are preallocated and double when they run out.
     """
 
-    def __init__(self, f_star=None):
+    def __init__(self, f_star=None, rows=16, seeds=None):
         self.f_star = f_star
-        self.records = []
         self.final_point = None
+        self._seeds = () if seeds is None else (seeds,)
+        self._n = 0
+        self._iter = np.zeros(rows, dtype=np.int64)
+        self._value = self._column(rows)
+        self._opt = {}  # "grad_norm" or a custom key -> (column, presence flags)
+
+    def _column(self, rows):
+        return np.full((rows,) + self._seeds, math.nan)
 
     def add(self, it, value, grad_norm=None, **custom):
-        if self.records and it <= self.records[-1]["iter"]:
+        n = self._n
+        if n and it <= self._iter[n - 1]:
             raise InvalidInput("trace iterations must be strictly increasing")
-        gap = None if self.f_star is None else value - self.f_star
-        self.records.append({"iter": int(it), "value": float(value), "gap": gap,
-                             "grad_norm": None if grad_norm is None else float(grad_norm),
-                             "custom": custom})
+        if n == len(self._iter):
+            self._resize(max(2 * n, 16))
+        self._iter[n] = it
+        self._value[n] = value
+        if grad_norm is not None:
+            custom["grad_norm"] = grad_norm
+        for key, v in custom.items():
+            if key not in self._opt:
+                self._opt[key] = (self._column(len(self._iter)), np.zeros(len(self._iter), bool))
+            col, has = self._opt[key]
+            col[n] = v
+            has[n] = True
+        self._n = n + 1
+
+    def _resize(self, rows):
+        def fit(a, fill=math.nan):
+            out = np.full((rows,) + a.shape[1:], fill, a.dtype)
+            out[:self._n] = a[:self._n]
+            return out
+
+        self._iter, self._value = fit(self._iter, 0), fit(self._value)
+        self._opt = {k: (fit(col), fit(has, False)) for k, (col, has) in self._opt.items()}
 
     def __len__(self):
-        return len(self.records)
+        return self._n
 
     def iters(self):
-        return np.array([r["iter"] for r in self.records])
+        return self._iter[:self._n]
 
     def values(self):
-        return np.array([r["value"] for r in self.records])
+        return self._value[:self._n]
 
     def gaps(self):
-        if self.f_star is None:
-            return None
-        return np.array([r["gap"] for r in self.records])
+        return None if self.f_star is None else self.values() - self.f_star
 
     def grad_norms(self):
-        return np.array([math.nan if r["grad_norm"] is None else r["grad_norm"]
-                         for r in self.records])
+        return self.custom("grad_norm")
 
     def custom(self, key):
-        return np.array([r["custom"].get(key, math.nan) for r in self.records])
+        """Column key, NaN where a row lacks it."""
+        return self._opt[key][0][:self._n] if key in self._opt else self._column(self._n)
+
+    def custom_keys(self):
+        return sorted(self._opt.keys() - {"grad_norm"})
 
     def final_value(self):
-        return self.records[-1]["value"]
+        return self.values()[-1]
 
     def final_gap(self):
-        return self.records[-1]["gap"]
+        return None if self.f_star is None else self.final_value() - self.f_star
+
+    def trace(self, s):
+        """Seed s of a batch as a single-run trace that views its columns."""
+        view = IterateTrace(self.f_star, rows=0)
+        n = view._n = self._n
+        view._iter, view._value = self._iter[:n], self._value[:n, s]
+        view._opt = {k: (col[:n, s], has[:n]) for k, (col, has) in self._opt.items()}
+        view.final_point = self.final_point[s].copy()
+        return view
+
+    @property
+    def records(self):
+        """The rows as a sequence: trace.records[n] is trace[n]."""
+        return self
+
+    def __getitem__(self, n):
+        """Row n as a _Row dict: iter, value, gap, grad_norm and a custom dict."""
+        self._single_run()
+        n = range(self._n)[n]
+        custom = {k: cell for k, cell in self._opt.items() if k != "grad_norm" and cell[1][n]}
+        return _Row(n, {"iter": (self._iter, None), "value": (self._value, None),
+                        "gap": (None if self.f_star is None else _Gap(self), None),
+                        "grad_norm": self._opt.get("grad_norm", (None, None)),
+                        "custom": _Row(n, custom)})
+
+    def _single_run(self):
+        if self._seeds:
+            raise CapabilityError("a batch has rows per seed: use trace(s)")
 
     def to_csv(self, path=None):
         """The trace as CSV; the time_s column is always 0, so equal runs give equal bytes."""
-        def fmt(v):
-            return "" if v is None else format(v, ".17g")
+        self._single_run()
+        n = self._n
 
-        buf = io.StringIO()
-        buf.write("iter,value,gap,grad_norm,time_s\n")
-        for r in self.records:
-            buf.write("%d,%s,%s,%s,0\n" % (r["iter"], fmt(r["value"]), fmt(r["gap"]),
-                                           fmt(r["grad_norm"])))
-        text = buf.getvalue()
+        def strings(col, has=None):
+            if col is None:
+                return [""] * n
+            out = [format(v, ".17g") for v in col[:n].tolist()]
+            return out if has is None else [t if h else "" for t, h in zip(out, has[:n].tolist())]
+
+        rows = zip(self.iters().tolist(), strings(self.values()), strings(self.gaps()),
+                   strings(*self._opt.get("grad_norm", (None,))))
+        text = "iter,value,gap,grad_norm,time_s\n" + "".join("%d,%s,%s,%s,0\n" % r for r in rows)
         if path is not None:
             with open(path, "w") as fh:
                 fh.write(text)
         return text
+
+
+class _Row(dict):
+    """Row n's cells as read when the dict is made, None where absent.
+
+    Writing a cell writes its column (None makes it absent); writing gap sets
+    value to f_star + gap.
+    """
+
+    def __init__(self, n, cells):
+        self._n, self._cells = n, cells
+        super().__init__((k, c if isinstance(c, _Row) else _read(c, n)) for k, c in cells.items())
+
+    def __setitem__(self, key, v):
+        col, has = self._cells[key]
+        col[self._n] = math.nan if v is None else v
+        if has is not None:
+            has[self._n] = v is not None
+        super().__setitem__(key, v)
+
+
+def _read(cell, n):
+    col, has = cell
+    return None if col is None or (has is not None and not has[n]) else col[n].item()
+
+
+class _Gap:
+    """A trace's gap as a column, value - f_star: writing gap n sets value n."""
+
+    def __init__(self, trace):
+        self._trace = trace
+
+    def __getitem__(self, n):
+        return self._trace._value[n] - self._trace.f_star
+
+    def __setitem__(self, n, gap):
+        self._trace._value[n] = gap + self._trace.f_star
 
 
 def check_divergence(value, x, scale):
@@ -228,7 +326,7 @@ def record(iterates, x0, N, f_star, seed=None):
         items = iterates(x0.copy(), make_rng(seed))
     else:
         return record_rows(iterates, x0, N, f_star, seed)
-    trace = IterateTrace(f_star)
+    trace = IterateTrace(f_star, rows=N + 1)
     for n, (x, value, grad_norm, custom) in zip(range(N + 1), items):
         if n == 0:
             scale = 1.0 + max(abs(value), 0.0 if f_star is None else abs(f_star))
@@ -236,46 +334,6 @@ def record(iterates, x0, N, f_star, seed=None):
         trace.add(n, value, grad_norm, **custom)
     trace.final_point = x
     return trace
-
-
-class BatchTrace:
-    """The records of S seeds stepped as one batch.
-
-    values()[n, s] is seed s's value at record n (likewise gaps and custom
-    columns), final_point[s] its final point. trace(s) builds
-    seed s's IterateTrace only when asked for.
-    """
-
-    def __init__(self, f_star, values, grad_norms, custom, final_point):
-        self.f_star = f_star
-        self._values = values
-        self._grad_norms = grad_norms
-        self._custom = custom
-        self.final_point = final_point
-
-    def __len__(self):
-        return self._values.shape[0]
-
-    def values(self):
-        return self._values
-
-    def gaps(self):
-        return None if self.f_star is None else self._values - self.f_star
-
-    def custom(self, key):
-        return self._custom.get(key, np.full(self._values.shape, math.nan))
-
-    def final_gap(self):
-        return None if self.f_star is None else self._values[-1] - self.f_star
-
-    def trace(self, s):
-        trace = IterateTrace(self.f_star)
-        for n in range(len(self)):
-            trace.add(n, self._values[n, s],
-                      None if self._grad_norms is None else self._grad_norms[n, s],
-                      **{key: float(col[n, s]) for key, col in self._custom.items()})
-        trace.final_point = self.final_point[s].copy()
-        return trace
 
 
 def record_rows(iterates, x0, N, f_star, seeds):
@@ -286,7 +344,7 @@ def record_rows(iterates, x0, N, f_star, seeds):
     row-wise. Row 0 of records 0 and 1 (the first stochastic-oracle call) is
     checked against the single-seed run of seeds[0]; an oracle that fails
     on, or mixes, the rows raises CapabilityError. Each row has its own
-    divergence guard, scaled as in record. Returns a BatchTrace.
+    divergence guard, scaled as in record. Returns an S-seed IterateTrace.
     """
     seeds = list(seeds)
     S = len(seeds)
@@ -295,9 +353,7 @@ def record_rows(iterates, x0, N, f_star, seeds):
     probe = [item for _, item in zip(range(min(N, 1) + 1),
                                       iterates(x0.copy(), make_rng(seeds[0])))]
     rows = iterates(np.tile(x0, (S, 1)), make_rng(seeds))
-    values = np.empty((N + 1, S))
-    grad_norms = None
-    custom = {}
+    trace = IterateTrace(f_star, rows=N + 1, seeds=S)
     for n in range(N + 1):
         if n < len(probe):
             try:
@@ -315,16 +371,9 @@ def record_rows(iterates, x0, N, f_star, seeds):
             s = int(np.argmin(ok))
             raise DivergenceError("iterate of seed %r diverged (value %r)"
                                   % (seeds[s], float(value[s])))
-        values[n] = value
-        if grad_norm is not None:
-            if grad_norms is None:
-                grad_norms = np.empty((N + 1, S))
-            grad_norms[n] = grad_norm
-        for key, col in extra.items():
-            if key not in custom:
-                custom[key] = np.empty((N + 1, S))
-            custom[key][n] = col
-    return BatchTrace(f_star, values, grad_norms, custom, X)
+        trace.add(n, value, grad_norm, **extra)
+    trace.final_point = X
+    return trace
 
 
 def _match_row0(ref, item, S):
@@ -447,12 +496,12 @@ def fit_rate(trace, skip=0):
     """
     if trace.f_star is None:
         raise InsufficientData("no gap column (f_star unknown)")
-    pts = [(r["iter"], r["gap"]) for r in trace.records
-           if r["iter"] >= max(1, skip) and r["gap"] is not None and r["gap"] > 0]
-    if len(pts) < 10:
+    gaps = trace.gaps()
+    keep = (trace.iters() >= max(1, skip)) & (gaps > 0)
+    if np.count_nonzero(keep) < 10:
         raise InsufficientData("need >= 10 records with positive gap")
-    n = np.array([p[0] for p in pts], dtype=float)
-    lg = np.log([p[1] for p in pts])
+    n = trace.iters()[keep].astype(float)
+    lg = np.log(gaps[keep])
 
     def lsq(xs):
         A = np.stack([xs, np.ones_like(xs)], axis=1)
@@ -503,7 +552,6 @@ def _solver_registry():
         return nonsmooth.run_psd(problem, proj, h, x0, N)
 
     def run_fw(problem, x0, N, seed, p):
-        problem.require("loo")
         tr, _ = frankwolfe.run_fw(problem, problem.loo, x0, N)
         return tr
 
@@ -517,7 +565,6 @@ def _solver_registry():
         return proximal.run_apgd(f, problem.extra.get("reg"), x0, N, problem.f_star)
 
     def run_ppm(problem, x0, N, seed, p):
-        problem.require("prox")
         h = step(p, lambda: 1.0)
         return proximal.run_ppm(problem, h, x0, N)
 
@@ -530,7 +577,6 @@ def _solver_registry():
 
     def run_sgd(problem, x0, N, seed, p):
         from . import stochastic
-        problem.require("stochastic_gradient")
         h = step(p, lambda: inverse(2 * problem.beta) if math.isfinite(problem.beta) else 0.1)
         return stochastic.run_sgd(problem, h, x0, N, seed)
 
@@ -540,9 +586,8 @@ def _solver_registry():
         if A is None or b is None:
             raise CapabilityError("problem %r lacks the quadratic (A,b) data needed by cg" % problem.name)
         tr, _ = krylov.cg_solve(A, b, x0, N, f_star=problem.f_star)
-        while len(tr) < N + 1:  # converged early; pad to the budget+1 contract
-            last = tr.records[-1]
-            tr.add(last["iter"] + 1, last["value"], grad_norm=last["grad_norm"])
+        for n in range(len(tr), N + 1):  # converged early; pad to the budget+1 contract
+            tr.add(n, tr.final_value(), grad_norm=tr.grad_norms()[-1])
         return tr
 
     return {  # name: (capabilities, runner, whether it takes a step)
@@ -582,11 +627,6 @@ def _solver(name):
     return solvers[name]
 
 
-def takes_step(name):
-    """False for the solvers that choose their own steps: agd, apgd, cg, fista, fw."""
-    return _solver(name)[2]
-
-
 def run_solver(problem, algo, budget, seed=0):
     """Dispatch a named algorithm; returns a trace with budget+1 records."""
     if isinstance(algo, str):
@@ -595,7 +635,9 @@ def run_solver(problem, algo, budget, seed=0):
     if unknown:
         raise InvalidInput("unknown algorithm settings: %s" % ", ".join(sorted(map(str, unknown))))
     name = algo.get("name")
-    caps, runner, _ = _solver(name)
+    caps, runner, takes_step = _solver(name)
+    if "step" in algo and not takes_step:  # agd, apgd, cg, fista and fw choose their own
+        raise InvalidInput("algorithm %s takes no step" % name)
     if budget < 0:
         raise InvalidInput("budget must be >= 0")
     for cap in caps:

@@ -95,7 +95,10 @@ def run_mpgd(f, g, geometry, h, x0, N, constraint=None):
         for n in itertools.count():
             v, grad = f.value_and_grad(x)
             yield x, plus_reg(v, g, x), float(np.linalg.norm(grad)), {"avg_value": total(avg)}
-            w = geometry.grad_star(geometry.grad(x) - h * grad)
+            dual = geometry.grad(x) - h * grad
+            if g is None and constraint == "simplex":
+                dual -= np.max(dual)  # the normalization cancels it; exp cannot overflow
+            w = geometry.grad_star(dual)
             if g is not None:
                 w = g.prox(w, h)
             if constraint == "simplex":

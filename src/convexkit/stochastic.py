@@ -13,8 +13,8 @@ from .core import (DivergenceError, InvalidInput, IterateTrace, as_vector,
 def run_sgd(problem, h, x0, N, seed=0):
     """Plain SGD with a constant step; the trace records the exact objective.
 
-    A sequence of seeds runs them all as one batch and returns a BatchTrace
-    (see core.record_rows); the oracles must then be row-wise.
+    A sequence of seeds runs them all as one batch and returns their S-seed
+    trace (see core.record_rows); the oracles must then be row-wise.
     """
     grad = problem.require("stochastic_gradient")
 
@@ -77,7 +77,7 @@ def run_asgd(problem, gamma, x0, n, seed=0):
     of iterates 0..n-1. Returns (theta_bar, trace of squared distances).
 
     A sequence of seeds runs as one batch, as in run_sgd: theta_bar is then
-    (S, d) and the trace a BatchTrace.
+    (S, d) and the trace an S-seed one.
     """
     if not 0.5 < gamma < 1.0:
         raise InvalidInput("gamma must lie in (1/2, 1)")

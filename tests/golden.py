@@ -168,7 +168,7 @@ def _trace_hashes(run):
     out = {"csv": _sha([trace.to_csv().encode()]), "records": len(trace),
            "final_point": _sha([b"None" if point is None else np.asarray(point).tobytes()])}
     out.update(counts)
-    for key in sorted({k for r in trace.records for k in r["custom"]}):
+    for key in trace.custom_keys():
         out["custom." + key] = _sha([trace.custom(key).tobytes()])
     return out
 

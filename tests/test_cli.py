@@ -520,6 +520,20 @@ def test_run_large_optimum_is_not_divergence(tmp_path, algo):
     assert "final value -4000000000000 gap 0" in err
 
 
+def test_run_md_large_gradient_does_not_overflow(tmp_path):
+    # h |grad| is about 1400 here, so exp of the unshifted dual vector overflowed;
+    # the symmetric problem keeps every iterate at the uniform point
+    p = tmp_path / "f.prob"
+    p.write_text("kind quadratic\ndim 2\nA 1 0 0 1\nb 2e3 2e3\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(["run", "--problem", str(p), "--algo", "md", "--iters", "3"])
+    assert code == 0, err
+    rows = out.splitlines()[1:]
+    assert len(rows) == 4
+    assert all(row.split(",")[1] == "-1999.75" for row in rows)  # f(1/2, 1/2)
+
+
 # --- the number reader ---------------------------------------------------------
 
 _DIGITS = st.text("0123456789", max_size=4)

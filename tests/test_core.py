@@ -220,6 +220,13 @@ def test_run_solver_refuses_settings_other_than_name_and_step(key):
         run_solver(q, {"name": "gd", key: np.ones(2)}, 3)
 
 
+@pytest.mark.parametrize("algo", ["agd", "apgd", "cg", "fista", "fw"])
+def test_run_solver_refuses_a_step_for_solvers_that_choose_their_own(algo):
+    q = problems.make_quadratic(np.eye(2), np.ones(2))
+    with pytest.raises(InvalidInput, match="algorithm %s takes no step" % algo):
+        run_solver(q, {"name": algo, "step": 0.1}, 3)
+
+
 def test_run_solver_capability_error():
     q = problems.make_quadratic(np.eye(2), np.zeros(2))
     with pytest.raises(CapabilityError, match="loo"):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from convexkit import core, gradient, mirror, problems, stochastic
-from convexkit.core import (BatchTrace, CapabilityError, DivergenceError, InvalidInput,
+from convexkit.core import (CapabilityError, DivergenceError, InvalidInput, IterateTrace,
                             make_rng)
 
 
@@ -168,7 +168,7 @@ def test_batched_sgd_rows_match_single_seed_runs(S):
     q = _noisy_quadratic(0.5, seed=11, d=4)
     seeds = [3 * s + 1 for s in range(S)]
     batch = stochastic.run_sgd(q, 0.2, np.ones(4), 60, seed=seeds)
-    assert isinstance(batch, BatchTrace) and len(batch) == 61
+    assert isinstance(batch, IterateTrace) and len(batch) == 61
     assert batch.values().shape == (61, S) and batch.final_point.shape == (S, 4)
     for s, seed in enumerate(seeds):
         single = stochastic.run_sgd(q, 0.2, np.ones(4), 60, seed=seed)

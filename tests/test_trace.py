@@ -1,0 +1,130 @@
+"""IterateTrace's columns against the per-row dicts they replace."""
+
+import math
+import struct
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from convexkit import nonsmooth
+from convexkit.core import CapabilityError, InvalidInput, IterateTrace, ProblemOracle
+
+
+class DictTrace:
+    """The reference: one dict (plus a custom dict) per row, formatted row by row."""
+
+    def __init__(self, f_star=None):
+        self.f_star = f_star
+        self.records = []
+
+    def add(self, it, value, grad_norm=None, **custom):
+        if self.records and it <= self.records[-1]["iter"]:
+            raise InvalidInput("trace iterations must be strictly increasing")
+        gap = None if self.f_star is None else value - self.f_star
+        self.records.append({"iter": int(it), "value": float(value), "gap": gap,
+                             "grad_norm": None if grad_norm is None else float(grad_norm),
+                             "custom": custom})
+
+    def custom(self, key):
+        return np.array([r["custom"].get(key, math.nan) for r in self.records], dtype=float)
+
+    def to_csv(self):
+        def fmt(v):
+            return "" if v is None else format(v, ".17g")
+
+        return "iter,value,gap,grad_norm,time_s\n" + "".join(
+            "%d,%s,%s,%s,0\n" % (r["iter"], fmt(r["value"]), fmt(r["gap"]), fmt(r["grad_norm"]))
+            for r in self.records)
+
+
+KEYS = ("raw", "avg_value", "feasible")
+NUMBERS = st.one_of(st.floats(width=64),
+                    st.sampled_from([math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.0 / 3.0]))
+ROWS = st.lists(st.tuples(st.integers(-2, 3),  # iteration step; <= 0 is out of order
+                          NUMBERS, st.one_of(st.none(), NUMBERS),
+                          st.dictionaries(st.sampled_from(KEYS), NUMBERS)),
+                max_size=40)
+
+
+def _bits(v):
+    """A cell as comparable bytes: None stays None, a number keeps its sign and NaN."""
+    return None if v is None else v if isinstance(v, int) else struct.pack("<d", v)
+
+
+def _row(r):
+    return {k: ({c: _bits(x) for c, x in v.items()} if k == "custom" else _bits(v))
+            for k, v in r.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(f_star=st.one_of(st.none(), st.floats(-1e6, 1e6)), rows=ROWS,
+       capacity=st.sampled_from([0, 1, 16]))
+def test_columns_match_the_per_row_dicts(f_star, rows, capacity):
+    tr, ref = IterateTrace(f_star, rows=capacity), DictTrace(f_star)
+    it = 0
+    for step, value, grad_norm, custom in rows:
+        it += step
+        if ref.records and it <= ref.records[-1]["iter"]:
+            for t in (tr, ref):
+                with pytest.raises(InvalidInput):
+                    t.add(it, value, grad_norm, **custom)
+            continue
+        tr.add(it, value, grad_norm, **custom)
+        ref.add(it, value, grad_norm, **custom)
+    assert len(tr) == len(ref.records)
+    assert tr.to_csv() == ref.to_csv()
+    for key in KEYS + ("absent",):
+        assert tr.custom(key).tobytes() == ref.custom(key).tobytes()
+    assert tr.custom_keys() == sorted({k for r in ref.records for k in r["custom"]})
+    assert [_row(r) for r in tr.records] == [_row(r) for r in ref.records]
+
+
+def test_records_write_through_to_the_columns():
+    tr = IterateTrace(f_star=1.0)
+    tr.add(0, 3.0, 0.5, avg_value=2.0)
+    tr.add(1, 2.0)
+    first, last = tr.records[0], tr.records[-1]
+    assert first == {"iter": 0, "value": 3.0, "gap": 2.0, "grad_norm": 0.5,
+                     "custom": {"avg_value": 2.0}}
+    assert last["grad_norm"] is None and "avg_value" not in last["custom"]
+    last["value"] += 10.0
+    last["gap"] += 10.0
+    first["custom"]["avg_value"] += 10.0
+    first["grad_norm"] = None
+    assert list(tr.values()) == [3.0, 12.0] and list(tr.gaps()) == [2.0, 11.0]
+    assert list(tr.custom("avg_value")[:1]) == [12.0]
+    assert tr.to_csv().splitlines()[1:] == ["0,3,2,,0", "1,12,11,,0"]
+    with pytest.raises(KeyError):
+        last["custom"]["avg_value"] = 1.0  # row 1 has no avg_value cell
+
+
+def test_batch_rows_and_seed_views():
+    tr = IterateTrace(f_star=0.0, rows=1, seeds=3)
+    tr.add(0, np.array([1.0, 2.0, 3.0]), np.array([0.1, 0.2, 0.3]), raw=np.zeros(3))
+    tr.add(1, np.array([0.5, 1.0, 1.5]))  # grows past the one preallocated row
+    tr.final_point = np.eye(3)
+    assert tr.values().shape == (2, 3) and list(tr.final_gap()) == [0.5, 1.0, 1.5]
+    one = tr.trace(1)
+    assert one.to_csv().splitlines()[1:] == ["0,2,2,0.20000000000000001,0", "1,1,1,,0"]
+    assert list(one.custom("raw")[:1]) == [0.0] and math.isnan(one.custom("raw")[1])
+    assert list(one.final_point) == [0.0, 1.0, 0.0]
+    with pytest.raises(CapabilityError):
+        tr.to_csv()
+
+
+def test_record_trace_memory_is_columns_not_dicts():
+    # check 05's reference solve: 200,000 steps at d = 5, with a grad norm and
+    # a "raw" value per row; a dict and a custom dict per row held about 96 MB
+    q = ProblemOracle(5, lambda x: 0.5 * float(x @ x), lambda x: x, alpha=1.0)
+    tracemalloc.start()
+    try:
+        _, trace = nonsmooth.run_psd_strong(q, lambda z: z, np.ones(5), 200000)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == 200001
+    assert held < 10e6, held
+
