@@ -1,12 +1,9 @@
 """Alternating minimization (cyclic and randomized), alternating Bregman
 projections, and Sinkhorn's algorithm for entropic optimal transport."""
 
-import math
-
 import numpy as np
 
-from .core import (InvalidInput, InvalidProblem, IterateTrace, as_vector, make_rng,
-                   record)
+from .core import InvalidInput, InvalidProblem, as_vector, make_rng, record
 from .mirror import kl_divergence
 
 
@@ -20,20 +17,19 @@ def run_am(problem, x0, sweeps):
     D = problem.n_blocks
     if not D:
         raise InvalidProblem("problem must declare n_blocks")
-    x = as_vector(x0).copy()
-    trace = IterateTrace(problem.f_star)
-    v = problem.value(x)
-    trace.add(0, v)
-    for s in range(1, sweeps + 1):
-        for i in range(D):
-            x = argmin(i, x)
-            v_new = problem.value(x)
-            if v_new > v + 1e-9 * (1.0 + abs(v)):
-                raise InvalidProblem("block argmin increased the objective")
-            v = v_new
-        trace.add(s, v)
-    trace.final_point = x
-    return trace
+
+    def iterates(x):
+        v = problem.value(x)
+        while True:
+            yield x, v, None, {}
+            for i in range(D):
+                x = argmin(i, x)
+                v_new = problem.value(x)
+                if v_new > v + 1e-9 * (1.0 + abs(v)):
+                    raise InvalidProblem("block argmin increased the objective")
+                v = v_new
+
+    return record(iterates, x0, sweeps, problem.f_star)
 
 
 def run_ram(problem, x0, N, seed=0):

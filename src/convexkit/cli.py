@@ -257,9 +257,9 @@ def _rate_rows(suite):
         return rows
     if suite == "subgradient":
         # gap at the budget across N, each run with its own tuned step
-        trace = IterateTrace(0.0)
-        for N in np.unique(np.geomspace(16, 512, 12).astype(int)):
-            N = int(N)
+        budgets = [int(N) for N in np.unique(np.geomspace(16, 512, 12).astype(int))]
+        trace = IterateTrace(0.0, rows=len(budgets))  # one row per budget, not per step
+        for N in budgets:
             w = problems.make_worst_case_nonsmooth(N, 2.0, 1.0)
             R = w.extra["R"]
             proj = lambda z: nonsmooth.project_ball(z, np.zeros(w.dim), R)

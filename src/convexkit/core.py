@@ -146,10 +146,11 @@ class IterateTrace:
     f_star when f_star is declared. S seeds stepped as one batch
     (record_rows) have S-vector cells, and trace(s) views seed s. grad_norm
     and custom cells may be absent from a row: a per-row flag says so, and
-    the cell reads NaN. Rows are preallocated and double when they run out.
+    the cell reads NaN. The columns hold the given number of rows: add has
+    no room beyond them.
     """
 
-    def __init__(self, f_star=None, rows=16, seeds=None):
+    def __init__(self, f_star=None, *, rows, seeds=None):
         self.f_star = f_star
         self.final_point = None
         self._seeds = () if seeds is None else (seeds,)
@@ -165,8 +166,6 @@ class IterateTrace:
         n = self._n
         if n and it <= self._iter[n - 1]:
             raise InvalidInput("trace iterations must be strictly increasing")
-        if n == len(self._iter):
-            self._resize(max(2 * n, 16))
         self._iter[n] = it
         self._value[n] = value
         if grad_norm is not None:
@@ -178,15 +177,6 @@ class IterateTrace:
             col[n] = v
             has[n] = True
         self._n = n + 1
-
-    def _resize(self, rows):
-        def fit(a, fill=math.nan):
-            out = np.full((rows,) + a.shape[1:], fill, a.dtype)
-            out[:self._n] = a[:self._n]
-            return out
-
-        self._iter, self._value = fit(self._iter, 0), fit(self._value)
-        self._opt = {k: (fit(col), fit(has, False)) for k, (col, has) in self._opt.items()}
 
     def __len__(self):
         return self._n
@@ -311,9 +301,11 @@ def record(iterates, x0, N, f_star, seed=None):
     """Trace the first N+1 items of the generator iterates(x0 copy).
 
     Each item is (point, value, grad_norm, custom). No step is taken after
-    record N; a value beyond 1e12 (1 + max(|value at n = 0|, |f_star|)), with
-    |f_star| read as 0 when f_star is None, or a non-finite point raises
-    DivergenceError. The last point becomes the trace's final_point.
+    record N. A generator that returns after k >= 1 items ends a single-seed
+    trace early, with k records. A value beyond 1e12 (1 + max(|value at
+    n = 0|, |f_star|)), with |f_star| read as 0 when f_star is None, or a
+    non-finite point raises DivergenceError. The last point becomes the
+    trace's final_point.
     Given a seed, iterates takes (x, rng) with rng = make_rng(seed); a
     sequence of seeds steps them all as one batch (see record_rows).
     """
@@ -585,10 +577,7 @@ def _solver_registry():
         b = problem.extra.get("b")
         if A is None or b is None:
             raise CapabilityError("problem %r lacks the quadratic (A,b) data needed by cg" % problem.name)
-        tr, _ = krylov.cg_solve(A, b, x0, N, f_star=problem.f_star)
-        for n in range(len(tr), N + 1):  # converged early; pad to the budget+1 contract
-            tr.add(n, tr.final_value(), grad_norm=tr.grad_norms()[-1])
-        return tr
+        return krylov.cg_solve(A, b, x0, N, f_star=problem.f_star)[0]
 
     return {  # name: (capabilities, runner, whether it takes a step)
         "gd": (("subgradient",), run_gd, True),

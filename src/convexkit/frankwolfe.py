@@ -33,6 +33,18 @@ def loo_simplex(p):
     return v
 
 
+def _add_vertex(vertices, weights, s, h):
+    """Scale the weights by 1 - h, then give vertex s weight h: added to an
+    exact duplicate already in the list, else appended."""
+    weights[:] = [w * (1.0 - h) for w in weights]
+    for i, v in enumerate(vertices):
+        if np.array_equal(v, s):
+            weights[i] += h
+            return
+    vertices.append(s.copy())
+    weights.append(h)
+
+
 def run_fw(problem, loo, x0, N):
     """Frank-Wolfe with h_n = 2/(n+2); returns (trace, vertex list with weights).
 
@@ -52,14 +64,7 @@ def run_fw(problem, loo, x0, N):
             yield x, v, float(np.linalg.norm(g)), {"fw_gap": fw_gap}
             h = 2.0 / (n + 2.0)
             x = (1.0 - h) * x + h * s
-            weights[:] = [w * (1.0 - h) for w in weights]
-            for i, v in enumerate(vertices):  # merge exact duplicates
-                if np.array_equal(v, s):
-                    weights[i] += h
-                    break
-            else:
-                vertices.append(s.copy())
-                weights.append(h)
+            _add_vertex(vertices, weights, s, h)
 
     trace = record(iterates, x0, N, problem.f_star)
     return trace, list(zip(vertices, weights))
@@ -86,12 +91,5 @@ def approx_caratheodory(x, loo, eps, diameter, max_iter=None):
         s = loo(g)
         h = 2.0 / (n + 2.0)
         z = (1.0 - h) * z + h * s
-        weights = [w * (1.0 - h) for w in weights]
-        for i, v in enumerate(vertices):
-            if np.array_equal(v, s):
-                weights[i] += h
-                break
-        else:
-            vertices.append(s.copy())
-            weights.append(h)
+        _add_vertex(vertices, weights, s, h)
     raise NumericalError("no eps-approximation within the budget; is x in C?")

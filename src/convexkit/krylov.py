@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from .core import IterateTrace, NotPositiveDefinite, as_vector
+from .core import NotPositiveDefinite, as_vector, record
 
 
 def _residual_value(x, b, r):
@@ -15,46 +15,50 @@ def _residual_value(x, b, r):
 def cg_solve(A, b, x0=None, N=None, tol=0.0, f_star=None):
     """Conjugate gradient on f(x) = 1/2 <x,Ax> - <b,x>.
 
-    Returns (trace, directions). Stops when ||r|| <= tol * ||b|| or after N
-    iterations. Directions p_0..p_k are kept for the orthogonality tests.
-    One A @ p per iteration: the value is -1/2 <x, b + r> from the residual
-    r = b - Ax that CG keeps (its recurrence, not a fresh A @ x).
+    Returns (trace, directions). For tol > 0 the trace ends at the first
+    ||r|| <= tol * ||b||; otherwise it has N+1 records, and at an exact
+    solution (r = 0) CG stays put. Directions p_0..p_k are kept for the
+    orthogonality tests. One A @ p per iteration: the value is
+    -1/2 <x, b + r> from the residual r = b - Ax that CG keeps (its
+    recurrence, not a fresh A @ x).
     """
     A = np.asanyarray(A, dtype=float)
     b = as_vector(b)
     d = b.size
     if N is None:
         N = d
-    x = np.zeros(d) if x0 is None else as_vector(x0).copy()
     if f_star is None:
         try:
             xs = np.linalg.solve(A, b)
             f_star = -0.5 * float(b @ xs)
         except np.linalg.LinAlgError:
             f_star = None
-    trace = IterateTrace(f_star)
-    r = b - A @ x
-    p = r.copy()
-    rr = float(r @ r)
     directions = []
     bnorm = float(np.linalg.norm(b))
-    trace.add(0, _residual_value(x, b, r), grad_norm=math.sqrt(rr))
-    for n in range(1, N + 1):
-        if math.sqrt(rr) <= tol * bnorm or rr == 0.0:
-            break
-        Ap = A @ p
-        pAp = float(p @ Ap)
-        if pAp <= 0:
-            raise NotPositiveDefinite("<p, Ap> = %g <= 0" % pAp)
-        directions.append(p.copy())
-        step = rr / pAp
-        x = x + step * p
-        r = r - step * Ap
-        rr_new = float(r @ r)
-        p = r + (rr_new / rr) * p
-        rr = rr_new
-        trace.add(n, _residual_value(x, b, r), grad_norm=math.sqrt(rr))
-    trace.final_point = x
+
+    def iterates(x):
+        r = b - A @ x
+        p = r.copy()
+        rr = float(r @ r)
+        while True:
+            yield x, _residual_value(x, b, r), math.sqrt(rr), {}
+            if tol > 0 and math.sqrt(rr) <= tol * bnorm:
+                return
+            if rr == 0.0:
+                continue
+            Ap = A @ p
+            pAp = float(p @ Ap)
+            if pAp <= 0:
+                raise NotPositiveDefinite("<p, Ap> = %g <= 0" % pAp)
+            directions.append(p.copy())
+            step = rr / pAp
+            x = x + step * p
+            r = r - step * Ap
+            rr_new = float(r @ r)
+            p = r + (rr_new / rr) * p
+            rr = rr_new
+
+    trace = record(iterates, np.zeros(d) if x0 is None else x0, N, f_star)
     return trace, directions
 
 

@@ -189,8 +189,9 @@ def run_ellipsoid(objective, separation, center, radius, N):
     """
     state = EllipsoidState.ball(center, radius)
     best, best_val = None, math.inf
-    trace = IterateTrace(None if objective is None or objective.f_star is None
-                         else objective.f_star)
+    # built by hand: the value is a best-so-far, inf before the first feasible
+    # point, which record's divergence guard would reject
+    trace = IterateTrace(None if objective is None else objective.f_star, rows=N + 1)
     for n in range(N + 1):
         sep = separation(state.x) if separation is not None else None
         if sep is None:

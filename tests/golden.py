@@ -32,7 +32,11 @@ Cases:
          triangle LP and, in feasibility-only mode, from two infeasible
          centers ("state" hashes the final ellipsoid); cg_solve stopping early
          at three tolerances on a d = 40 quadratic ("directions" hashes the
-         search directions); run_svrg stopping at a target gap.
+         search directions); run_svrg stopping at a target gap. Budget edges:
+         run_solver's cg on A = I at budget 6, where CG is exact after one
+         step and stays put; run_svrg started at x* with a target gap, so
+         one epoch runs; run_am with 0 sweeps; cg_solve with N = 0; and the
+         direct cg_solve on A = I at tol = 0 (7 records).
   solve/*  run_psd_functional on check 06's instance and on a two-constraint
          variant, from feasible and infeasible starts ("x" hashes the point,
          "iterations" is the count); sinkhorn on check 13's first two
@@ -304,6 +308,40 @@ def _more_loops():
 
     for tol in (1e-2, 1e-4, 1e-6):
         yield "trace/loop/krylov.cg_solve/tol-%g" % tol, lambda tol=tol: cg(tol)
+    yield from _edge_cases()
+
+
+def _edge_cases():
+    """(name, run) for the budget edges of cg, run_am and run_svrg.
+
+    On A = I, CG reaches the exact solution (r = 0) after one step. The
+    last edge case is the direct cg_solve there at tol = 0.
+    """
+    from convexkit import acceptance, altmin, core, krylov, problems, stochastic
+    b = np.array([1.0, -2.0, 0.5])
+    eye = problems.make_quadratic(np.eye(3), b)
+    yield "trace/run_solver/cg/identity/budget-6", lambda: core.run_solver(eye, "cg", 6)
+    sct = _strongly_convex_finite_sum()
+    sct.f_star = sct.value(sct.x_star)
+
+    def svrg_at_target():
+        trace, evals = stochastic.run_svrg(sct, x0=sct.x_star, epochs=5, seed=3,
+                                           target_gap=1e-6)
+        return trace, {"evals": evals}
+
+    yield "trace/loop/stochastic.run_svrg/target-gap-at-x0", svrg_at_target
+    am = acceptance._two_block_quadratic(np.array([[2.0, 0.5], [0.5, 1.0]]))
+    yield "trace/loop/altmin.run_am/sweeps-0", lambda: altmin.run_am(am, np.array([1.0, -2.0]), 0)
+    q = _trace_problems()["quadratic"]
+    yield "trace/loop/krylov.cg_solve/N-0", lambda: krylov.cg_solve(
+        q.extra["A"], q.extra["b"], np.linspace(-1.0, 1.0, TRACE_D), 0)[0]
+
+    def cg_identity():
+        trace, directions = krylov.cg_solve(np.eye(3), b, np.zeros(3), 6)
+        return trace, {"directions": _sha([np.concatenate(directions).tobytes()]),
+                       "n_directions": len(directions)}
+
+    yield "trace/loop/krylov.cg_solve/identity-tol-0", cg_identity
 
 
 def _psd_functional_case(n_constraints, x0):

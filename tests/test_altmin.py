@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from convexkit import altmin, problems
-from convexkit.core import InvalidProblem, make_rng
+from convexkit.core import DivergenceError, InvalidProblem, ProblemOracle
 from convexkit.mirror import kl_divergence
 
 
@@ -48,6 +48,21 @@ def test_am_detects_broken_argmin():
     q.block_argmin = lambda i, x: x + 1.0  # increases the objective
     with pytest.raises(InvalidProblem):
         altmin.run_am(q, np.ones(2), 2)
+
+
+def test_am_divergence_guard_on_an_unbounded_objective():
+    # f(x) = -||x||^2 has no minimum; each "argmin" scales its block by 10
+    q = ProblemOracle(2, lambda x: -float(x @ x), n_blocks=2)
+
+    def block_argmin(i, x):
+        x = x.copy()
+        x[i] *= 10.0
+        return x
+
+    q.block_argmin = block_argmin
+    assert len(altmin.run_am(q, np.ones(2), 3)) == 4  # 2e6 <= 1e12 * (1 + 2)
+    with pytest.raises(DivergenceError):
+        altmin.run_am(q, np.ones(2), 8)
 
 
 def test_ram_seeded_and_converges():

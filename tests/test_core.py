@@ -22,7 +22,7 @@ def test_as_vector_rejects_bad_input():
 
 
 def test_trace_csv_format():
-    tr = IterateTrace(f_star=0.0)
+    tr = IterateTrace(f_star=0.0, rows=2)
     tr.add(0, 1.0, grad_norm=0.5)
     tr.add(1, 0.1)
     text = tr.to_csv()
@@ -33,26 +33,26 @@ def test_trace_csv_format():
 
 
 def test_trace_csv_17_digits_and_byte_stability():
-    tr = IterateTrace()
+    tr = IterateTrace(rows=1)
     tr.add(0, 1.0 / 3.0)
     assert format(1.0 / 3.0, ".17g") in tr.to_csv()
-    tr2 = IterateTrace()
+    tr2 = IterateTrace(rows=1)
     tr2.add(0, 1.0 / 3.0)
     assert tr.to_csv() == tr2.to_csv()
 
 
 def test_trace_requires_increasing_iters():
-    tr = IterateTrace()
+    tr = IterateTrace(rows=2)
     tr.add(0, 1.0)
     with pytest.raises(InvalidInput):
         tr.add(0, 0.5)
 
 
 def test_trace_gap_needs_f_star():
-    tr = IterateTrace()
+    tr = IterateTrace(rows=1)
     tr.add(0, 1.0)
     assert tr.final_gap() is None
-    tr = IterateTrace(f_star=2.0)
+    tr = IterateTrace(f_star=2.0, rows=1)
     tr.add(0, 3.0)
     assert tr.final_gap() == 1.0
 
@@ -121,6 +121,29 @@ def test_record_divergence_guard_is_relative_to_first_value():
         record(nan_point, [0.0], 1, None)
 
 
+def test_record_ends_early_when_the_generator_returns():
+    def three(x):
+        for n in range(3):
+            yield x + n, float(n), None, {"n": n}
+
+    tr = record(three, [1.0, 0.0], 10, f_star=0.0)
+    assert len(tr) == 3 and list(tr.iters()) == [0, 1, 2]
+    assert list(tr.values()) == [0.0, 1.0, 2.0] and list(tr.custom("n")) == [0, 1, 2]
+    assert np.array_equal(tr.final_point, [3.0, 2.0])
+    assert tr.to_csv().count("\n") == 4
+
+    def bad_then_return(item):
+        def iterates(x):
+            yield x, 1.0, None, {}
+            yield item(x)
+        return iterates
+
+    for item in (lambda x: (x, math.inf, None, {}), lambda x: (x, 1e20, None, {}),
+                 lambda x: (x * math.nan, 1.0, None, {})):
+        with pytest.raises(DivergenceError):
+            record(bad_then_return(item), [0.0], 10, None)
+
+
 def test_composite_value():
     f = ProblemOracle(1, lambda x: float(x[0]) ** 2)
     g = ProblemOracle(1, lambda x: abs(float(x[0])))
@@ -141,7 +164,7 @@ def test_make_rng_reproducible():
 
 
 def test_fit_rate_power_law():
-    tr = IterateTrace(f_star=0.0)
+    tr = IterateTrace(f_star=0.0, rows=40)
     for n in range(0, 40):
         tr.add(n, 3.0 * (n + 1e-12) ** -2 if n else 5.0)
     e, r2, kind = fit_rate(tr, skip=1)
@@ -151,7 +174,7 @@ def test_fit_rate_power_law():
 
 
 def test_fit_rate_geometric():
-    tr = IterateTrace(f_star=0.0)
+    tr = IterateTrace(f_star=0.0, rows=40)
     for n in range(0, 40):
         tr.add(n, 2.0 * 0.8 ** n)
     e, r2, kind = fit_rate(tr, skip=1)
@@ -160,12 +183,12 @@ def test_fit_rate_geometric():
 
 
 def test_fit_rate_insufficient_data():
-    tr = IterateTrace(f_star=0.0)
+    tr = IterateTrace(f_star=0.0, rows=5)
     for n in range(5):
         tr.add(n, 1.0 / (n + 1))
     with pytest.raises(InsufficientData):
         fit_rate(tr)
-    tr2 = IterateTrace()  # no f_star, so no gap column
+    tr2 = IterateTrace(rows=20)  # no f_star, so no gap column
     for n in range(20):
         tr2.add(n, 1.0)
     with pytest.raises(InsufficientData):

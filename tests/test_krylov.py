@@ -41,6 +41,16 @@ def test_cg_monotone_in_energy():
     assert np.all(np.diff(tr.gaps()) <= 1e-12)
 
 
+def test_cg_stays_put_at_an_exact_solution_unless_tol_ends_the_trace():
+    b = np.array([1.0, -2.0, 0.5])
+    tr, dirs = krylov.cg_solve(np.eye(3), b, np.zeros(3), 6)  # r = 0 after one step
+    assert len(tr) == 7 and len(dirs) == 1
+    assert np.array_equal(tr.final_point, b)
+    assert set(tr.values()[1:]) == {-2.625} and set(tr.grad_norms()[1:]) == {0.0}
+    tr, dirs = krylov.cg_solve(np.eye(3), b, np.zeros(3), 6, tol=1e-12)
+    assert len(tr) == 2 and len(dirs) == 1
+
+
 def test_cg_rejects_indefinite():
     A = np.diag([1.0, -1.0])
     with pytest.raises(NotPositiveDefinite):

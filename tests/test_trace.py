@@ -1,6 +1,8 @@
-"""IterateTrace's columns against the per-row dicts they replace."""
+"""IterateTrace's columns against the per-row dicts they replace, and who builds traces."""
 
+import ast
 import math
+import pathlib
 import struct
 import tracemalloc
 
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import convexkit
 from convexkit import nonsmooth
 from convexkit.core import CapabilityError, InvalidInput, IterateTrace, ProblemOracle
 
@@ -60,10 +63,9 @@ def _row(r):
 
 
 @settings(max_examples=200, deadline=None)
-@given(f_star=st.one_of(st.none(), st.floats(-1e6, 1e6)), rows=ROWS,
-       capacity=st.sampled_from([0, 1, 16]))
-def test_columns_match_the_per_row_dicts(f_star, rows, capacity):
-    tr, ref = IterateTrace(f_star, rows=capacity), DictTrace(f_star)
+@given(f_star=st.one_of(st.none(), st.floats(-1e6, 1e6)), rows=ROWS)
+def test_columns_match_the_per_row_dicts(f_star, rows):
+    tr, ref = IterateTrace(f_star, rows=len(rows)), DictTrace(f_star)
     it = 0
     for step, value, grad_norm, custom in rows:
         it += step
@@ -83,7 +85,7 @@ def test_columns_match_the_per_row_dicts(f_star, rows, capacity):
 
 
 def test_records_write_through_to_the_columns():
-    tr = IterateTrace(f_star=1.0)
+    tr = IterateTrace(f_star=1.0, rows=2)
     tr.add(0, 3.0, 0.5, avg_value=2.0)
     tr.add(1, 2.0)
     first, last = tr.records[0], tr.records[-1]
@@ -102,9 +104,9 @@ def test_records_write_through_to_the_columns():
 
 
 def test_batch_rows_and_seed_views():
-    tr = IterateTrace(f_star=0.0, rows=1, seeds=3)
+    tr = IterateTrace(f_star=0.0, rows=2, seeds=3)
     tr.add(0, np.array([1.0, 2.0, 3.0]), np.array([0.1, 0.2, 0.3]), raw=np.zeros(3))
-    tr.add(1, np.array([0.5, 1.0, 1.5]))  # grows past the one preallocated row
+    tr.add(1, np.array([0.5, 1.0, 1.5]))
     tr.final_point = np.eye(3)
     assert tr.values().shape == (2, 3) and list(tr.final_gap()) == [0.5, 1.0, 1.5]
     one = tr.trace(1)
@@ -128,3 +130,33 @@ def test_record_trace_memory_is_columns_not_dicts():
     assert len(trace) == 200001
     assert held < 10e6, held
 
+
+# record, record_rows, the seed view, and the two traces that record cannot
+# build: the ellipsoid's best-so-far value (inf before a feasible point) and one
+# row per budget in the rates suite
+TRACE_BUILDERS = {"core.record", "core.record_rows", "core.IterateTrace.trace",
+                  "nonsmooth.run_ellipsoid", "cli._rate_rows"}
+
+
+def _trace_builders(tree, scope):
+    """Qualified names of the functions under tree that call IterateTrace(...)."""
+    found = set()
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = scope + "." + node.name
+        elif isinstance(node, ast.Call):
+            f = node.func
+            if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "IterateTrace":
+                found.add(scope)
+        found |= _trace_builders(node, inner)
+    return found
+
+
+def test_only_record_and_two_hand_loops_build_traces():
+    found = set()
+    for path in sorted(pathlib.Path(convexkit.__file__).parent.glob("*.py")):
+        found |= _trace_builders(ast.parse(path.read_text()), path.stem)
+    assert "core.record" in found  # the walk sees record's own trace
+    assert found <= TRACE_BUILDERS, "solver loops building their own trace: %s" % sorted(
+        found - TRACE_BUILDERS)
