@@ -12,6 +12,12 @@ stdout; summaries go to stderr. Flags are long-form only; each of
 CONVEXKIT_SEED environment variable before its default. Worst-case problem
 files are size-capped (MAX_CHAIN_DIM, MAX_NONSMOOTH_STEPS): past a cap, exit 2
 before anything is allocated.
+
+`verify` runs its checks in up to two worker interpreters with one BLAS
+thread each, longest check first; on one CPU, for one check, or under a
+wrapped acceptance.run_criterion, it runs them in this process. Either way
+it prints one PASS or FAIL line per check in check order and exits 1 if any
+failed, a check that raises or whose worker dies included.
 """
 
 import argparse
@@ -297,29 +303,154 @@ def cmd_rates(args):
     return 0 if all(row[4] for row in rows) else 1
 
 
+_RUN_CRITERION = acceptance.run_criterion
+
+# Raw seconds of the checks that take over a second, each alone in one process
+# at one BLAS thread (2-vCPU KVM guest); verify hands checks out longest first.
+CHECK_SECONDS = {"05-subgradient": 8.8, "16-clt": 6.0, "14-am-ram": 2.3, "17-ipm": 1.5}
+
+# A verify worker: one check id per line on stdin, one JSON [failed, line] per
+# line on stdout. The working directory ("" on sys.path under -c) goes, so
+# convexkit comes from PYTHONPATH. fd 1 becomes stderr, so a check's own
+# output cannot reach the replies. SIGINT is ignored: the parent ends workers.
+_WORKER_SOURCE = """
+import json, os, signal, sys
+if "" in sys.path:
+    sys.path.remove("")
+signal.signal(signal.SIGINT, signal.SIG_IGN)
+replies = os.fdopen(os.dup(1), "w")
+os.dup2(2, 1)
+sys.stdout = sys.stderr
+from convexkit.cli import _check
+for cid in sys.stdin:
+    replies.write(json.dumps(_check(cid.strip())) + "\\n")
+    replies.flush()
+"""
+
+
+def _check(cid):
+    """(failed, line): run check cid and format its PASS or FAIL line."""
+    try:
+        acceptance.run_criterion(cid)
+    except AssertionError as exc:
+        return True, "FAIL %s: %s" % (cid, exc)
+    except Exception as exc:  # a ConvexkitError, or a fault in the check itself
+        if not isinstance(exc, ConvexkitError):
+            import traceback
+            traceback.print_exc()  # to stderr: where the fault is
+        return True, "FAIL %s: %s: %s" % (cid, type(exc).__name__, exc)
+    return False, "PASS %s" % cid
+
+
+def _cpu_count():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _check_in_workers(ids, count, report):
+    """Run the checks ids on count worker interpreters, longest first.
+
+    Each worker runs at one BLAS thread and takes the next check as soon as
+    it is free; report(cid, (failed, line)) is called as each check ends. A
+    worker that dies mid-check fails that check, and a new worker takes its
+    place while checks remain. However this returns, no worker outlives it.
+    """
+    import json
+    import selectors
+    import subprocess
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, (root, os.environ.get("PYTHONPATH")))))
+    todo = sorted(ids, key=lambda cid: -CHECK_SECONDS.get(cid, 0.0))
+    procs, busy = [], {}  # busy: worker -> the check it runs
+    sel = selectors.DefaultSelector()
+
+    def hand_out(proc):
+        if todo:
+            busy[proc] = cid = todo.pop(0)
+            try:
+                proc.stdin.write(cid + "\n")
+                proc.stdin.flush()
+            except OSError:  # the worker is gone; its end of file fails the check
+                pass
+
+    def start():
+        proc = subprocess.Popen([sys.executable, "-c", _WORKER_SOURCE], env=env, text=True,
+                                stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+        procs.append(proc)
+        sel.register(proc.stdout, selectors.EVENT_READ, proc)
+        hand_out(proc)
+
+    try:
+        for _ in range(count):
+            start()
+        while busy:
+            for key, _ in sel.select():
+                proc = key.data
+                reply = proc.stdout.readline()
+                if reply.endswith("\n"):
+                    report(busy.pop(proc), json.loads(reply))
+                    hand_out(proc)
+                    continue
+                sel.unregister(proc.stdout)  # end of file: the worker has died
+                if proc in busy:
+                    proc.kill()  # a no-op unless it closed stdout and lives on
+                    cid = busy.pop(proc)
+                    report(cid, (True, "FAIL %s: the worker running it exited with code %d"
+                                 % (cid, proc.wait())))
+                    if todo:
+                        start()
+    finally:
+        for proc in procs:
+            if proc in busy:  # mid-check, and its result is no longer wanted
+                proc.kill()
+            try:
+                proc.stdin.close()  # an idle worker exits at end of input
+            except OSError:
+                pass
+        for proc in procs:
+            try:
+                proc.wait(timeout=5)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+        sel.close()
+
+
 def cmd_verify(args):
-    ids = acceptance.criterion_ids()
+    ids = sorted(acceptance.criterion_ids())
     if args.only:
         ids = [cid for cid in ids if args.only in cid]
         if not ids:
             print("no criterion matches %r" % args.only, file=sys.stderr)
             return 2
     if args.list:
-        for cid in sorted(ids):
+        for cid in ids:
             print(cid)
         return 0
-    failures = 0
-    for cid in sorted(ids):
-        try:
-            acceptance.run_criterion(cid)
-            print("PASS %s" % cid)
-        except AssertionError as exc:
-            failures += 1
-            print("FAIL %s: %s" % (cid, exc))
-        except ConvexkitError as exc:
-            failures += 1
-            print("FAIL %s: %s: %s" % (cid, type(exc).__name__, exc))
-    return 1 if failures else 0
+    results = {}
+    printed = 0
+
+    def report(cid, result):  # print in check order as soon as the lines before are in
+        nonlocal printed
+        results[cid] = result
+        while printed < len(ids) and ids[printed] in results:
+            print(results[ids[printed]][1])
+            printed += 1
+
+    count = min(2, len(ids), _cpu_count())
+    # a wrapper put around run_criterion in this process (a tracer that times
+    # each check, say) would not see the checks that workers run
+    if count < 2 or not sys.executable or acceptance.run_criterion is not _RUN_CRITERION:
+        for cid in ids:
+            report(cid, _check(cid))
+    else:
+        _check_in_workers(ids, count, report)
+    return 1 if any(failed for failed, _ in results.values()) else 0
 
 
 def build_parser():

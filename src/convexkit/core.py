@@ -336,7 +336,8 @@ def record_rows(iterates, x0, N, f_star, seeds):
     row-wise. Row 0 of records 0 and 1 (the first stochastic-oracle call) is
     checked against the single-seed run of seeds[0]; an oracle that fails
     on, or mixes, the rows raises CapabilityError. Each row has its own
-    divergence guard, scaled as in record. Returns an S-seed IterateTrace.
+    divergence guard, scaled as in record, and a generator that returns
+    early ends the trace early, as in record. Returns an S-seed IterateTrace.
     """
     seeds = list(seeds)
     S = len(seeds)
@@ -349,12 +350,16 @@ def record_rows(iterates, x0, N, f_star, seeds):
     for n in range(N + 1):
         if n < len(probe):
             try:
-                X, value, grad_norm, extra = item = next(rows)
-                _match_row0(probe[n], item, S)
+                item = next(rows, None)
+                if item is not None:
+                    _match_row0(probe[n], item, S)
             except (TypeError, ValueError, IndexError, AttributeError) as exc:
                 raise CapabilityError("oracle is not row-wise: %s" % exc) from exc
         else:
-            X, value, grad_norm, extra = next(rows)
+            item = next(rows, None)
+        if item is None:  # the generator returned: n records, as in record
+            break
+        X, value, grad_norm, extra = item
         if n == 0:
             scale = 1.0 + np.maximum(np.abs(value), 0.0 if f_star is None else abs(f_star))
         ok = (np.isfinite(value) & (np.abs(value) <= DIVERGENCE_FACTOR * scale)

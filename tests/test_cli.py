@@ -2,6 +2,10 @@ import contextlib
 import io
 import math
 import os
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
 import warnings
 
@@ -10,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexkit import cli
+from convexkit import acceptance, cli
 from convexkit.core import InvalidInput, solver_names
 
 QUAD = """\
@@ -369,6 +373,146 @@ def test_verify_only_filter(capsys):
     out = capsys.readouterr().out
     assert "PASS 01-gd-rate" in out
     assert cli.main(["verify", "--only", "zzz"]) == 2
+
+
+LOWER_BOUNDS = ["02-smooth-lower-bound", "08-feasibility-lower-bound"]  # both under 0.1 s
+
+# Put in front of the worker program: the checks in FAULTY run `fault` instead.
+FAULTY_WORKER = """
+import os, signal, time
+from convexkit import acceptance
+
+def fault():
+    %s
+
+acceptance.CRITERIA = [(cid, fault if cid in %r else fn, slow)
+                       for cid, fn, slow in acceptance.CRITERIA]
+"""
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """The worker processes that verify starts, on a machine of two CPUs."""
+    started, popen = [], subprocess.Popen
+
+    def spy(*args, **kwargs):
+        started.append(popen(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", spy)
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+    return started
+
+
+def faulty_workers(monkeypatch, body, faulty):
+    monkeypatch.setattr(cli, "_WORKER_SOURCE", FAULTY_WORKER % (body, faulty) + cli._WORKER_SOURCE)
+
+
+def assert_none_left(started):
+    """Each worker was waited for, so it is no longer a child of this process."""
+    for proc in started:
+        assert proc.returncode is not None
+        with pytest.raises(ChildProcessError):
+            os.waitpid(proc.pid, os.WNOHANG)
+
+
+def test_verify_workers_print_what_the_in_process_path_prints(workers, monkeypatch, capsys):
+    assert cli.main(["verify", "--only", "lower-bound"]) == 0
+    out = capsys.readouterr().out
+    assert len(workers) == 2
+    assert_none_left(workers)
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
+    assert cli.main(["verify", "--only", "lower-bound"]) == 0
+    assert capsys.readouterr().out.splitlines() == out.splitlines() == [
+        "PASS " + cid for cid in LOWER_BOUNDS]
+    assert len(workers) == 2
+
+
+def test_verify_runs_in_process_under_a_wrapped_run_criterion(workers, monkeypatch, capsys):
+    seen, run = [], acceptance.run_criterion
+
+    def timed(cid):
+        seen.append(cid)
+        return run(cid)
+
+    monkeypatch.setattr(acceptance, "run_criterion", timed)
+    assert cli.main(["verify", "--only", "lower-bound"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["PASS " + cid for cid in LOWER_BOUNDS]
+    assert seen == LOWER_BOUNDS and workers == []
+
+
+def test_verify_reports_an_unexpected_exception_and_goes_on(workers, monkeypatch, capsys):
+    def fault():
+        raise ValueError("boom")
+
+    monkeypatch.setattr(acceptance, "CRITERIA", [
+        (cid, fault if cid == LOWER_BOUNDS[1] else fn, slow)
+        for cid, fn, slow in acceptance.CRITERIA])
+    faulty_workers(monkeypatch, "raise ValueError('boom')", [LOWER_BOUNDS[1]])
+    expected = ["PASS " + LOWER_BOUNDS[0], "FAIL %s: ValueError: boom" % LOWER_BOUNDS[1]]
+    for cpus in (2, 1):
+        monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
+        assert cli.main(["verify", "--only", "lower-bound"]) == 1
+        assert capsys.readouterr().out.splitlines() == expected
+    assert len(workers) == 2
+    assert_none_left(workers)
+
+
+def test_verify_fails_the_check_of_a_dead_worker(workers, monkeypatch, capsys):
+    # both first workers die, so a third one runs 09
+    faulty_workers(monkeypatch, "os.kill(os.getpid(), signal.SIGKILL)",
+                   ["06-functional-constraints", "08-feasibility-lower-bound"])
+    assert cli.main(["verify", "--only=-f"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "FAIL 06-functional-constraints", "FAIL 08-feasibility-lower-bound", "PASS 09-frank-wolfe"]
+    assert lines[0].endswith("exited with code -%d" % signal.SIGKILL)
+    assert len(workers) == 3
+    assert_none_left(workers)
+
+
+def test_verify_workers_run_one_blas_thread(workers, monkeypatch, capsys):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "2")
+    faulty_workers(monkeypatch, "assert [os.environ[v] for v in ('OPENBLAS_NUM_THREADS', "
+                   "'OMP_NUM_THREADS', 'MKL_NUM_THREADS')] == ['1'] * 3", LOWER_BOUNDS)
+    assert cli.main(["verify", "--only", "lower-bound"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["PASS " + cid for cid in LOWER_BOUNDS]
+    assert_none_left(workers)
+
+
+def test_verify_output_of_a_check_in_a_worker_goes_to_stderr(workers, monkeypatch, capfd):
+    faulty_workers(monkeypatch, "print('noise'); os.write(1, b'fd noise\\n')", LOWER_BOUNDS)
+    assert cli.main(["verify", "--only", "lower-bound"]) == 0
+    out, err = capfd.readouterr()
+    assert out.splitlines() == ["PASS " + cid for cid in LOWER_BOUNDS]
+    assert err.count("noise") == 4
+    assert_none_left(workers)
+
+
+def test_verify_interrupted_leaves_no_worker(workers, monkeypatch):
+    # check 08 interrupts verify, then would run for a minute
+    faulty_workers(monkeypatch, "os.kill(os.getppid(), signal.SIGINT); time.sleep(60)",
+                   [LOWER_BOUNDS[1]])
+    handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+    started = time.monotonic()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(["verify", "--only", "lower-bound"])
+    finally:
+        signal.signal(signal.SIGINT, handler)
+    assert time.monotonic() - started < 30
+    assert len(workers) == 2
+    assert_none_left(workers)
+
+
+def test_importing_the_cli_loads_no_process_machinery():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = ("import sys, convexkit.cli; print([m for m in ('subprocess', 'multiprocessing', "
+            "'concurrent.futures', 'selectors') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=root),
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 @pytest.fixture(scope="module")

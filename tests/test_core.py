@@ -144,6 +144,19 @@ def test_record_ends_early_when_the_generator_returns():
             record(bad_then_return(item), [0.0], 10, None)
 
 
+def test_batch_record_ends_early_when_the_generator_returns():
+    def three(x, rng):
+        for n in range(3):
+            yield x + n, np.sum(x, axis=-1) + n, None, {}
+
+    one = record(three, np.zeros(2), 5, None, seed=1)
+    batch = record(three, np.zeros(2), 5, None, seed=[1, 2, 3])
+    assert len(one) == len(batch) == 3 and list(batch.iters()) == [0, 1, 2]
+    for s in range(3):
+        assert list(batch.trace(s).values()) == [0.0, 1.0, 2.0]
+        assert np.array_equal(batch.trace(s).final_point, [2.0, 2.0])
+
+
 def test_composite_value():
     f = ProblemOracle(1, lambda x: float(x[0]) ** 2)
     g = ProblemOracle(1, lambda x: abs(float(x[0])))
