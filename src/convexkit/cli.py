@@ -39,12 +39,15 @@ from .core import (CapabilityError, ConvexkitError, InvalidInput, InvalidProblem
 # Textual key/value documents: one `key value...` pair per line, '#' comments.
 # Matrices are inline row-major number lists; every float must be finite and
 # the file UTF-8. A number is an ASCII decimal token or nan/inf/infinity (any
-# case, optionally signed), and numbers are separated by ASCII whitespace; a
-# field is kept as one string and read in one C pass (_floats), so no Python
-# object is made per number (perfbench solve-large, d = 1000, 2-vCPU KVM
-# guest: setup_s 2.54 -> 2.13 s, peak_rss_mb 197.3 -> 118.9 MB against one
-# str and one float per number). Underscores (1_0), non-ASCII digits and
-# separators other than space, tab, newline, \v, \f and \r exit 2.
+# case, optionally signed), and numbers are separated by ASCII whitespace.
+# Each line is read in pieces of PIECE characters, and each piece is converted
+# by one C pass (_floats) as it arrives, cut after its last separator. So no
+# Python object is made per number, no string much longer than a piece is
+# alive, and no field's text outlives its line; only `kind` is kept as text
+# (perfbench solve-large, d = 1000, 2-vCPU KVM guest, medians of 12 pairs:
+# peak_rss_mb 119.0 -> 98.3 MB against one string per field, setup_s
+# unchanged). Underscores (1_0), non-ASCII digits and separators other than
+# space, tab, newline, \v, \f and \r exit 2.
 # Fields by kind:
 #   kind quadratic        dim, A (dim*dim), b (dim)
 #   kind least-squares    rows, dim, X (rows*dim), Y (rows)
@@ -56,25 +59,110 @@ from .core import (CapabilityError, ConvexkitError, InvalidInput, InvalidProblem
 
 MAX_CHAIN_DIM = 4096  # a dense dim x dim matrix: 128 MB at the cap
 MAX_NONSMOOTH_STEPS = 1000000  # vectors of steps + 1 entries: 8 MB at the cap
+PIECE = 1 << 20  # characters of a line read at once
+_SEPARATORS = " \t\n\r\v\f"  # the whitespace np.fromstring separates numbers by
 
 
 def _parse_fields(path):
+    """Each field of the problem file at path: `kind` as text, any other field
+    as the float64 array of its numbers, or None if a token is not a number."""
     fields = {}
     with open(path, encoding="utf-8") as fh:
         try:
-            for line in fh:
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                key, _, rest = line.partition(" ")
-                if not rest.strip():
-                    raise InvalidInput("problem file line %r has no value" % line)
-                if key in fields:
-                    raise InvalidInput("problem file repeats field %r" % key)
-                fields[key] = rest
+            piece = fh.readline(PIECE)
+            while piece:
+                pieces = _line_pieces(fh, piece)
+                del piece  # so that the generator can drop it
+                key, value = _field(pieces)
+                if key is not None:
+                    if key in fields:
+                        raise InvalidInput("problem file repeats field %r" % key)
+                    fields[key] = value
+                piece = fh.readline(PIECE)
         except UnicodeDecodeError:
             raise InvalidInput("problem file is not UTF-8 text")
     return fields
+
+
+def _line_pieces(fh, piece):
+    """Yield the line of fh that starts with piece, in pieces, up to any '#'.
+
+    The whole line is read, the part after a '#' included, before the
+    generator ends. No piece is held while the next one is read.
+    """
+    while True:
+        comment = piece.find("#")
+        if comment >= 0:
+            yield piece[:comment]
+            while piece and not piece.endswith("\n"):
+                piece = fh.readline(PIECE)
+            return
+        end = piece.endswith("\n")
+        yield piece
+        del piece
+        if end:
+            return
+        piece = fh.readline(PIECE)
+        if not piece:
+            return
+
+
+def _field(pieces):
+    """(key, value) of the line given as pieces, or (None, None) if it is blank.
+
+    The key ends at the first space. Each piece of the value, after the text
+    carried from the pieces before, is converted up to its last separator
+    that some non-whitespace follows, and the rest is carried on; text that
+    is all whitespace up to that separator is carried whole. So the joined
+    arrays are those of converting the stripped value in one pass. Every
+    piece is consumed, also after a token that is not a number.
+    """
+    key, head, carry, parts = None, "", "", []  # parts: None once a token is not a number
+    for piece in pieces:
+        if key is None:
+            head = (head + piece).lstrip()
+            space = head.find(" ")
+            if space < 0:
+                continue
+            key, piece, head = head[:space], head[space + 1:], None
+        if key == "kind":
+            carry += piece
+            continue
+        if parts is None:
+            continue
+        text = carry + piece
+        del piece  # only the carry stays while the next piece is read
+        end = len(text.rstrip())
+        cut = -1
+        for sep in _SEPARATORS:  # space first: the rest search only past its last
+            cut = max(cut, text.rfind(sep, cut + 1, end))
+        cut += 1
+        if not cut or text[:cut].isspace():
+            carry = text
+            continue
+        try:
+            parts.append(_floats(text[:cut]))
+        except ValueError:
+            parts = None
+        carry = text[cut:]
+        del text
+    if key is None:
+        if head:
+            raise InvalidInput("problem file line %r has no value" % head.rstrip())
+        return None, None
+    text = carry.rstrip()
+    if not text and not parts:  # nothing cut off either: the value is blank
+        raise InvalidInput("problem file line %r has no value" % key.rstrip())
+    if key == "kind":
+        return key, text
+    if parts is None:
+        return key, None
+    if text:
+        try:
+            parts.append(_floats(text))
+        except ValueError:
+            return key, None
+    return key, parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _floats(text):
@@ -92,9 +180,8 @@ def _floats(text):
 def _numbers(fields, key, count=None, finite=True):
     if key not in fields:
         raise InvalidInput("problem file is missing field %r" % key)
-    try:
-        vals = _floats(fields[key])
-    except ValueError:
+    vals = fields[key]
+    if vals is None:
         raise InvalidInput("field %r holds non-numeric data" % key)
     if count is not None and len(vals) != count:
         raise InvalidInput("field %r has %d numbers, expected %d"

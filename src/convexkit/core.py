@@ -302,7 +302,8 @@ def record(iterates, x0, N, f_star, seed=None):
 
     Each item is (point, value, grad_norm, custom). No step is taken after
     record N. A generator that returns after k >= 1 items ends a single-seed
-    trace early, with k records. A value beyond 1e12 (1 + max(|value at
+    trace early, with k records; one that yields nothing raises
+    NumericalError. A value beyond 1e12 (1 + max(|value at
     n = 0|, |f_star|)), with |f_star| read as 0 when f_star is None, or a
     non-finite point raises DivergenceError. The last point becomes the
     trace's final_point.
@@ -324,6 +325,8 @@ def record(iterates, x0, N, f_star, seed=None):
             scale = 1.0 + max(abs(value), 0.0 if f_star is None else abs(f_star))
         check_divergence(value, x, scale)
         trace.add(n, value, grad_norm, **custom)
+    if not len(trace):
+        raise NumericalError("the solver yielded no iterate")
     trace.final_point = x
     return trace
 
@@ -369,6 +372,8 @@ def record_rows(iterates, x0, N, f_star, seeds):
             raise DivergenceError("iterate of seed %r diverged (value %r)"
                                   % (seeds[s], float(value[s])))
         trace.add(n, value, grad_norm, **extra)
+    if not len(trace):
+        raise NumericalError("the solver yielded no iterate")
     trace.final_point = X
     return trace
 

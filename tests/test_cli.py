@@ -8,6 +8,7 @@ import sys
 import time
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -647,9 +648,17 @@ def bytes_file(tmp_path_factory):
        tail=st.binary(max_size=48))
 def test_fuzz_problem_file_bytes_exit_codes(bytes_file, head, tail):
     bytes_file.write_bytes(head + tail)
-    code, out, _ = _run(["run", "--problem", str(bytes_file), "--algo", "gd", "--iters", "3"])
+    argv = ["run", "--problem", str(bytes_file), "--algo", "gd", "--iters", "3"]
+    code, out, err = _run(argv)
     assert code in (0, 1, 2, 3)
     assert code == 0 or out == ""
+    with mock.patch.object(cli, "PIECE", 3):  # every line read in 3-character pieces
+        code3, out3, err3 = _run(argv)
+    assert (code3, out3, _timeless(err3)) == (code, out, _timeless(err))
+
+
+def _timeless(err):
+    return [line for line in err.splitlines() if not line.startswith("wall time")]
 
 
 @pytest.mark.parametrize("algo", ["gd", "agd", "cg"])
@@ -706,18 +715,25 @@ def test_numbers_match_per_token_float(tokens, seps, ends):
         want = np.array([float(t) for t in text.split()])
     except ValueError:
         want = None
-    try:
-        got = cli._numbers({"A": text}, "A", finite=False)
-    except InvalidInput as exc:
-        assert "non-numeric" in str(exc)
-        got = None
-    assert (got is None) == (want is None), text
-    if got is not None:
-        # every nan is equal here: "-nan" reads as a nan without its sign bit,
-        # and no field accepts a nan
-        nan = np.isnan(want)
-        assert np.array_equal(np.isnan(got), nan)
-        assert got[~nan].tobytes() == want[~nan].tobytes(), text
+    blank = want is not None and not want.size
+    line = "A " + text
+    for size in (len(line), 3):  # the line as one piece, and in 3-character pieces
+        try:
+            got = cli._numbers(dict([cli._field(_in_pieces(line, size))]), "A", finite=False)
+        except InvalidInput as exc:
+            assert ("has no value" if blank else "non-numeric") in str(exc)
+            got = None
+        assert (got is None) == (want is None or blank), (text, size)
+        if got is not None:
+            # every nan is equal here: "-nan" reads as a nan without its sign bit,
+            # and no field accepts a nan
+            nan = np.isnan(want)
+            assert np.array_equal(np.isnan(got), nan)
+            assert got[~nan].tobytes() == want[~nan].tobytes(), (text, size)
+
+
+def _in_pieces(text, size):
+    return (text[i:i + size] for i in range(0, len(text), size))
 
 
 @pytest.mark.parametrize("token, message", [
@@ -756,7 +772,7 @@ def test_numbers_bad_token_under_old_numpy(monkeypatch):
 
     monkeypatch.setattr(np, "fromstring", fromstring)
     with pytest.raises(InvalidInput, match="non-numeric"):
-        cli._numbers({"b": "1 x"}, "b", 1)
+        cli._numbers(dict([cli._field(iter(["b 1 x"]))]), "b", 1)
 
 
 def test_parse_memory_is_a_few_bytes_per_text_byte(tmp_path):
@@ -779,3 +795,88 @@ def test_parse_memory_is_a_few_bytes_per_text_byte(tmp_path):
     # the line, its value text and the array; one str and one float per
     # number took about 6 bytes per byte of text
     assert peak < 3 * size, (peak, size)
+
+
+def _parsed(path):
+    """cli._parse_fields(path) with arrays as bytes, or its InvalidInput message."""
+    try:
+        fields = cli._parse_fields(path)
+    except InvalidInput as exc:
+        return str(exc)
+    return {k: v.tobytes() if isinstance(v, np.ndarray) else v for k, v in fields.items()}
+
+
+def _array(*values):
+    return np.array(values, dtype=float).tobytes()
+
+
+PIECE_CASES = {  # file bytes, what _parse_fields makes of them
+    "token split across pieces": (
+        b"kind quadratic\ndim 2\nA 2.5e+00 -0 0 1.0625\nb -1.25e-3 7\n",
+        {"kind": "quadratic", "dim": _array(2), "A": _array(2.5, -0.0, 0, 1.0625),
+         "b": _array(-1.25e-3, 7)}),
+    "comment starting in a later piece": (
+        b"kind quadratic # sample\ndim 2\nA 2 0 0 1 # 7 7 7\nb 1 1#x\n# 3 3\n",
+        {"kind": "quadratic", "dim": _array(2), "A": _array(2, 0, 0, 1), "b": _array(1, 1)}),
+    "key longer than a piece": (
+        b"dimension_of_the_problem 12 13\nkind svm\n",
+        {"dimension_of_the_problem": _array(12, 13), "kind": "svm"}),
+    "crlf split across pieces": (
+        b"kind lasso\r\nlam 0.5\r\nY 1 2\r\n\r\nX 3\r\n",
+        {"kind": "lasso", "lam": _array(0.5), "Y": _array(1, 2), "X": _array(3)}),
+    "all-whitespace pieces": (
+        b"b          1  \t\t\t\t\t\t\t\t  2                 \nA                    \t  \n",
+        "problem file line 'A' has no value"),
+    "spaces then a number": (
+        b"b                 \t\t\t\t 3.5e1     \nkind  \t\v\f  svm  \n",
+        {"b": _array(35), "kind": " \t\x0b\x0c  svm"}),
+    "line with no value": (
+        b"kind quadratic\n   dim\t \t  # 4\n", "problem file line 'dim' has no value"),
+    "line with no space": (
+        b"kind quadratic\ndim\t4\n", "problem file line 'dim\\t4' has no value"),
+    "repeated field": (
+        b"kind quadratic\nb 1 1\n  b   2 2\n", "problem file repeats field 'b'"),
+    "non-numeric token in a field nothing reads": (
+        b"kind worst-case-smooth\nname my problem\nsteps 8\nbad 1 2 3 x 4 5 6 7 8\n",
+        {"kind": "worst-case-smooth", "name": None, "steps": _array(8), "bad": None}),
+    "non-ASCII whitespace before the numbers": (
+        "b \u00a0 1 2\nA  \t  3 4\n".encode(),
+        {"b": None, "A": _array(3, 4)}),
+    "non-ASCII whitespace after the numbers": (
+        "b 1 2\u00a0\u2003 \nA 1 2\u00a0 3\n".encode(),
+        {"b": _array(1, 2), "A": None}),
+}
+
+
+@pytest.mark.parametrize("case", PIECE_CASES)
+def test_parse_is_the_same_at_every_piece_size(tmp_path, monkeypatch, case):
+    data, want = PIECE_CASES[case]
+    p = tmp_path / "f.prob"
+    p.write_bytes(data)
+    assert _parsed(str(p)) == want
+    for size in range(1, 9):
+        monkeypatch.setattr(cli, "PIECE", size)
+        assert _parsed(str(p)) == want, size
+
+
+def test_parse_memory_stays_under_the_file_size(tmp_path):
+    # no field's text outlives its line, and no string is longer than about
+    # one piece; what is left is X, in its pieces and joined. X is written
+    # with tabs, so that pieces must be cut at separators other than space.
+    rows, dim = 6000, 100
+    rng = np.random.default_rng(6)
+    block, Y = rng.standard_normal((10, dim)), rng.standard_normal(rows)
+    p = tmp_path / "ls.prob"
+    p.write_text("kind least-squares\nrows %d\ndim %d\nX %s\nY %s\n"
+                 % (rows, dim, "\t".join(map(repr, block.ravel().tolist() * (rows // 10))),
+                    " ".join(map(repr, Y.tolist()))))
+    size = p.stat().st_size
+    assert size >= 8e6
+    tracemalloc.start()
+    try:
+        q = cli.parse_problem_file(str(p))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(q.extra["X"], np.tile(block, (rows // 10, 1)))
+    assert peak < size, (peak, size)

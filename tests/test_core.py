@@ -157,6 +157,16 @@ def test_batch_record_ends_early_when_the_generator_returns():
         assert np.array_equal(batch.trace(s).final_point, [2.0, 2.0])
 
 
+@pytest.mark.parametrize("seed", [None, 1, [1, 2]])
+def test_record_of_a_generator_that_yields_nothing_is_a_numerical_error(seed):
+    def none(x, rng=None):  # was an UnboundLocalError at trace.final_point
+        return
+        yield
+
+    with pytest.raises(NumericalError, match="yielded no iterate"):
+        record(none, np.zeros(2), 5, None, seed=seed)
+
+
 def test_composite_value():
     f = ProblemOracle(1, lambda x: float(x[0]) ** 2)
     g = ProblemOracle(1, lambda x: abs(float(x[0])))
