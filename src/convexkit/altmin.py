@@ -50,8 +50,9 @@ def run_gauss_southwell(problem, h, x0, N):
     def iterates(x):
         while True:
             v, g = problem.value_and_grad(x)
-            yield x, v, float(np.max(np.abs(g))), {}
-            i = int(np.argmax(np.abs(g)))
+            a = np.abs(g)
+            yield x, v, float(np.max(a)), {}
+            i = int(np.argmax(a))
             x = x.copy()
             x[i] -= h * g[i]
 

@@ -292,8 +292,10 @@ class _Gap:
 
 
 def check_divergence(value, x, scale):
+    # x.x is finite only if every entry of the point x is; np.isfinite decides
+    # when it is not (a nan or inf entry, or huge finite entries overflowing)
     if not (math.isfinite(value) and abs(value) <= DIVERGENCE_FACTOR * scale
-            and np.isfinite(x).all()):
+            and (math.isfinite(x.dot(x)) or np.isfinite(x).all())):
         raise DivergenceError("iterate diverged (value %r)" % (value,))
 
 
@@ -485,9 +487,21 @@ class RowGenerator:
         return self._take(("integers", n), 1, lambda g, m: g.integers(n, size=m))[:, 0]
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
+def norm(v):
+    """float(np.linalg.norm(v)), bitwise; for a float64 array without its overhead,
+    by the sqrt(x.dot(x)) over x = v.ravel("K") that numpy computes too."""
+    if type(v) is np.ndarray and v.dtype == _FLOAT64:
+        x = v.ravel("K")
+        return math.sqrt(x.dot(x))
+    return float(np.linalg.norm(v))
+
+
 def row_norm(v):
     """||v|| of a vector, or the norm of each row of a row matrix."""
-    return float(np.linalg.norm(v)) if v.ndim == 1 else np.linalg.norm(v, axis=1)
+    return norm(v) if v.ndim == 1 else np.linalg.norm(v, axis=1)
 
 
 def fit_rate(trace, skip=0):

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from .core import NumericalError, as_vector, record
+from .core import NumericalError, as_vector, norm, record
 
 
 def loo_box(p, lo, hi):
@@ -33,14 +33,21 @@ def loo_simplex(p):
     return v
 
 
-def _add_vertex(vertices, weights, s, h):
+def _add_vertex(vertices, weights, index, s, h):
     """Scale the weights by 1 - h, then give vertex s weight h: added to an
-    exact duplicate already in the list, else appended."""
+    exact duplicate already in the list, else appended.
+
+    index maps each listed vertex's bytes, with -0.0 read as 0.0, to its
+    position; a vertex holding a NaN equals no vertex, so it gets no key.
+    """
     weights[:] = [w * (1.0 - h) for w in weights]
-    for i, v in enumerate(vertices):
-        if np.array_equal(v, s):
-            weights[i] += h
-            return
+    key = None if math.isnan(s.dot(s)) else (s + 0.0).tobytes()
+    i = index.get(key)
+    if i is not None:
+        weights[i] += h
+        return
+    if key is not None:
+        index[key] = len(vertices)
     vertices.append(s.copy())
     weights.append(h)
 
@@ -52,19 +59,18 @@ def run_fw(problem, loo, x0, N):
     column "fw_gap"; the iterate after n steps is a convex combination of at
     most n+1 vertices.
     """
-    vertices, weights = [], []
+    vertices, weights, index = [], [], {}
 
     def iterates(x):
-        vertices.append(x.copy())
-        weights.append(1.0)
+        _add_vertex(vertices, weights, index, x, 1.0)
         for n in itertools.count():
             v, g = problem.value_and_grad(x)
             s = loo(g)
-            fw_gap = float(g @ (x - s))
-            yield x, v, float(np.linalg.norm(g)), {"fw_gap": fw_gap}
+            fw_gap = float((x - s).dot(g))
+            yield x, v, norm(g), {"fw_gap": fw_gap}
             h = 2.0 / (n + 2.0)
             x = (1.0 - h) * x + h * s
-            _add_vertex(vertices, weights, s, h)
+            _add_vertex(vertices, weights, index, s, h)
 
     trace = record(iterates, x0, N, problem.f_star)
     return trace, list(zip(vertices, weights))
@@ -81,15 +87,15 @@ def approx_caratheodory(x, loo, eps, diameter, max_iter=None):
     if max_iter is None:
         max_iter = int(math.ceil(4.0 / (eps * eps))) + 1
     z = loo(-x)  # any vertex works as the start
-    vertices = [z.copy()]
-    weights = [1.0]
+    vertices, weights, index = [], [], {}
+    _add_vertex(vertices, weights, index, z, 1.0)
     for n in range(max_iter):
-        err = float(np.linalg.norm(z - x))
+        err = norm(z - x)
         if err <= eps * diameter:
             return vertices, weights, err
         g = 2.0 * (z - x)
         s = loo(g)
         h = 2.0 / (n + 2.0)
         z = (1.0 - h) * z + h * s
-        _add_vertex(vertices, weights, s, h)
+        _add_vertex(vertices, weights, index, s, h)
     raise NumericalError("no eps-approximation within the budget; is x in C?")

@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from .core import (DivergenceError, InvalidInput, NumericalError, ProblemOracle,
-                   as_vector, record)
+                   as_vector, norm, record)
 
 
 def default_dt(problem):
@@ -31,9 +31,9 @@ def simulate_gf(problem, t_end, dt=None, x0=None):
             v, g = problem.value_and_grad(x)
             custom = {"t": t}
             if have_lyap:
-                custom["lyapunov"] = (t * t * float(g @ g) + 2 * t * (v - problem.f_star)
-                                      + float(np.linalg.norm(x - problem.x_star) ** 2))
-            yield x, v, float(np.linalg.norm(g)), custom
+                custom["lyapunov"] = (t * t * float(g.dot(g)) + 2 * t * (v - problem.f_star)
+                                      + norm(x - problem.x_star) ** 2)
+            yield x, v, norm(g), custom
             x = x - dt * g
 
     x0 = np.zeros(problem.dim) if x0 is None else x0
@@ -70,12 +70,12 @@ def simulate_agf(problem, t_end, dt=None, x0=None, mode="convex", alpha=None):
                 if mode == "convex":
                     z = x + (t / 2.0) * p
                     custom["lyapunov"] = ((t * t / 2.0) * (v - problem.f_star)
-                                          + float(np.linalg.norm(z - problem.x_star) ** 2))
+                                          + norm(z - problem.x_star) ** 2)
                 else:
                     z = x + (2.0 / gamma_const) * p
                     custom["lyapunov"] = (v - problem.f_star
-                                          + 0.5 * alpha * float(np.linalg.norm(z - problem.x_star) ** 2))
-            yield x, v, float(np.linalg.norm(g)), custom
+                                          + 0.5 * alpha * norm(z - problem.x_star) ** 2)
+            yield x, v, norm(g), custom
             gamma = 3.0 / t if mode == "convex" else gamma_const
             x = x + dt * p
             p = p - dt * (gamma * p + g)
@@ -92,7 +92,7 @@ def run_gd(problem, h, x0, N):
     def iterates(x):
         while True:
             v, g = problem.value_and_grad(x)
-            yield x, v, float(np.linalg.norm(g)), {}
+            yield x, v, norm(g), {}
             x = x - h * g
 
     return record(iterates, x0, N, problem.f_star)
@@ -124,7 +124,7 @@ def run_agd(problem, x0, N):
         x_prev = x
         for n in itertools.count():
             v, g = problem.value_and_grad(x)
-            yield x, v, float(np.linalg.norm(g)), {}
+            yield x, v, norm(g), {}
             theta = (lam[n] - 1.0) / lam[n + 1]
             y = x + theta * (x - x_prev)
             x_prev = x
@@ -176,7 +176,7 @@ def reduce_to_convex(strong_solver, problem, eps, R, x0):
 
     def value(x):
         d = x - x0
-        return base_value(x) + 0.5 * delta * float(d @ d)
+        return base_value(x) + 0.5 * delta * float(d.dot(d))
 
     def grad(x):
         return base_grad(x) + delta * (x - x0)

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from .core import DomainError, InvalidInput, as_vector, composite_value, plus_reg, record
+from .core import DomainError, InvalidInput, as_vector, composite_value, norm, plus_reg, record
 
 ENTROPIC_FLOOR = 1e-300  # guard before logs; no effect at test scales
 
@@ -94,7 +94,7 @@ def run_mpgd(f, g, geometry, h, x0, N, constraint=None):
         avg = x
         for n in itertools.count():
             v, grad = f.value_and_grad(x)
-            yield x, plus_reg(v, g, x), float(np.linalg.norm(grad)), {"avg_value": total(avg)}
+            yield x, plus_reg(v, g, x), norm(grad), {"avg_value": total(avg)}
             dual = geometry.grad(x) - h * grad
             if g is None and constraint == "simplex":
                 dual -= np.max(dual)  # the normalization cancels it; exp cannot overflow
@@ -125,7 +125,7 @@ def run_omd(geometry, losses, h, x0, constraint="simplex"):
     incurred = 0.0
     for ell in losses:
         actions.append(x.copy())
-        incurred += float(ell @ x)
+        incurred += float(ell.dot(x))
         dual = dual - h * ell
         x = geometry.grad_star(dual)
         if constraint == "simplex":

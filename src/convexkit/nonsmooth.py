@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from .core import (InfeasibleOrBudget, InvalidInput, InvalidSeparator,
-                   IterateTrace, NoFeasiblePoint, NumericalError, as_vector,
+                   IterateTrace, NoFeasiblePoint, NumericalError, as_vector, norm,
                    record)
 
 
@@ -52,7 +52,7 @@ def run_psd(problem, projector, h, x0, N):
         avg = x
         for n in itertools.count():
             raw, p = problem.value_and_grad(x)
-            pn = math.sqrt(p.dot(p))  # what np.linalg.norm computes for a real vector
+            pn = norm(p)
             yield avg, problem.value(avg), pn, {"raw": raw}
             if pn != 0.0:
                 x = projector(x - (h / pn) * p)
@@ -73,7 +73,7 @@ def run_psd_strong(problem, projector, x0, N):
         wsum = 1.0
         for n in itertools.count():
             raw, p = problem.value_and_grad(x)
-            yield avg, problem.value(avg), math.sqrt(p.dot(p)), {"raw": raw}
+            yield avg, problem.value(avg), norm(p), {"raw": raw}
             x = projector(x - (2.0 / (alpha * (n + 1))) * p)
             w = n + 2.0
             wsum += w
@@ -112,14 +112,14 @@ def run_psd_functional(objective, constraints, projector, eps, x0, x_star_dist=N
             if objective.f_star is not None and v - objective.f_star <= eps:
                 return x, n
             p = objective.subgradient(x)
-            pn2 = float(p @ p)
+            pn2 = float(p.dot(p))
             if pn2 == 0.0:
                 return x, n
             h = eps / pn2
         else:
             i = int(np.argmax(fvals))
             p = constraints[i].subgradient(x)
-            pn2 = float(p @ p)
+            pn2 = float(p.dot(p))
             if pn2 == 0.0:
                 # a violated constraint minimized here can never reach <= 0
                 raise InfeasibleOrBudget("constraint %d is infeasible" % i)
@@ -164,13 +164,13 @@ def ellipsoid_volume_ratio(d):
 def ellipsoid_update(state, p):
     """Minimum-volume ellipsoid containing the half-ellipsoid cut by <p, z - x> <= 0."""
     p = as_vector(p)
-    if float(p @ p) == 0.0:
+    if float(p.dot(p)) == 0.0:
         raise InvalidSeparator("separator must be non-zero")
     d = p.size
     if d < 2:
         raise InvalidInput("ellipsoid update needs dimension >= 2")
     Sp = state.Sigma @ p
-    pSp = float(p @ Sp)
+    pSp = float(p.dot(Sp))
     if not pSp > 0.0:
         raise NumericalError("ellipsoid degenerate along the separator")
     x_new = state.x - Sp / ((d + 1.0) * math.sqrt(pSp))

@@ -13,6 +13,9 @@ def _logsumexp(z):
     return m + math.log(np.sum(np.exp(z - m)))
 
 
+SYMMETRY_BLOCK = 1 << 16  # numbers per block of rows in make_quadratic's symmetry test
+
+
 def make_quadratic(A, b, name="quadratic"):
     """f(x) = 1/2 <x, Ax> - <b, x> with A symmetric PSD.
 
@@ -23,7 +26,11 @@ def make_quadratic(A, b, name="quadratic"):
     b = as_vector(b)
     if A.shape != (b.size, b.size):
         raise InvalidProblem("A must be square and match b")
-    if np.max(np.abs(A - A.T)) > 1e-12 * (1 + np.max(np.abs(A))):
+    # a block of rows at a time, so that no temporary is near A's size
+    rows = SYMMETRY_BLOCK // b.size + 1
+    blocks = [slice(i, i + rows) for i in range(0, b.size, rows)]
+    asym = np.max([np.max(np.abs(A[r] - A[:, r].T)) for r in blocks])
+    if asym > 1e-12 * (1 + np.max([np.max(np.abs(A[r])) for r in blocks])):
         raise InvalidProblem("A must be symmetric")
     evals = np.linalg.eigvalsh(A)
     if evals[0] < -1e-10 * max(1.0, evals[-1]):
@@ -50,18 +57,18 @@ def _quadratic_oracles(A, b):
     def value(x):
         if getattr(x, "ndim", 1) == 2:  # an (S, d) row matrix
             return 0.5 * np.einsum("ij,ij->i", x, x @ A.T) - x @ b
-        return 0.5 * float(x @ (A @ x)) - float(b @ x)
+        return 0.5 * float(A.dot(x).dot(x)) - float(b.dot(x))
 
     def grad(x):
         if getattr(x, "ndim", 1) == 2:
             return x @ A.T - b
-        return A @ x - b
+        return A.dot(x) - b
 
     def value_and_grad(x):  # value and grad's expressions, sharing A @ x
         if getattr(x, "ndim", 1) == 2:
             return value(x), grad(x)
-        Ax = A @ x
-        return 0.5 * float(x @ Ax) - float(b @ x), Ax - b
+        Ax = A.dot(x)
+        return 0.5 * float(Ax.dot(x)) - float(b.dot(x)), Ax - b
 
     return value, grad, value_and_grad
 
@@ -78,18 +85,18 @@ def make_logistic(X, Y, name="logistic"):
     beta = float(np.linalg.eigvalsh(X.T @ X / (4.0 * n))[-1])
 
     def value(theta):
-        z = X @ theta
+        z = X.dot(theta)
         return float(np.mean(np.logaddexp(0.0, z) - Y * z))
 
     def grad(theta):
-        z = X @ theta
+        z = X.dot(theta)
         s = 1.0 / (1.0 + np.exp(-z))
-        return X.T @ (s - Y) / n
+        return X.T.dot(s - Y) / n
 
     def value_and_grad(theta):
-        z = X @ theta
+        z = X.dot(theta)
         s = 1.0 / (1.0 + np.exp(-z))
-        return float(np.mean(np.logaddexp(0.0, z) - Y * z)), X.T @ (s - Y) / n
+        return float(np.mean(np.logaddexp(0.0, z) - Y * z)), X.T.dot(s - Y) / n
 
     return ProblemOracle(X.shape[1], value, grad, value_and_grad=value_and_grad, beta=beta,
                          name=name, extra={"X": X, "Y": Y})
@@ -106,15 +113,15 @@ def make_least_squares(X, Y, name="least-squares"):
     evals = np.linalg.eigvalsh(H)
 
     def value(theta):
-        r = X @ theta - Y
-        return 0.5 * float(r @ r) / n
+        r = X.dot(theta) - Y
+        return 0.5 * float(r.dot(r)) / n
 
     def grad(theta):
-        return X.T @ (X @ theta - Y) / n
+        return X.T.dot(X.dot(theta) - Y) / n
 
     def value_and_grad(theta):
-        r = X @ theta - Y
-        return 0.5 * float(r @ r) / n, X.T @ r / n
+        r = X.dot(theta) - Y
+        return 0.5 * float(r.dot(r)) / n, X.T.dot(r) / n
 
     x_star = f_star = None
     if evals[0] > 1e-12 * max(1.0, evals[-1]):
@@ -213,7 +220,7 @@ def make_worst_case_nonsmooth(N, L, R, name="worst-case-nonsmooth"):
     x_star = np.full(d, -gamma / (alpha * d))
 
     def value(x):
-        return gamma * float(np.max(x)) + 0.5 * alpha * float(x @ x)
+        return gamma * float(np.max(x)) + 0.5 * alpha * float(x.dot(x))
 
     def subgrad(x):
         i = int(np.argmax(x))  # np.argmax already returns the smallest maximizer
@@ -225,7 +232,7 @@ def make_worst_case_nonsmooth(N, L, R, name="worst-case-nonsmooth"):
         i = int(np.argmax(x))
         e = np.zeros(d)
         e[i] = gamma
-        return gamma * float(x[i]) + 0.5 * alpha * float(x @ x), alpha * x + e
+        return gamma * float(x[i]) + 0.5 * alpha * float(x.dot(x)), alpha * x + e
 
     return ProblemOracle(d, value, subgrad, alpha=alpha, L=float(L),
                          f_star=f_star, x_star=x_star, name=name,
@@ -318,17 +325,17 @@ def make_svm_hinge(X, Y, lam, ball_radius=None, name="svm-hinge"):
     L = row_norm + lam * ball_radius
 
     def value(theta):
-        return float(np.maximum(0.0, 1.0 - Y * (X @ theta)).sum() / n) + 0.5 * lam * float(theta @ theta)
+        return float(np.maximum(0.0, 1.0 - Y * X.dot(theta)).sum() / n) + 0.5 * lam * float(theta.dot(theta))
 
     def subgrad(theta):
-        margin = Y * (X @ theta)
+        margin = Y * X.dot(theta)
         active = margin < 1.0  # at the kink 0 is a valid subgradient
-        return -(X.T @ (Y * active)) / n + lam * theta
+        return -X.T.dot(Y * active) / n + lam * theta
 
     def value_and_grad(theta):
-        margin = Y * (X @ theta)
-        value = float(np.maximum(0.0, 1.0 - margin).sum() / n) + 0.5 * lam * float(theta @ theta)
-        return value, -(X.T @ (Y * (margin < 1.0))) / n + lam * theta
+        margin = Y * X.dot(theta)
+        value = float(np.maximum(0.0, 1.0 - margin).sum() / n) + 0.5 * lam * float(theta.dot(theta))
+        return value, -X.T.dot(Y * (margin < 1.0)) / n + lam * theta
 
     return ProblemOracle(X.shape[1], value, subgrad, value_and_grad=value_and_grad, alpha=lam,
                          L=L, name=name,

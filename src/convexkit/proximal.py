@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from .core import InvalidInput, NumericalError, as_vector, composite_value, plus_reg, record
+from .core import InvalidInput, NumericalError, as_vector, composite_value, norm, plus_reg, record
 from .gradient import agd_lambda_sequence
 
 
@@ -38,7 +38,7 @@ def _agd_strong(value, grad, x0, alpha, beta, tol, max_iter):
         g = grad(y)
         x_prev = x
         x = y - h * g
-        if np.linalg.norm(grad(x)) <= tol:
+        if norm(grad(x)) <= tol:
             return x
     raise NumericalError("inner AGD did not reach tolerance %g" % tol)
 
@@ -60,7 +60,7 @@ def prox_generic(problem, y, h, inner_tol=None):
 
         def val(x):
             d = x - y
-            return problem.value(x) + 0.5 * float(d @ d) / h
+            return problem.value(x) + 0.5 * float(d.dot(d)) / h
 
         def grad(x):
             return problem.subgradient(x) + (x - y) / h
@@ -106,7 +106,7 @@ def run_ppm(problem, h, x0, N):
                 v, gn = problem.value(x), None
             else:
                 v, g = problem.value_and_grad(x)
-                gn = float(np.linalg.norm(g))
+                gn = norm(g)
             yield x, v, gn, {}
             x = prox(x, h)
 
@@ -124,7 +124,7 @@ def run_pgd(f, g, h, x0, N, f_star=None):
     def iterates(x):
         while True:
             v, grad = f.value_and_grad(x)
-            yield x, plus_reg(v, g, x), float(np.linalg.norm(grad)), {}
+            yield x, plus_reg(v, g, x), norm(grad), {}
             z = x - h * grad
             x = g.prox(z, h) if g is not None else z
 
@@ -174,9 +174,9 @@ def ppm_lyapunov_check(problem, h, x0, N, tol=1e-8):
     diag = []
     for n in range(N + 1):
         g = problem.subgradient(x)
-        lyap = (n * n * h * h * float(g @ g)
+        lyap = (n * n * h * h * float(g.dot(g))
                 + 2 * n * h * (problem.value(x) - problem.f_star)
-                + float(np.linalg.norm(x - problem.x_star) ** 2))
+                + norm(x - problem.x_star) ** 2)
         if lyap_prev is not None and lyap > lyap_prev + tol * scale:
             ok = False
             diag.append((n, lyap_prev, lyap))
@@ -185,9 +185,9 @@ def ppm_lyapunov_check(problem, h, x0, N, tol=1e-8):
             x = prox(x, h)
     if N > 0:
         g = problem.subgradient(x)
-        if float(np.linalg.norm(g)) > R / (N * h) + tol * scale:
+        if norm(g) > R / (N * h) + tol * scale:
             ok = False
-            diag.append(("grad_bound", float(np.linalg.norm(g)), R / (N * h)))
+            diag.append(("grad_bound", norm(g), R / (N * h)))
         gap = problem.value(x) - problem.f_star
         if gap > R * R / (4.0 * N * h) + tol * scale:
             ok = False

@@ -117,7 +117,8 @@ def test_run_writes_trace_and_exits_zero(quad_file, tmp_path, capsys):
     code = cli.main(["run", "--problem", quad_file, "--algo", "gd",
                      "--iters", "12", "--out", out])
     assert code == 0
-    lines = open(out).read().strip().split("\n")
+    with open(out) as fh:
+        lines = fh.read().strip().split("\n")
     assert lines[0] == "iter,value,gap,grad_norm,time_s"
     assert len(lines) == 14  # header + budget+1 records
     assert "final value" in capsys.readouterr().err
@@ -186,7 +187,8 @@ def test_run_byte_stable(quad_file, tmp_path):
         out = str(tmp_path / name)
         assert cli.main(["run", "--problem", quad_file, "--algo", "agd",
                          "--iters", "9", "--seed", "5", "--out", out]) == 0
-        outs.append(open(out, "rb").read())
+        with open(out, "rb") as fh:
+            outs.append(fh.read())
     assert outs[0] == outs[1]
 
 
@@ -343,11 +345,13 @@ def test_env_var_fallback(quad_file, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("CONVEXKIT_ITERS", "4")
     assert cli.main(["run", "--problem", quad_file, "--algo", "gd",
                      "--out", out]) == 0
-    assert len(open(out).read().strip().split("\n")) == 6
+    with open(out) as fh:
+        assert len(fh.read().strip().split("\n")) == 6
     # explicit flag wins over the environment
     assert cli.main(["run", "--problem", quad_file, "--algo", "gd",
                      "--iters", "2", "--out", out]) == 0
-    assert len(open(out).read().strip().split("\n")) == 4
+    with open(out) as fh:
+        assert len(fh.read().strip().split("\n")) == 4
     monkeypatch.setenv("CONVEXKIT_ITERS", "not-a-number")
     assert cli.main(["run", "--problem", quad_file, "--algo", "gd",
                      "--out", out]) == 2

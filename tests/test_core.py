@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from convexkit.core import (CapabilityError, DivergenceError, InsufficientData,
                             InvalidInput, IterateTrace, NumericalError,
                             ProblemOracle, as_vector, check_divergence,
                             composite_value, finite_diff_gradient, fit_rate,
-                            make_rng, record, run_solver, solver_names)
+                            make_rng, norm, record, run_solver, solver_names)
 
 
 def test_as_vector_rejects_bad_input():
@@ -65,6 +66,70 @@ def test_check_divergence():
     with pytest.raises(DivergenceError):
         check_divergence(1.0, np.array([0.0, math.nan]), 1.0)
     check_divergence(1.0, np.zeros(2), 1.0)
+
+
+# nan, +-inf, subnormals, and entries whose squares overflow a float
+SPECIAL = [math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.2e-308, 1e200, -1e200,
+           1.7e308, 0.0, -0.0, 1.0]
+entry = st.sampled_from(SPECIAL) | st.floats(allow_nan=True, allow_infinity=True)
+
+
+@st.composite
+def points(draw):
+    """A base entry filled in, then a few entries set, at d = 1-20 or 10,001."""
+    d = draw(st.integers(1, 20) | st.just(10001))
+    x = np.full(d, draw(entry))
+    for i, v in draw(st.lists(st.tuples(st.integers(0, d - 1), entry), max_size=4)):
+        x[i] = v
+    return x
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(points(), entry, st.floats(min_value=1.0, max_value=1e300))
+def test_check_divergence_raises_exactly_for_a_bad_value_or_a_non_finite_point(x, value, scale):
+    bad = not (math.isfinite(value) and abs(value) <= 1e12 * scale and np.isfinite(x).all())
+    try:
+        check_divergence(value, x, scale)
+        raised = False
+    except DivergenceError:
+        raised = True
+    assert raised == bad
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
+def test_check_divergence_accepts_a_point_whose_squares_overflow():
+    x = np.full(10001, 1e200)
+    assert not math.isfinite(x.dot(x))
+    check_divergence(1.0, x, 1.0)
+    x[-1] = math.nan
+    with pytest.raises(DivergenceError):
+        check_divergence(1.0, x, 1.0)
+
+
+def _bits(v):
+    return struct.pack("<d", v)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
+@pytest.mark.parametrize("v", [
+    np.zeros(5), np.full(7, 1e200), np.full(3, 1e-320), np.array([3.0, math.nan, 1.0]),
+    np.array([-math.inf, 2.0]), np.array([math.inf, -math.inf]), np.array([2.5]),
+    np.arange(1.0, 40.0)[::-3], np.arange(12.0).reshape(3, 4), np.arange(12.0).reshape(4, 3).T,
+    np.arange(-4, 9), np.array([1e10, 3e10], dtype=np.float32), [3.0, 4.0], [1, 2, 2],
+], ids=repr)
+def test_norm_is_bitwise_np_linalg_norm(v):
+    assert type(norm(v)) is float
+    assert _bits(norm(v)) == _bits(float(np.linalg.norm(v)))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, width=64), min_size=1,
+                max_size=300))
+def test_norm_is_bitwise_np_linalg_norm_on_random_vectors(xs):
+    v = np.array(xs)
+    assert _bits(norm(v)) == _bits(float(np.linalg.norm(v)))
 
 
 def _halving(steps):

@@ -1,12 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexkit import problems
-from convexkit.core import InvalidProblem, finite_diff_gradient, make_rng
+from convexkit import frankwolfe, problems
+from convexkit.core import InvalidProblem, ProblemOracle, finite_diff_gradient, make_rng
 
 
 def test_quadratic_stars_and_constants():
@@ -187,3 +188,64 @@ def test_quadratic_value_and_gradient_are_rowwise():
     for s in range(6):
         assert values[s] == pytest.approx(q.value(X[s]), rel=1e-12)
         assert np.linalg.norm(grads[s] - q.gradient(X[s])) <= 1e-12 * np.linalg.norm(q.gradient(X[s]))
+
+
+SYMMETRY_ENTRIES = [math.nan, math.inf, -math.inf, 0.0, 1.0, 1e300, 1e-12, 3e-12]
+
+
+def _refused_as_asymmetric(A, b):
+    try:
+        problems.make_quadratic(A, b)
+    except InvalidProblem as exc:
+        return str(exc) == "A must be symmetric"
+    except Exception:  # a later step's refusal of a nan or inf matrix
+        return False
+    return False
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2 ** 32 - 1),
+       st.lists(st.tuples(st.integers(0, 35), st.sampled_from(SYMMETRY_ENTRIES)), max_size=4))
+def test_quadratic_symmetry_test_by_row_blocks_decides_as_the_whole_matrix(d, seed, sets):
+    rng = make_rng(seed)
+    M = rng.normal(size=(d, d))
+    A = M @ M.T + np.eye(d)
+    for k, v in sets:  # nan, inf, and asymmetries just under and over the tolerance
+        A[k % d, (k // 6) % d] += v
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = bool(np.max(np.abs(A - A.T)) > 1e-12 * (1 + np.max(np.abs(A))))
+    block = problems.SYMMETRY_BLOCK
+    try:
+        for size in (block, 1, 2 * d):  # all rows, 1 row, 2 rows a block
+            problems.SYMMETRY_BLOCK = size
+            assert _refused_as_asymmetric(A, np.ones(d)) == want
+    finally:
+        problems.SYMMETRY_BLOCK = block
+
+
+def test_quadratic_construction_holds_no_temporary_near_the_size_of_A():
+    rng = make_rng(3)
+    G = rng.normal(size=(1000, 1000))
+    A = G @ G.T / 2000.0 + 0.5 * np.eye(1000)
+    A = 0.5 * (A + A.T)
+    b = rng.normal(size=1000)
+    tracemalloc.start()
+    try:
+        q = problems.make_quadratic(A, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert q.f_star is not None
+    assert peak < 0.5 * A.nbytes, peak / A.nbytes  # A - A.T and its abs held 2.0 x
+
+
+def test_quadratic_and_frank_wolfe_take_lists():
+    q = problems.make_quadratic(np.diag([2.0, 1.0]), np.ones(2))
+    assert q.value([1.0, 2.0]) == q.value(np.array([1.0, 2.0]))
+    assert q.value_and_grad([1.0, 2.0])[0] == q.value(np.array([1.0, 2.0]))
+    listed = ProblemOracle(2, q.value, lambda x: list(q.gradient(x)), beta=q.beta,
+                           f_star=q.f_star)
+    loo = lambda p: frankwolfe.loo_box(p, -1.0, 1.0)
+    tr, _ = frankwolfe.run_fw(listed, loo, np.ones(2), 5)
+    assert tr.to_csv() == frankwolfe.run_fw(q, loo, np.ones(2), 5)[0].to_csv()

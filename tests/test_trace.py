@@ -12,8 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import convexkit
-from convexkit import nonsmooth
-from convexkit.core import CapabilityError, InvalidInput, IterateTrace, ProblemOracle
+from convexkit.core import CapabilityError, InvalidInput, IterateTrace, record
 
 
 class DictTrace:
@@ -118,12 +117,18 @@ def test_batch_rows_and_seed_views():
 
 
 def test_record_trace_memory_is_columns_not_dicts():
-    # check 05's reference solve: 200,000 steps at d = 5, with a grad norm and
-    # a "raw" value per row; a dict and a custom dict per row held about 96 MB
-    q = ProblemOracle(5, lambda x: 0.5 * float(x @ x), lambda x: x, alpha=1.0)
+    # the rows of check 05's reference solve: 200,001 at d = 5, each with a
+    # grad norm and a "raw" value; a dict and a custom dict per row held about
+    # 96 MB. The generator takes no step, so the test times only the trace.
+    point = np.ones(5)
+
+    def iterates(x):
+        while True:
+            yield point, 1.0, 2.0, {"raw": 3.0}
+
     tracemalloc.start()
     try:
-        _, trace = nonsmooth.run_psd_strong(q, lambda z: z, np.ones(5), 200000)
+        trace = record(iterates, point, 200000, None)
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
