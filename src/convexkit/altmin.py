@@ -33,14 +33,19 @@ def run_am(problem, x0, sweeps):
 
 
 def run_ram(problem, x0, N, seed=0):
-    """Randomized alternating minimization: one uniform random block per step."""
+    """Randomized alternating minimization: one uniform random block per step.
+
+    A sequence of seeds runs them all as one batch (see core.record_rows):
+    block_argmin then takes an (S, d) point and an S-vector of block indices.
+    """
     argmin = problem.require("block_argmin")
     D = problem.n_blocks
 
     def iterates(x, rng):
         while True:
             yield x, problem.value(x), None, {}
-            x = argmin(int(rng.integers(D)), x)
+            i = rng.integers(D)
+            x = argmin(i if x.ndim == 2 else int(i), x)
 
     return record(iterates, x0, N, problem.f_star, seed)
 
@@ -51,7 +56,7 @@ def run_gauss_southwell(problem, h, x0, N):
         while True:
             v, g = problem.value_and_grad(x)
             a = np.abs(g)
-            yield x, v, float(np.max(a)), {}
+            yield x, v, float(np.maximum.reduce(a)), {}
             i = int(np.argmax(a))
             x = x.copy()
             x[i] -= h * g[i]

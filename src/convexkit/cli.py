@@ -394,7 +394,7 @@ _RUN_CRITERION = acceptance.run_criterion
 
 # Raw seconds of the checks that take over a second, each alone in one process
 # at one BLAS thread (2-vCPU KVM guest); verify hands checks out longest first.
-CHECK_SECONDS = {"05-subgradient": 8.8, "16-clt": 6.0, "14-am-ram": 2.3, "17-ipm": 1.5}
+CHECK_SECONDS = {"05-subgradient": 8.8, "16-clt": 6.0, "17-ipm": 1.5}
 
 # A verify worker: one check id per line on stdin, one JSON [failed, line] per
 # line on stdout. The working directory ("" on sys.path under -c) goes, so

@@ -155,6 +155,7 @@ class IterateTrace:
         self.final_point = None
         self._seeds = () if seeds is None else (seeds,)
         self._n = 0
+        self._last = None  # the last row's iteration, as stored in _iter
         self._iter = np.zeros(rows, dtype=np.int64)
         self._value = self._column(rows)
         self._opt = {}  # "grad_norm" or a custom key -> (column, presence flags)
@@ -164,18 +165,19 @@ class IterateTrace:
 
     def add(self, it, value, grad_norm=None, **custom):
         n = self._n
-        if n and it <= self._iter[n - 1]:
+        if n and it <= self._last:
             raise InvalidInput("trace iterations must be strictly increasing")
-        self._iter[n] = it
+        self._iter[n] = self._last = int(it)
         self._value[n] = value
         if grad_norm is not None:
             custom["grad_norm"] = grad_norm
         for key, v in custom.items():
-            if key not in self._opt:
-                self._opt[key] = (self._column(len(self._iter)), np.zeros(len(self._iter), bool))
-            col, has = self._opt[key]
-            col[n] = v
-            has[n] = True
+            cell = self._opt.get(key)
+            if cell is None:
+                rows = len(self._iter)
+                cell = self._opt[key] = (self._column(rows), np.zeros(rows, bool))
+            cell[0][n] = v
+            cell[1][n] = True
         self._n = n + 1
 
     def __len__(self):
@@ -209,7 +211,7 @@ class IterateTrace:
     def trace(self, s):
         """Seed s of a batch as a single-run trace that views its columns."""
         view = IterateTrace(self.f_star, rows=0)
-        n = view._n = self._n
+        n, view._n, view._last = self._n, self._n, self._last
         view._iter, view._value = self._iter[:n], self._value[:n, s]
         view._opt = {k: (col[:n, s], has[:n]) for k, (col, has) in self._opt.items()}
         view.final_point = self.final_point[s].copy()
@@ -238,16 +240,25 @@ class IterateTrace:
         """The trace as CSV; the time_s column is always 0, so equal runs give equal bytes."""
         self._single_run()
         n = self._n
-
-        def strings(col, has=None):
+        grad_norm, has = self._opt.get("grad_norm", (None, None))
+        # one "%" over a row template; a column with absent cells goes in as strings
+        fields, columns = [], []
+        for fmt, col, present in (("%d", self._iter, None), ("%.17g", self._value, None),
+                                  ("%.17g", self.gaps(), None), ("%.17g", grad_norm, has)):
             if col is None:
-                return [""] * n
-            out = [format(v, ".17g") for v in col[:n].tolist()]
-            return out if has is None else [t if h else "" for t, h in zip(out, has[:n].tolist())]
-
-        rows = zip(self.iters().tolist(), strings(self.values()), strings(self.gaps()),
-                   strings(*self._opt.get("grad_norm", (None,))))
-        text = "iter,value,gap,grad_norm,time_s\n" + "".join("%d,%s,%s,%s,0\n" % r for r in rows)
+                fields.append("")
+                continue
+            cells = col[:n].tolist()
+            if present is not None and not present[:n].all():
+                cells = [fmt % v if h else "" for v, h in zip(cells, present[:n].tolist())]
+                fmt = "%s"
+            fields.append(fmt)
+            columns.append(cells)
+        flat = [None] * (n * len(columns))
+        for i, cells in enumerate(columns):
+            flat[i::len(columns)] = cells
+        text = ("iter,value,gap,grad_norm,time_s\n"
+                + (",".join(fields) + ",0\n") * n % tuple(flat))
         if path is not None:
             with open(path, "w") as fh:
                 fh.write(text)

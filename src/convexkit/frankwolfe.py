@@ -11,9 +11,11 @@ from .core import NumericalError, as_vector, norm, record
 def loo_box(p, lo, hi):
     """Vertex of the box [lo, hi] minimizing <p, .>; ties toward lo (smallest index rule)."""
     p = as_vector(p)
-    lo = np.broadcast_to(np.asarray(lo, dtype=float), p.shape)
-    hi = np.broadcast_to(np.asarray(hi, dtype=float), p.shape)
-    return np.where(p >= 0, lo, hi).astype(float).copy()
+    s = np.where(p >= 0, np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    if s.shape != p.shape:
+        raise ValueError("box bounds of shape %s do not fit a point of shape %s"
+                         % (s.shape, p.shape))
+    return s
 
 
 def loo_l1ball(p, r):

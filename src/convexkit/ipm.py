@@ -31,7 +31,7 @@ class Barrier:
 
     def dual_norm(self, x, v):
         """||v||*_x = sqrt(<v, H(x)^-1 v>)."""
-        return _decrement(_pd(self.hessian(x)), v)
+        return _decrement(_pd(self.hessian(x)), np.asarray(v, dtype=float))
 
 
 def _pd(H):
@@ -45,7 +45,7 @@ def _pd(H):
 
 def _decrement(H, g):
     """sqrt(<g, H^-1 g>) for a positive definite H."""
-    return math.sqrt(max(float(g @ np.linalg.solve(H, g)), 0.0))
+    return math.sqrt(max(float(g.dot(np.linalg.solve(H, g))), 0.0))
 
 
 def log_barrier_polytope(A, b):
@@ -53,10 +53,11 @@ def log_barrier_polytope(A, b):
     A = np.asarray(A, dtype=float)
     b = as_vector(b)
     m, d = A.shape
+    AT = A.T
 
     def slacks(x):
         s = b - A @ x
-        if not s.min() > 0:
+        if not np.minimum.reduce(s) > 0:
             raise DomainError("point outside the polytope interior")
         return s
 
@@ -64,11 +65,12 @@ def log_barrier_polytope(A, b):
         return -float(np.sum(np.log(slacks(x))))
 
     def gradient(x):
-        return A.T @ (1.0 / slacks(x))
+        return AT.dot(1.0 / slacks(x))
 
     def evaluate(x):
         w = 1.0 / slacks(x)
-        return A.T @ w, (A * (w * w)[:, None]).T @ A
+        # A^T diag(w^2) A; AT * (w * w) keeps A's memory order, which fixes how the product rounds
+        return AT.dot(w), (AT * (w * w)).dot(A)
 
     def in_domain(x):
         return bool(np.all(b - A @ x > 0))

@@ -45,14 +45,14 @@ def entropic_geometry(dim):
 
     def phi(x):
         x = np.maximum(np.asarray(x, dtype=float), ENTROPIC_FLOOR)
-        return float(np.sum(x * np.log(x) - x))
+        return float(np.add.reduce(x * np.log(x) - x, axis=None))
 
     return BregmanGeometry(
         phi=phi,
         grad=lambda x: np.log(np.maximum(np.asarray(x, dtype=float), ENTROPIC_FLOOR)),
         grad_star=np.exp,
         alpha_phi=1.0, norm="l1",
-        in_domain=lambda x: bool(np.all(np.asarray(x) > 0)),
+        in_domain=lambda x: bool((np.asarray(x) > 0).all()),
         name="entropic")
 
 
@@ -97,12 +97,12 @@ def run_mpgd(f, g, geometry, h, x0, N, constraint=None):
             yield x, plus_reg(v, g, x), norm(grad), {"avg_value": total(avg)}
             dual = geometry.grad(x) - h * grad
             if g is None and constraint == "simplex":
-                dual -= np.max(dual)  # the normalization cancels it; exp cannot overflow
+                dual -= np.maximum.reduce(dual)  # the normalization cancels it; exp cannot overflow
             w = geometry.grad_star(dual)
             if g is not None:
                 w = g.prox(w, h)
             if constraint == "simplex":
-                w = w / float(np.sum(w))
+                w = w / float(np.add.reduce(w))
             if not geometry.in_domain(w):
                 raise DomainError("iterate left the mirror-map domain")
             x = w

@@ -139,7 +139,7 @@ def make_lasso(X, Y, lam, name="lasso"):
     if lam < 0:
         raise InvalidProblem("lam must be >= 0")
     f = make_least_squares(X, Y, name=name + "-smooth")
-    g = ProxTerm(value=lambda x: lam * float(np.sum(np.abs(x))),
+    g = ProxTerm(value=lambda x: lam * float(np.add.reduce(np.abs(x), axis=None)),
                  prox=lambda y, h: prox_l1(y, lam * h), alpha=0.0)
 
     def subgrad(x):
@@ -292,7 +292,7 @@ def make_finite_sum(components, name="finite-sum"):
     beta_comp = float(max(c.beta for c in components))
 
     def value(x):
-        return sum(c.value(x) for c in components) / n
+        return sum([c.value(x) for c in components]) / n
 
     def grad(x):
         return sum(c.subgradient(x) for c in components) / n
@@ -325,7 +325,7 @@ def make_svm_hinge(X, Y, lam, ball_radius=None, name="svm-hinge"):
     L = row_norm + lam * ball_radius
 
     def value(theta):
-        return float(np.maximum(0.0, 1.0 - Y * X.dot(theta)).sum() / n) + 0.5 * lam * float(theta.dot(theta))
+        return float(np.add.reduce(np.maximum(0.0, 1.0 - Y * X.dot(theta))) / n) + 0.5 * lam * float(theta.dot(theta))
 
     def subgrad(theta):
         margin = Y * X.dot(theta)
@@ -334,7 +334,7 @@ def make_svm_hinge(X, Y, lam, ball_radius=None, name="svm-hinge"):
 
     def value_and_grad(theta):
         margin = Y * X.dot(theta)
-        value = float(np.maximum(0.0, 1.0 - margin).sum() / n) + 0.5 * lam * float(theta.dot(theta))
+        value = float(np.add.reduce(np.maximum(0.0, 1.0 - margin)) / n) + 0.5 * lam * float(theta.dot(theta))
         return value, -X.T.dot(Y * (margin < 1.0)) / n + lam * theta
 
     return ProblemOracle(X.shape[1], value, subgrad, value_and_grad=value_and_grad, alpha=lam,

@@ -115,13 +115,14 @@ def clt_check(A, theta_star, gamma, n, trials, seed=0, noise_scale=1.0):
     Each step is theta -= (h (theta - X)) A^T, computed in place in
     preallocated buffers: the scaling by h comes before the product, as the
     expression reads, because for a non-diagonal A the other order rounds
-    differently.
+    differently. The products take contiguous copies of C^T and A^T.
     """
     A = np.asarray(A, dtype=float)
     theta_star = as_vector(theta_star)
     d = theta_star.size
     rng = make_rng(seed)
     C = np.linalg.cholesky(np.linalg.inv(A)) * noise_scale
+    CT, AT = np.ascontiguousarray(C.T), np.ascontiguousarray(A.T)
     theta = np.zeros((trials, d))
     total = np.zeros((trials, d))
     Z = np.empty((trials, d))  # the step's normals
@@ -130,11 +131,11 @@ def clt_check(A, theta_star, gamma, n, trials, seed=0, noise_scale=1.0):
     for k in range(n):
         total += theta
         rng.standard_normal(out=Z)
-        np.matmul(Z, C.T, out=X)
+        np.matmul(Z, CT, out=X)
         X += theta_star
         np.subtract(theta, X, out=D)
         D *= (k + 1.0) ** (-gamma)
-        np.matmul(D, A.T, out=X)
+        np.matmul(D, AT, out=X)
         theta -= X
     theta_bar = total / n
     err = math.sqrt(n) * (theta_bar - theta_star[None, :])

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from convexkit import altmin, problems
-from convexkit.core import DivergenceError, InvalidProblem, ProblemOracle
+from convexkit import acceptance, altmin, problems
+from convexkit.core import (CapabilityError, DivergenceError, InvalidProblem, ProblemOracle,
+                            make_rng)
 from convexkit.mirror import kl_divergence
 
 
@@ -71,6 +72,53 @@ def test_ram_seeded_and_converges():
     b = altmin.run_ram(q, np.ones(2), 60, seed=3)
     assert np.array_equal(a.final_point, b.final_point)
     assert a.gaps()[-1] < 1e-8
+
+
+def _check_14_instances():
+    """Check 14's two RAM instances: (problem, x0, steps)."""
+    M = make_rng(23).normal(size=(4, 4))
+    q4 = acceptance._two_block_quadratic(M @ M.T + 0.5 * np.eye(4))
+    qb = acceptance._two_block_quadratic(np.full((20, 20), 1.0) + 0.1 * np.eye(20))
+    return [(q4, np.ones(4), 24), (qb, make_rng(37).normal(size=20), 600)]
+
+
+def test_single_seed_ram_is_the_hand_loop():
+    # the loop run_ram stood for before it took seed batches, bit for bit
+    for q, x0, N in _check_14_instances():
+        for seed in (0, 7):
+            rng, x, values = make_rng(seed), x0.copy(), []
+            for n in range(N + 1):
+                values.append(q.value(x))
+                if n < N:
+                    x = q.block_argmin(int(rng.integers(q.n_blocks)), x)
+            tr = altmin.run_ram(q, x0, N, seed=seed)
+            assert tr.values().tobytes() == np.array(values).tobytes()
+            assert tr.final_point.tobytes() == x.tobytes()
+
+
+def _assert_rel(a, b, tol=1e-12):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape
+    assert np.linalg.norm(a - b) <= tol * np.linalg.norm(b), (a, b)
+
+
+@pytest.mark.parametrize("S", [1, 9])
+def test_batched_ram_rows_match_single_seed_runs(S):
+    for q, x0, N in _check_14_instances():
+        seeds = range(3, 3 + S)
+        batch = altmin.run_ram(q, x0, N, seed=seeds)
+        assert batch.values().shape == (N + 1, S) and batch.final_point.shape == (S, x0.size)
+        for s, seed in enumerate(seeds):
+            single = altmin.run_ram(q, x0, N, seed=seed)
+            _assert_rel(batch.values()[:, s], single.values())
+            _assert_rel(batch.gaps()[:, s], single.gaps())
+            _assert_rel(batch.final_point[s], single.final_point)
+
+
+def test_batched_ram_needs_a_row_wise_block_argmin():
+    q = _two_block([[2.0, 0.3], [0.3, 1.0]], [0.5, 0.5])  # block_argmin takes one point
+    with pytest.raises(CapabilityError):
+        altmin.run_ram(q, np.ones(2), 5, seed=range(3))
 
 
 def test_gauss_southwell_picks_largest_coordinate():

@@ -83,6 +83,54 @@ def test_columns_match_the_per_row_dicts(f_star, rows):
     assert [_row(r) for r in tr.records] == [_row(r) for r in ref.records]
 
 
+def _csv_per_cell(iters, values, f_star, grad_norms):
+    """The CSV formatted a cell at a time; a grad norm of None is an absent cell."""
+    def fmt(v):
+        return "" if v is None else format(v, ".17g")
+
+    return "iter,value,gap,grad_norm,time_s\n" + "".join(
+        "%d,%s,%s,%s,0\n" % (it, fmt(v), fmt(None if f_star is None else v - f_star), fmt(g))
+        for it, v, g in zip(iters, values, grad_norms))
+
+
+SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308,
+           1e308, -1e308, 1.0 / 3.0, 0.1, -2.5e-17, 123456789.0]
+
+
+@pytest.mark.parametrize("rows, f_star, present", [
+    (rows, f_star, present) for rows in (1, 2, 40) for f_star in (None, 0.0, -1.0 / 3.0)
+    for present in ("all", "none", "some")] + [(200001, -1.0 / 3.0, "some")])
+def test_to_csv_matches_the_per_cell_formatter(rows, f_star, present):
+    rng = np.random.default_rng(rows)
+    pool = np.array(SPECIAL + list(rng.normal(size=50) * 10.0 ** rng.integers(-300, 300, 50)))
+    values = pool[rng.integers(len(pool), size=rows)].tolist()
+    norms = pool[rng.integers(len(pool), size=rows)].tolist()
+    has = {"all": [True] * rows, "none": [False] * rows,
+           "some": [n % 3 != 1 for n in range(rows)]}[present]
+    grad_norms = [g if h else None for g, h in zip(norms, has)]
+    iters = [2 * n + 1 for n in range(rows)]
+    tr = IterateTrace(f_star, rows=rows)
+    for it, v, g in zip(iters, values, grad_norms):
+        tr.add(it, v, g, raw=v)
+    assert tr.to_csv() == _csv_per_cell(iters, values, f_star, grad_norms)
+
+
+def test_add_refuses_an_iteration_that_does_not_increase():
+    tr = IterateTrace(rows=4)
+    tr.add(0, 1.0)
+    tr.add(5, 2.0)
+    for it in (5, 4, 0, -1):
+        with pytest.raises(InvalidInput, match="strictly increasing"):
+            tr.add(it, 3.0, 1.0, raw=1.0)
+    assert len(tr) == 2 and tr.custom_keys() == [] and list(tr.iters()) == [0, 5]
+    tr.add(6, 3.0)
+    assert list(tr.iters()) == [0, 5, 6]
+    one = IterateTrace(rows=2)
+    one.add(-3, 1.0)  # the first row takes any iteration
+    with pytest.raises(InvalidInput):
+        one.add(-3, 1.0)
+
+
 def test_records_write_through_to_the_columns():
     tr = IterateTrace(f_star=1.0, rows=2)
     tr.add(0, 3.0, 0.5, avg_value=2.0)
