@@ -35,7 +35,7 @@ def run_am(problem, x0, sweeps):
 def run_ram(problem, x0, N, seed=0):
     """Randomized alternating minimization: one uniform random block per step.
 
-    A sequence of seeds runs them all as one batch (see core.record_rows):
+    A sequence of seeds runs them all as one batch (see core.record):
     block_argmin then takes an (S, d) point and an S-vector of block indices.
     """
     argmin = problem.require("block_argmin")

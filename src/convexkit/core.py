@@ -143,11 +143,11 @@ class IterateTrace:
     """Per-iteration rows kept as columns, plus the final point.
 
     Columns: iter, value, grad_norm and one per custom key; gaps() is value -
-    f_star when f_star is declared. S seeds stepped as one batch
-    (record_rows) have S-vector cells, and trace(s) views seed s. grad_norm
-    and custom cells may be absent from a row: a per-row flag says so, and
-    the cell reads NaN. The columns hold the given number of rows: add has
-    no room beyond them.
+    f_star when f_star is declared. S seeds that record steps as one batch
+    have S-vector cells, and trace(s) views seed s. grad_norm and custom
+    cells may be absent from a row: a per-row flag says so, and the cell
+    reads NaN. The columns hold the given number of rows: add has no
+    room beyond them.
     """
 
     def __init__(self, f_star=None, *, rows, seeds=None):
@@ -314,29 +314,41 @@ def record(iterates, x0, N, f_star, seed=None):
     """Trace the first N+1 items of the generator iterates(x0 copy).
 
     Each item is (point, value, grad_norm, custom). No step is taken after
-    record N. A generator that returns after k >= 1 items ends a single-seed
-    trace early, with k records; one that yields nothing raises
-    NumericalError. A value beyond 1e12 (1 + max(|value at
-    n = 0|, |f_star|)), with |f_star| read as 0 when f_star is None, or a
-    non-finite point raises DivergenceError. The last point becomes the
-    trace's final_point.
-    Given a seed, iterates takes (x, rng) with rng = make_rng(seed); a
-    sequence of seeds steps them all as one batch (see record_rows).
+    record N. A generator that returns after k >= 1 items ends the trace
+    early, with k records; one that yields nothing raises NumericalError. A
+    value beyond 1e12 (1 + max(|value at n = 0|, |f_star|)), with |f_star|
+    read as 0 when f_star is None, or a non-finite point raises
+    DivergenceError. The last point becomes the trace's final_point.
+    Given a seed, iterates takes (x, rng) with rng = make_rng(seed). A
+    sequence of S seeds is stepped as one batch (see _rows) into an S-seed
+    trace, each row with its own divergence guard and scale.
     """
     if N < 0:
         raise InvalidInput("budget must be >= 0")
     x0 = as_vector(x0)
-    if seed is None:
-        items = iterates(x0.copy())
-    elif np.ndim(seed) == 0:
-        items = iterates(x0.copy(), make_rng(seed))
+    if seed is None or np.ndim(seed) == 0:
+        items = iterates(x0.copy()) if seed is None else iterates(x0.copy(), make_rng(seed))
+        trace = IterateTrace(f_star, rows=N + 1)
+        maximum, check = max, check_divergence
     else:
-        return record_rows(iterates, x0, N, f_star, seed)
-    trace = IterateTrace(f_star, rows=N + 1)
+        seeds = list(seed)
+        if not seeds:
+            raise InvalidInput("need at least one seed")
+        items = _rows(iterates, x0, N, seeds)
+        trace = IterateTrace(f_star, rows=N + 1, seeds=len(seeds))
+        maximum = np.maximum
+
+        def check(value, X, scale):  # check_divergence on every row
+            ok = (np.isfinite(value) & (np.abs(value) <= DIVERGENCE_FACTOR * scale)
+                  & np.isfinite(X).all(axis=1))
+            if not ok.all():
+                s = int(np.argmin(ok))
+                raise DivergenceError("iterate of seed %r diverged (value %r)"
+                                      % (seeds[s], float(value[s])))
     for n, (x, value, grad_norm, custom) in zip(range(N + 1), items):
         if n == 0:
-            scale = 1.0 + max(abs(value), 0.0 if f_star is None else abs(f_star))
-        check_divergence(value, x, scale)
+            scale = 1.0 + maximum(abs(value), 0.0 if f_star is None else abs(f_star))
+        check(value, x, scale)
         trace.add(n, value, grad_norm, **custom)
     if not len(trace):
         raise NumericalError("the solver yielded no iterate")
@@ -344,51 +356,30 @@ def record(iterates, x0, N, f_star, seed=None):
     return trace
 
 
-def record_rows(iterates, x0, N, f_star, seeds):
-    """Step S seeds as one (S, d) matrix through iterates(X, make_rng(seeds)).
+def _rows(iterates, x0, N, seeds):
+    """The items of iterates(X, make_rng(seeds)), X holding S rows of x0.
 
-    Every item holds an (S, d) point, S values and S-vectors for grad_norm
-    and the custom columns, so the oracles the generator calls must be
-    row-wise. Row 0 of records 0 and 1 (the first stochastic-oracle call) is
-    checked against the single-seed run of seeds[0]; an oracle that fails
-    on, or mixes, the rows raises CapabilityError. Each row has its own
-    divergence guard, scaled as in record, and a generator that returns
-    early ends the trace early, as in record. Returns an S-seed IterateTrace.
+    Each holds an (S, d) point, S values and S-vectors for grad_norm and the
+    custom columns, so the generator's oracles must be row-wise. Row 0 of
+    items 0 and 1 (the first stochastic-oracle call) is checked against the
+    single-seed run of seeds[0]; an oracle that fails on, or mixes, the rows
+    raises CapabilityError.
     """
-    seeds = list(seeds)
     S = len(seeds)
-    if S < 1:
-        raise InvalidInput("need at least one seed")
     probe = [item for _, item in zip(range(min(N, 1) + 1),
                                       iterates(x0.copy(), make_rng(seeds[0])))]
     rows = iterates(np.tile(x0, (S, 1)), make_rng(seeds))
-    trace = IterateTrace(f_star, rows=N + 1, seeds=S)
-    for n in range(N + 1):
-        if n < len(probe):
-            try:
-                item = next(rows, None)
-                if item is not None:
-                    _match_row0(probe[n], item, S)
-            except (TypeError, ValueError, IndexError, AttributeError) as exc:
-                raise CapabilityError("oracle is not row-wise: %s" % exc) from exc
-        else:
+    for ref in probe:
+        try:
             item = next(rows, None)
-        if item is None:  # the generator returned: n records, as in record
-            break
-        X, value, grad_norm, extra = item
-        if n == 0:
-            scale = 1.0 + np.maximum(np.abs(value), 0.0 if f_star is None else abs(f_star))
-        ok = (np.isfinite(value) & (np.abs(value) <= DIVERGENCE_FACTOR * scale)
-              & np.isfinite(X).all(axis=1))
-        if not ok.all():
-            s = int(np.argmin(ok))
-            raise DivergenceError("iterate of seed %r diverged (value %r)"
-                                  % (seeds[s], float(value[s])))
-        trace.add(n, value, grad_norm, **extra)
-    if not len(trace):
-        raise NumericalError("the solver yielded no iterate")
-    trace.final_point = X
-    return trace
+            if item is not None:
+                _match_row0(ref, item, S)
+        except (TypeError, ValueError, IndexError, AttributeError) as exc:
+            raise CapabilityError("oracle is not row-wise: %s" % exc) from exc
+        if item is None:
+            return
+        yield item
+    yield from rows
 
 
 def _match_row0(ref, item, S):
@@ -417,7 +408,7 @@ def composite_value(f, g):
 
 def plus_reg(v, g, z):
     """F(z) from v = f(z): the float composite_value(f, g)(z) gives."""
-    return v + (g.value(z) if g is not None else 0.0)
+    return v if g is None else v + g.value(z)
 
 
 def finite_diff_gradient(f, x, h=1e-6):

@@ -85,17 +85,10 @@ def simulate_agf(problem, t_end, dt=None, x0=None, mode="convex", alpha=None):
 
 
 def run_gd(problem, h, x0, N):
-    """x_{n+1} = x_n - h grad f(x_n)."""
-    if h <= 0:
-        raise InvalidInput("step must be positive")
+    """x_{n+1} = x_n - h grad f(x_n): proximal gradient with no regularizer."""
+    from .proximal import run_pgd  # imported lazily: proximal imports this module
 
-    def iterates(x):
-        while True:
-            v, g = problem.value_and_grad(x)
-            yield x, v, norm(g), {}
-            x = x - h * g
-
-    return record(iterates, x0, N, problem.f_star)
+    return run_pgd(problem, None, h, x0, N, problem.f_star)
 
 
 def gd_sharp_contraction_factor(alpha, beta):

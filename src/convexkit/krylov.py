@@ -17,22 +17,16 @@ def cg_solve(A, b, x0=None, N=None, tol=0.0, f_star=None):
 
     Returns (trace, directions). For tol > 0 the trace ends at the first
     ||r|| <= tol * ||b||; otherwise it has N+1 records, and at an exact
-    solution (r = 0) CG stays put. Directions p_0..p_k are kept for the
-    orthogonality tests. One A @ p per iteration: the value is
-    -1/2 <x, b + r> from the residual r = b - Ax that CG keeps (its
-    recurrence, not a fresh A @ x).
+    solution (r = 0) CG stays put. The trace has a gap column only when
+    f_star is given. Directions p_0..p_k are kept for the orthogonality
+    tests. One A @ p per iteration: the value is -1/2 <x, b + r> from the
+    residual r = b - Ax that CG keeps (its recurrence, not a fresh A @ x).
     """
     A = np.asanyarray(A, dtype=float)
     b = as_vector(b)
     d = b.size
     if N is None:
         N = d
-    if f_star is None:
-        try:
-            xs = np.linalg.solve(A, b)
-            f_star = -0.5 * float(b @ xs)
-        except np.linalg.LinAlgError:
-            f_star = None
     directions = []
     bnorm = float(np.linalg.norm(b))
 
@@ -86,7 +80,8 @@ def cg_energy_certificate(A, b, x0=None, N=None):
         N = b.size
     evals = np.linalg.eigvalsh(A)
     kappa = evals[-1] / evals[0]
-    trace, _ = cg_solve(A, b, x0, N)
+    f_star = -0.5 * float(b @ np.linalg.solve(A, b))
+    trace, _ = cg_solve(A, b, x0, N, f_star=f_star)
     gap0 = trace.gaps()[0]
     gapN = trace.gaps()[-1]
     ratio = 0.0 if gap0 <= 0 else max(gapN, 0.0) / gap0

@@ -140,7 +140,7 @@ def omd_step_size(R_phi, alpha_phi, L, T):
     return R_phi * math.sqrt(2.0 * alpha_phi) / (L * math.sqrt(T))
 
 
-def solve_zero_sum(A, eps, seed=0, rounds=None):
+def solve_zero_sum(A, eps):
     """Approximate value of the zero-sum game min_x max_y <x, A y> by
     multiplicative weights for the row player against best-response columns.
 
@@ -154,8 +154,7 @@ def solve_zero_sum(A, eps, seed=0, rounds=None):
     amax = float(np.max(np.abs(A)))
     if amax == 0.0:
         return np.full(m, 1.0 / m), 0.0, 1
-    if rounds is None:
-        rounds = int(math.ceil(8.0 * amax * amax * max(math.log(m), 1.0) / (eps * eps)))
+    rounds = int(math.ceil(8.0 * amax * amax * max(math.log(m), 1.0) / (eps * eps)))
     h = math.sqrt(2.0 * max(math.log(m), 1.0) / rounds) / amax
     x = np.full(m, 1.0 / m)
     x_sum = np.zeros(m)

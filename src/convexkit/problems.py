@@ -134,13 +134,13 @@ def make_least_squares(X, Y, name="least-squares"):
 
 def make_lasso(X, Y, lam, name="lasso"):
     """Least squares plus lam*||theta||_1; composite with a prox-friendly part."""
-    from .proximal import ProxTerm, prox_l1
+    from .proximal import prox_l1
 
     if lam < 0:
         raise InvalidProblem("lam must be >= 0")
     f = make_least_squares(X, Y, name=name + "-smooth")
-    g = ProxTerm(value=lambda x: lam * float(np.add.reduce(np.abs(x), axis=None)),
-                 prox=lambda y, h: prox_l1(y, lam * h), alpha=0.0)
+    g = ProblemOracle(f.dim, lambda x: lam * float(np.add.reduce(np.abs(x), axis=None)),
+                      prox=lambda y, h: prox_l1(y, lam * h))
 
     def subgrad(x):
         return f.subgradient(x) + lam * np.sign(x)

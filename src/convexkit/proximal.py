@@ -9,15 +9,6 @@ from .core import InvalidInput, NumericalError, as_vector, composite_value, norm
 from .gradient import agd_lambda_sequence
 
 
-class ProxTerm:
-    """A prox-friendly term: value oracle, prox(y, h), strong convexity alpha."""
-
-    def __init__(self, value, prox, alpha=0.0):
-        self.value = value
-        self.prox = prox
-        self.alpha = float(alpha)
-
-
 def prox_l1(y, lam):
     """Soft thresholding: (|y| - lam)_+ sign(y) componentwise."""
     if lam < 0:

@@ -14,7 +14,7 @@ def run_sgd(problem, h, x0, N, seed=0):
     """Plain SGD with a constant step; the trace records the exact objective.
 
     A sequence of seeds runs them all as one batch and returns their S-seed
-    trace (see core.record_rows); the oracles must then be row-wise.
+    trace (see core.record); the oracles must then be row-wise.
     """
     grad = problem.require("stochastic_gradient")
 

@@ -237,6 +237,9 @@ def test_composite_value():
     g = ProblemOracle(1, lambda x: abs(float(x[0])))
     assert composite_value(f, g)(np.array([-3.0])) == 12.0
     assert composite_value(f, None)(np.array([-3.0])) == 9.0
+    # with no g, F is f itself: a -0.0 value keeps its sign
+    neg_zero = ProblemOracle(1, lambda x: -0.0)
+    assert math.copysign(1.0, composite_value(neg_zero, None)(np.array([1.0]))) == -1.0
 
 
 def test_finite_diff_gradient_matches_analytic():

@@ -41,6 +41,18 @@ def test_cg_monotone_in_energy():
     assert np.all(np.diff(tr.gaps()) <= 1e-12)
 
 
+def test_cg_without_f_star_has_no_gap_and_no_dense_solve(monkeypatch):
+    A, b = _spd(6, 5.0, seed=3)
+
+    def solve(*args):
+        raise AssertionError("cg_solve ran a dense solve")
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    tr, _ = krylov.cg_solve(A, b, np.zeros(6), 6)
+    assert tr.gaps() is None and tr.final_gap() is None
+    assert tr.to_csv().splitlines()[1].split(",")[2] == ""
+
+
 def test_cg_stays_put_at_an_exact_solution_unless_tol_ends_the_trace():
     b = np.array([1.0, -2.0, 0.5])
     tr, dirs = krylov.cg_solve(np.eye(3), b, np.zeros(3), 6)  # r = 0 after one step

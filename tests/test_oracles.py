@@ -9,8 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from convexkit import (altmin, frankwolfe, gradient, krylov, mirror, nonsmooth,
-                       problems, proximal)
-from convexkit.core import ProblemOracle, finite_diff_gradient
+                       problems, proximal, stochastic)
+from convexkit.core import ProblemOracle, finite_diff_gradient, run_solver
 
 D = 4
 
@@ -112,7 +112,8 @@ def test_worst_case_smooth_oracle_is_row_wise():
 # --- oracle passes per iteration ------------------------------------------------
 
 def _counted(p):
-    """Count calls of p's value, subgradient and value_and_grad attributes."""
+    """Count calls of p's value, subgradient, value_and_grad and
+    stochastic_gradient attributes."""
     counts = collections.Counter()
 
     def wrap(key, fn):
@@ -121,9 +122,16 @@ def _counted(p):
             return fn(*args)
         return counted
 
-    for key in ("value", "subgradient", "value_and_grad"):
+    for key in ("value", "subgradient", "value_and_grad", "stochastic_gradient"):
         setattr(p, key, wrap(key, getattr(p, key)))
     return counts
+
+
+def _with_stochastic_gradient(q):
+    """q with a noisy gradient that calls none of q's other oracles."""
+    A, b = q.extra["A"], q.extra["b"]
+    q.stochastic_gradient = lambda x, rng: A @ x - b + 0.1 * rng.standard_normal(x.shape)
+    return q
 
 
 N = 12
@@ -137,32 +145,42 @@ def _ball(z):
     return nonsmooth.project_ball(z, np.zeros(D), 10.0)
 
 
-# loop name -> (run(oracle), expected calls per record: fused, value, subgradient)
+# loop name -> (run(oracle), expected calls: fused and value per record,
+# subgradient and stochastic_gradient per step)
 LOOPS = {
-    "gd": (lambda q: gradient.run_gd(q, 0.1, _x0(), N), (1, 0, 0)),
-    "agd": (lambda q: gradient.run_agd(q, _x0(), N), (1, 0, 1)),
-    "psd": (lambda q: nonsmooth.run_psd(q, _ball, 0.1, _x0(), N), (1, 1, 0)),
-    "psd_strong": (lambda q: nonsmooth.run_psd_strong(q, _ball, _x0(), N)[1], (1, 1, 0)),
-    "pgd": (lambda q: proximal.run_pgd(q, None, 0.1, _x0(), N), (1, 0, 0)),
-    "ppm": (lambda q: proximal.run_ppm(q, 1.0, _x0(), N), (1, 0, 0)),
+    "gd": (lambda q: gradient.run_gd(q, 0.1, _x0(), N), (1, 0, 0, 0)),
+    "agd": (lambda q: gradient.run_agd(q, _x0(), N), (1, 0, 1, 0)),
+    "psd": (lambda q: nonsmooth.run_psd(q, _ball, 0.1, _x0(), N), (1, 1, 0, 0)),
+    "psd_strong": (lambda q: nonsmooth.run_psd_strong(q, _ball, _x0(), N)[1], (1, 1, 0, 0)),
+    "pgd": (lambda q: proximal.run_pgd(q, None, 0.1, _x0(), N), (1, 0, 0, 0)),
+    "apgd": (lambda q: proximal.run_apgd(q, None, _x0(), N), (0, 1, 1, 0)),
+    "ppm": (lambda q: proximal.run_ppm(q, 1.0, _x0(), N), (1, 0, 0, 0)),
     "fw": (lambda q: frankwolfe.run_fw(
-        q, lambda g: frankwolfe.loo_box(g, -1.0, 1.0), _x0(), N)[0], (1, 0, 0)),
-    "gauss_southwell": (lambda q: altmin.run_gauss_southwell(q, 0.1, _x0(), N), (1, 0, 0)),
-    "gf": (lambda q: gradient.simulate_gf(q, N * 0.01, 0.01, _x0()), (1, 0, 0)),
-    "agf": (lambda q: gradient.simulate_agf(q, N * 0.01, 0.01, _x0()), (1, 0, 0)),
+        q, lambda g: frankwolfe.loo_box(g, -1.0, 1.0), _x0(), N)[0], (1, 0, 0, 0)),
+    "gauss_southwell": (lambda q: altmin.run_gauss_southwell(q, 0.1, _x0(), N), (1, 0, 0, 0)),
+    "gf": (lambda q: gradient.simulate_gf(q, N * 0.01, 0.01, _x0()), (1, 0, 0, 0)),
+    "agf": (lambda q: gradient.simulate_agf(q, N * 0.01, 0.01, _x0()), (1, 0, 0, 0)),
+    "sgd": (lambda q: stochastic.run_sgd(q, 0.1, _x0(), N), (0, 1, 0, 1)),
+    # the objective at the iterate and at the running average
+    "smpgd": (lambda q: stochastic.run_smpgd(
+        q, None, mirror.euclidean_geometry(D), 0.1, _x0(), N), (0, 2, 0, 1)),
+    "run_solver-gd": (lambda q: run_solver(q, "gd", N), (1, 0, 0, 0)),
+    "run_solver-ista": (lambda q: run_solver(q, "ista", N), (1, 0, 0, 0)),
+    "run_solver-fista": (lambda q: run_solver(q, "fista", N), (0, 1, 1, 0)),
 }
 
 
 @pytest.mark.parametrize("loop", sorted(LOOPS))
 def test_one_fused_call_per_record(loop):
-    run, (fused, value, grad) = LOOPS[loop]
-    q = _problem("quadratic", 5)
+    run, (fused, value, grad, stochastic_grad) = LOOPS[loop]
+    q = _with_stochastic_gradient(_problem("quadratic", 5))
     counts = _counted(q)
     run(q)
     # N + 1 records; agd's gradient at y comes between records, N times
     assert counts["value_and_grad"] == fused * (N + 1)
     assert counts["value"] == value * (N + 1)
     assert counts["subgradient"] == grad * N
+    assert counts["stochastic_gradient"] == stochastic_grad * N
 
 
 def test_pgd_on_lasso_one_fused_call_per_record():

@@ -184,11 +184,11 @@ def test_record_trace_memory_is_columns_not_dicts():
     assert held < 10e6, held
 
 
-# record, record_rows, the seed view, and the two traces that record cannot
-# build: the ellipsoid's best-so-far value (inf before a feasible point) and one
-# row per budget in the rates suite
-TRACE_BUILDERS = {"core.record", "core.record_rows", "core.IterateTrace.trace",
-                  "nonsmooth.run_ellipsoid", "cli._rate_rows"}
+# record, the seed view, and the two traces that record cannot build: the
+# ellipsoid's best-so-far value (inf before a feasible point) and one row per
+# budget in the rates suite
+TRACE_BUILDERS = {"core.record", "core.IterateTrace.trace", "nonsmooth.run_ellipsoid",
+                  "cli._rate_rows"}
 
 
 def _trace_builders(tree, scope):
