@@ -392,10 +392,6 @@ def cmd_rates(args):
 
 _RUN_CRITERION = acceptance.run_criterion
 
-# Raw seconds of the checks that take over a second, each alone in one process
-# at one BLAS thread (2-vCPU KVM guest); verify hands checks out longest first.
-CHECK_SECONDS = {"05-subgradient": 8.8, "16-clt": 6.0, "17-ipm": 1.5}
-
 # A verify worker: one check id per line on stdin, one JSON [failed, line] per
 # line on stdout. The working directory ("" on sys.path under -c) goes, so
 # convexkit comes from PYTHONPATH. fd 1 becomes stderr, so a check's own
@@ -437,7 +433,8 @@ def _cpu_count():
 
 
 def _check_in_workers(ids, count, report):
-    """Run the checks ids on count worker interpreters, longest first.
+    """Run the checks ids on count worker interpreters, longest first by the
+    costs in acceptance.CRITERIA.
 
     Each worker runs at one BLAS thread and takes the next check as soon as
     it is free; report(cid, (failed, line)) is called as each check ends. A
@@ -451,7 +448,8 @@ def _check_in_workers(ids, count, report):
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, (root, os.environ.get("PYTHONPATH")))))
-    todo = sorted(ids, key=lambda cid: -CHECK_SECONDS.get(cid, 0.0))
+    seconds = {cid: cost for cid, _, cost in acceptance.CRITERIA}
+    todo = sorted(ids, key=seconds.get, reverse=True)
     procs, busy = [], {}  # busy: worker -> the check it runs
     sel = selectors.DefaultSelector()
 

@@ -1,5 +1,6 @@
 """Shared numeric types: oracles, traces, the recording driver, rate fitting, solver dispatch."""
 
+import functools
 import math
 
 import numpy as np
@@ -539,6 +540,7 @@ def fit_rate(trace, skip=0):
 
 # --- uniform solver dispatch -------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def _solver_registry():
     # imported lazily so core stays at the bottom of the dependency order
     from . import gradient, krylov, nonsmooth, proximal, frankwolfe, mirror
@@ -621,22 +623,12 @@ def _solver_registry():
     }
 
 
-SOLVERS = None
-
-
-def _solvers():
-    global SOLVERS
-    if SOLVERS is None:
-        SOLVERS = _solver_registry()
-    return SOLVERS
-
-
 def solver_names():
-    return sorted(_solvers())
+    return sorted(_solver_registry())
 
 
 def _solver(name):
-    solvers = _solvers()
+    solvers = _solver_registry()
     if name not in solvers:
         raise InvalidInput("unknown algorithm %r (have: %s)" % (name, ", ".join(sorted(solvers))))
     return solvers[name]

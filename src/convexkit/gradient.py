@@ -107,23 +107,17 @@ def agd_lambda_sequence(N):
 
 
 def run_agd(problem, x0, N):
-    """Nesterov momentum: y_n = x_n + theta_n (x_n - x_{n-1}), gradient step from y_n."""
+    """Nesterov momentum: y_n = x_n + theta_n (x_n - x_{n-1}), gradient step
+    from y_n: FISTA with no regularizer."""
     if not 0 < problem.beta < math.inf:
         raise InvalidInput("AGD needs a finite positive smoothness constant")
-    h = 1.0 / problem.beta
-    lam = agd_lambda_sequence(N)
+    from .proximal import _nesterov  # imported lazily: proximal imports this module
 
-    def iterates(x):
-        x_prev = x
-        for n in itertools.count():
-            v, g = problem.value_and_grad(x)
-            yield x, v, norm(g), {}
-            theta = (lam[n] - 1.0) / lam[n + 1]
-            y = x + theta * (x - x_prev)
-            x_prev = x
-            x = y - h * problem.subgradient(y)
+    def at(x):
+        v, g = problem.value_and_grad(x)
+        return v, norm(g)
 
-    return record(iterates, x0, N, problem.f_star)
+    return _nesterov(problem, None, at, x0, N, problem.f_star)
 
 
 def min_grad_norm_rate(problem, h, x0, N):

@@ -11,17 +11,13 @@ ENTROPIC_FLOOR = 1e-300  # guard before logs; no effect at test scales
 
 
 class BregmanGeometry:
-    """Mirror map phi with gradient, inverse gradient, divergence, and the
-    strong-convexity constant alpha_phi relative to a named reference norm."""
+    """Mirror map phi with gradient, inverse gradient, domain test and divergence."""
 
-    def __init__(self, phi, grad, grad_star, alpha_phi, norm, in_domain, name):
+    def __init__(self, phi, grad, grad_star, in_domain):
         self.phi = phi
         self.grad = grad
         self.grad_star = grad_star
-        self.alpha_phi = float(alpha_phi)
-        self.norm = norm
         self.in_domain = in_domain
-        self.name = name
 
     def divergence(self, x, y):
         x = as_vector(x)
@@ -34,9 +30,7 @@ def euclidean_geometry(dim):
         phi=lambda x: 0.5 * float(x @ x),
         grad=lambda x: np.asarray(x, dtype=float),
         grad_star=lambda y: np.asarray(y, dtype=float),
-        alpha_phi=1.0, norm="l2",
-        in_domain=lambda x: True,
-        name="euclidean")
+        in_domain=lambda x: True)
 
 
 def entropic_geometry(dim):
@@ -51,9 +45,7 @@ def entropic_geometry(dim):
         phi=phi,
         grad=lambda x: np.log(np.maximum(np.asarray(x, dtype=float), ENTROPIC_FLOOR)),
         grad_star=np.exp,
-        alpha_phi=1.0, norm="l1",
-        in_domain=lambda x: bool((np.asarray(x) > 0).all()),
-        name="entropic")
+        in_domain=lambda x: bool((np.asarray(x) > 0).all()))
 
 
 def kl_divergence(x, y):

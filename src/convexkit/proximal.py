@@ -34,7 +34,7 @@ def _agd_strong(value, grad, x0, alpha, beta, tol, max_iter):
     raise NumericalError("inner AGD did not reach tolerance %g" % tol)
 
 
-def prox_generic(problem, y, h, inner_tol=None):
+def prox_generic(problem, y, h):
     """argmin of f(x) + ||y - x||^2 / (2h) by an inner accelerated solve.
 
     The inner objective is (alpha + 1/h)-strongly convex. Smooth f uses AGD;
@@ -43,8 +43,7 @@ def prox_generic(problem, y, h, inner_tol=None):
     if h <= 0:
         raise InvalidInput("h must be positive")
     y = as_vector(y)
-    if inner_tol is None:
-        inner_tol = 1e-10 * problem.scale_at(y)
+    tol = 1e-10 * problem.scale_at(y)
     if math.isfinite(problem.beta):
         alpha = problem.alpha + 1.0 / h
         beta = problem.beta + 1.0 / h
@@ -57,7 +56,7 @@ def prox_generic(problem, y, h, inner_tol=None):
             return problem.subgradient(x) + (x - y) / h
 
         budget = 100 * int(math.ceil(math.sqrt(1.0 + problem.beta * h))) + 100
-        return _agd_strong(val, grad, y.copy(), alpha, beta, inner_tol, budget)
+        return _agd_strong(val, grad, y.copy(), alpha, beta, tol, budget)
     if y.size != 1:
         raise NumericalError("non-smooth prox supported in 1-D only")
     # bracketed ternary search; the prox point is within h*L of y, expand until covered
@@ -122,18 +121,16 @@ def run_pgd(f, g, h, x0, N, f_star=None):
     return record(iterates, x0, N, f_star)
 
 
-def run_apgd(f, g, x0, N, f_star=None):
-    """FISTA: proximal gradient with the AGD momentum schedule, h = 1/beta_f."""
-    if not 0 < f.beta < math.inf:
-        raise InvalidInput("FISTA needs a finite positive smoothness constant")
+def _nesterov(f, g, at, x0, N, f_star):
+    """Proximal gradient with the AGD momentum schedule, h = 1/beta_f; at(x)
+    gives the (value, gradient norm) that x's record holds."""
     h = 1.0 / f.beta
     lam = agd_lambda_sequence(N)
-    F = composite_value(f, g)
 
     def iterates(x):
         x_prev = x
         for n in itertools.count():
-            yield x, F(x), None, {}
+            yield x, *at(x), {}
             theta = (lam[n] - 1.0) / lam[n + 1]
             y = x + theta * (x - x_prev)
             x_prev = x
@@ -143,10 +140,18 @@ def run_apgd(f, g, x0, N, f_star=None):
     return record(iterates, x0, N, f_star)
 
 
-def moreau_envelope(problem, h, y, inner_tol=None):
+def run_apgd(f, g, x0, N, f_star=None):
+    """FISTA: proximal gradient with the AGD momentum schedule, h = 1/beta_f."""
+    if not 0 < f.beta < math.inf:
+        raise InvalidInput("FISTA needs a finite positive smoothness constant")
+    F = composite_value(f, g)
+    return _nesterov(f, g, lambda x: (F(x), None), x0, N, f_star)
+
+
+def moreau_envelope(problem, h, y):
     """(Q_h f)(y) = min_x f(x) + ||y - x||^2 / (2h)."""
     y = as_vector(y)
-    xh = _prox_of(problem)(y, h) if problem.prox is not None else prox_generic(problem, y, h, inner_tol)
+    xh = _prox_of(problem)(y, h)
     d = xh - y
     return problem.value(xh) + 0.5 * float(d @ d) / h
 
