@@ -56,6 +56,8 @@ from .core import (CapabilityError, ConvexkitError, InvalidInput, InvalidProblem
 #   kind svm              rows, dim, X (rows*dim), Y (rows; +-1), lam
 #   kind worst-case-smooth     steps, beta, dim <= MAX_CHAIN_DIM
 #   kind worst-case-nonsmooth  steps <= MAX_NONSMOOTH_STEPS, L, R
+#   kind lp               rows, dim, A (rows*dim), b (rows), c (dim), x0 (dim; optional)
+#                         read by parse_lp_file; `run` refuses it as an unknown kind
 
 MAX_CHAIN_DIM = 4096  # a dense dim x dim matrix: 128 MB at the cap
 MAX_NONSMOOTH_STEPS = 1000000  # vectors of steps + 1 entries: 8 MB at the cap
@@ -211,12 +213,16 @@ def _design(fields):
     return X, Y
 
 
+def _kind(fields):
+    if "kind" not in fields:
+        raise InvalidInput("problem file is missing field 'kind'")
+    return fields["kind"].split()[0]
+
+
 def parse_problem_file(path):
     """Read a problem spec file into a ProblemOracle."""
     fields = _parse_fields(path)
-    if "kind" not in fields:
-        raise InvalidInput("problem file is missing field 'kind'")
-    kind = fields["kind"].split()[0]
+    kind = _kind(fields)
     if kind == "quadratic":
         dim = _integer(fields, "dim", 1)
         A = _numbers(fields, "A", dim * dim).reshape(dim, dim)
@@ -244,50 +250,19 @@ def parse_problem_file(path):
 
 
 def parse_lp_file(path):
-    """Read an LP from one file with CSV blocks under `A:`, `b:`, `c:`, `x0:`.
+    """Read a `kind lp` file: minimize <c, x> over {Ax <= b}.
 
-    Returns (A, b, c, x0) with x0 = None when the section is absent.
+    Returns (A, b, c, x0) with x0 = None when the file has no x0 field.
     """
-    sections = {}
-    current = None
-    with open(path, encoding="utf-8") as fh:
-        try:
-            for line in fh:
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if line.endswith(":") and line[:-1] in ("A", "b", "c", "x0"):
-                    current = line[:-1]
-                    sections[current] = []
-                    continue
-                if current is None:
-                    raise InvalidInput("LP file data before any section header")
-                try:
-                    row = _floats(line.replace(",", " "))
-                except ValueError:
-                    raise InvalidInput("LP section %r holds non-numeric data: %r"
-                                       % (current, line))
-                if not np.isfinite(row).all():
-                    raise InvalidInput("LP section %r holds a non-finite number: %r"
-                                       % (current, line))
-                sections[current].append(row)
-        except UnicodeDecodeError:
-            raise InvalidInput("LP file is not UTF-8 text")
-    for key in ("A", "b", "c"):
-        if key not in sections or not sections[key]:
-            raise InvalidInput("LP file is missing section %r" % key)
-    if len({len(row) for row in sections["A"]}) != 1:
-        raise InvalidInput("LP section 'A' has rows of different lengths")
-    A = np.array(sections["A"])
-    b, c = np.concatenate(sections["b"]), np.concatenate(sections["c"])
-    if A.shape != (b.size, c.size):
-        raise InvalidInput("LP sections have inconsistent shapes")
-    x0 = None
-    if sections.get("x0"):
-        x0 = np.concatenate(sections["x0"])
-        if x0.size != c.size:
-            raise InvalidInput("x0 has the wrong length")
-    return A, b, c, x0
+    fields = _parse_fields(path)
+    kind = _kind(fields)
+    if kind != "lp":
+        raise InvalidInput("LP file has kind %r, expected 'lp'" % kind)
+    rows = _integer(fields, "rows", 1)
+    dim = _integer(fields, "dim", 1)
+    A = _numbers(fields, "A", rows * dim).reshape(rows, dim)
+    b, c = _numbers(fields, "b", rows), _numbers(fields, "c", dim)
+    return A, b, c, _numbers(fields, "x0", dim) if "x0" in fields else None
 
 
 # --- config precedence: flag > CONVEXKIT_* env var > default -----------------

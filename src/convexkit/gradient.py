@@ -40,7 +40,7 @@ def simulate_gf(problem, t_end, dt=None, x0=None):
     return record(iterates, x0, int(round(t_end / dt)), problem.f_star)
 
 
-def simulate_agf(problem, t_end, dt=None, x0=None, mode="convex", alpha=None):
+def simulate_agf(problem, t_end, dt=None, x0=None, mode="convex"):
     """Accelerated gradient flow x' = p, p' = -gamma_t p - grad f(x) by Euler steps.
 
     mode "convex" uses gamma_t = 3/t and the Lyapunov function
@@ -51,8 +51,7 @@ def simulate_agf(problem, t_end, dt=None, x0=None, mode="convex", alpha=None):
     if dt is None:
         dt = default_dt(problem)
     if mode == "strong":
-        if alpha is None:
-            alpha = problem.alpha
+        alpha = problem.alpha
         if alpha <= 0:
             raise InvalidInput("strong mode needs alpha > 0")
         gamma_const = 2.0 * math.sqrt(alpha)

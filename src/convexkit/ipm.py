@@ -9,25 +9,27 @@ from .core import (CenteringFailed, DomainError, InvalidInput, NumericalError,
 
 
 class Barrier:
-    """Self-concordant barrier: value/gradient/Hessian oracles, parameter nu."""
+    """Self-concordant barrier with parameter nu, given by value(x) and
+    evaluate(x) -> (gradient, Hessian); both raise DomainError outside the interior."""
 
-    def __init__(self, dim, value, gradient, hessian, nu, in_domain, name="barrier",
-                 evaluate=None):
+    def __init__(self, dim, value, evaluate, nu):
         self.dim = int(dim)
         self.value = value
-        self.gradient = gradient
-        self.hessian = hessian
+        self.evaluate = evaluate
         self.nu = float(nu)
-        self.in_domain = in_domain
-        self.name = name
-        if evaluate is not None:
-            self.evaluate = evaluate  # one pass over x instead of the method below
 
-    def evaluate(self, x):
-        """(gradient, Hessian) at x; DomainError outside the interior."""
-        if not self.in_domain(x):
-            raise DomainError("%s: point outside the domain" % self.name)
-        return self.gradient(x), self.hessian(x)
+    def gradient(self, x):
+        return self.evaluate(x)[0]
+
+    def hessian(self, x):
+        return self.evaluate(x)[1]
+
+    def in_domain(self, x):
+        try:
+            self.value(x)
+        except DomainError:
+            return False
+        return True
 
     def dual_norm(self, x, v):
         """||v||*_x = sqrt(<v, H(x)^-1 v>)."""
@@ -64,19 +66,12 @@ def log_barrier_polytope(A, b):
     def value(x):
         return -float(np.sum(np.log(slacks(x))))
 
-    def gradient(x):
-        return AT.dot(1.0 / slacks(x))
-
     def evaluate(x):
         w = 1.0 / slacks(x)
         # A^T diag(w^2) A; AT * (w * w) keeps A's memory order, which fixes how the product rounds
         return AT.dot(w), (AT * (w * w)).dot(A)
 
-    def in_domain(x):
-        return bool(np.all(b - A @ x > 0))
-
-    return Barrier(d, value, gradient, lambda x: evaluate(x)[1], m, in_domain,
-                   name="log-polytope", evaluate=evaluate)
+    return Barrier(d, value, evaluate, m)
 
 
 def logdet_barrier(d):
@@ -84,32 +79,24 @@ def logdet_barrier(d):
     if d > 20:
         raise InvalidInput("log-det barrier supported up to 20 x 20")
 
-    def mat(x):
+    def pd(x):
+        """The symmetric part of x as a d x d matrix, once Cholesky has shown it PD."""
         X = np.asarray(x, dtype=float).reshape(d, d)
-        return 0.5 * (X + X.T)
-
-    def value(x):
-        sign, logdet = np.linalg.slogdet(mat(x))
-        if sign <= 0:
-            raise DomainError("matrix not positive definite")
-        return -logdet
-
-    def in_domain(x):
-        X = mat(x)
+        X = 0.5 * (X + X.T)
         try:
             np.linalg.cholesky(X)
-            return True
         except np.linalg.LinAlgError:
-            return False
+            raise DomainError("matrix not positive definite")
+        return X
+
+    def value(x):
+        return -np.linalg.slogdet(pd(x))[1]
 
     def evaluate(x):
-        if not in_domain(x):
-            raise DomainError("matrix not positive definite")
-        inv = np.linalg.inv(mat(x))
+        inv = np.linalg.inv(pd(x))
         return -inv.ravel(), np.kron(inv, inv)
 
-    return Barrier(d * d, value, lambda x: evaluate(x)[0], lambda x: evaluate(x)[1], d,
-                   in_domain, name="logdet", evaluate=evaluate)
+    return Barrier(d * d, value, evaluate, d)
 
 
 class ShiftedBarrier:
@@ -177,6 +164,24 @@ class PathState:
 C0 = 1.0 / 16.0
 
 
+def _path_step(barrier, x, grad, H, shift, t, path=""):
+    """One Newton step on a path: x - H^-1 (shift + grad), evaluated there.
+
+    grad and H are the barrier's at x and shift is the linear term's gradient
+    at t. Returns (x, grad, H, lambda) at the new point; NumericalError if the
+    step leaves the domain or lambda exceeds 1/4 there.
+    """
+    x = x - np.linalg.solve(H, shift + grad)
+    try:
+        grad, H = barrier.evaluate(x)
+    except DomainError:
+        raise NumericalError("Newton step left the domain%s at t = %g" % (path, t))
+    lam = _decrement(_pd(H), shift + grad)
+    if lam > 0.25 + 1e-12:
+        raise NumericalError("decrement %g > 1/4%s at t = %g" % (lam, path, t))
+    return x, grad, H, lam
+
+
 def path_follow(a, barrier, x_center, t0, eps, c0=C0):
     """Main stage: t grows by (1 + c0/sqrt(nu)) with one Newton step per update.
 
@@ -186,7 +191,6 @@ def path_follow(a, barrier, x_center, t0, eps, c0=C0):
     serves the decrement at t and the step to the next t.
     """
     a = as_vector(a)
-    nu = barrier.nu
     t = float(t0)
     x = as_vector(x_center).copy()
     grad, H = barrier.evaluate(x)
@@ -194,18 +198,11 @@ def path_follow(a, barrier, x_center, t0, eps, c0=C0):
     if lam > 0.25 + 1e-12:
         raise InvalidInput("x_center is not centered for t0 (decrement %g)" % lam)
     states = [PathState(t, x, lam)]
-    t_stop = 2.0 * nu / eps
-    growth = 1.0 + c0 / math.sqrt(nu)
+    t_stop = 2.0 * barrier.nu / eps
+    growth = 1.0 + c0 / math.sqrt(barrier.nu)
     while t < t_stop:
         t *= growth
-        x = x - np.linalg.solve(H, t * a + grad)
-        try:
-            grad, H = barrier.evaluate(x)
-        except DomainError:
-            raise NumericalError("Newton step left the domain at t = %g" % t)
-        lam = _decrement(_pd(H), t * a + grad)
-        if lam > 0.25 + 1e-12:
-            raise NumericalError("decrement %g > 1/4 at t = %g" % (lam, t))
+        x, grad, H, lam = _path_step(barrier, x, grad, H, t * a, t)
         states.append(PathState(t, x, lam))
     return x, states
 
@@ -227,14 +224,7 @@ def preliminary_stage(barrier, xbar0, a, c0=C0):
     iterations = 0
     while not (t * _decrement(H, g0) <= 1.0 / 16.0 and _decrement(H, grad) <= 0.5):
         t *= shrink
-        x = x - np.linalg.solve(H, grad - t * g0)
-        try:
-            grad, H = barrier.evaluate(x)
-        except DomainError:
-            raise NumericalError("auxiliary Newton step left the domain")
-        lam = _decrement(_pd(H), grad - t * g0)
-        if lam > 0.25 + 1e-12:
-            raise NumericalError("auxiliary path decrement %g > 1/4" % lam)
+        x, grad, H, _ = _path_step(barrier, x, grad, H, -t * g0, t, " on the auxiliary path")
         iterations += 1
         if iterations > 10000:
             raise CenteringFailed("preliminary stage did not converge")

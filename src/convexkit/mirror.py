@@ -103,7 +103,7 @@ def run_mpgd(f, g, geometry, h, x0, N, constraint=None):
     return record(iterates, x0, N, f.f_star)
 
 
-def run_omd(geometry, losses, h, x0, constraint="simplex"):
+def run_omd(geometry, losses, h, x0):
     """Online mirror descent against a fixed loss stream.
 
     The state lives in the dual (as grad phi of the iterate); returns
@@ -120,12 +120,9 @@ def run_omd(geometry, losses, h, x0, constraint="simplex"):
         incurred += float(ell.dot(x))
         dual = dual - h * ell
         x = geometry.grad_star(dual)
-        if constraint == "simplex":
-            x = x / float(np.sum(x))
-            dual = geometry.grad(x)
-    cumulative = losses.sum(axis=0)
-    best_fixed = float(np.min(cumulative)) if constraint == "simplex" else float("-inf")
-    return np.array(actions), incurred - best_fixed
+        x = x / float(np.sum(x))
+        dual = geometry.grad(x)
+    return np.array(actions), incurred - float(np.min(losses.sum(axis=0)))
 
 
 def omd_step_size(R_phi, alpha_phi, L, T):

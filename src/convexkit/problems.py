@@ -309,7 +309,7 @@ def make_finite_sum(components, name="finite-sum"):
                          n_components=n, name=name, extra={"beta_component": beta_comp})
 
 
-def make_svm_hinge(X, Y, lam, ball_radius=None, name="svm-hinge"):
+def make_svm_hinge(X, Y, lam, name="svm-hinge"):
     """Soft-margin SVM: mean hinge loss plus (lam/2)||theta||^2 with labels in {-1, 1}."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -319,9 +319,8 @@ def make_svm_hinge(X, Y, lam, ball_radius=None, name="svm-hinge"):
         raise InvalidProblem("lam must be >= 0")
     n = X.shape[0]
     row_norm = float(np.max(np.linalg.norm(X, axis=1)))
-    if ball_radius is None:
-        # any minimizer satisfies ||theta*|| <= max_i ||X_i|| / lam (gradient balance)
-        ball_radius = row_norm / lam if lam > 0 else 10.0
+    # any minimizer satisfies ||theta*|| <= max_i ||X_i|| / lam (gradient balance)
+    ball_radius = row_norm / lam if lam > 0 else 10.0
     L = row_norm + lam * ball_radius
 
     def value(theta):

@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from convexkit import acceptance, cli
@@ -36,17 +36,13 @@ lam 0.1
 """
 
 LP = """\
-A:
-1, 0
--1, 0
-0, 1
-0, -1
-b:
-1 1 1 1
-c:
-1 0
-x0:
-0.2 0.1
+kind lp
+rows 4
+dim 2
+A 1 0 -1 0 0 1 0 -1
+b 1 1 1 1
+c 1 0
+x0 0.2 0.1
 """
 
 
@@ -88,26 +84,26 @@ def test_parse_lp_file(tmp_path):
     p = tmp_path / "box.lp"
     p.write_text(LP)
     A, b, c, x0 = cli.parse_lp_file(str(p))
-    assert A.shape == (4, 2)
+    assert np.array_equal(A, [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
     assert np.array_equal(b, np.ones(4))
     assert np.array_equal(c, [1.0, 0.0])
     assert np.array_equal(x0, [0.2, 0.1])
-    p.write_text("A:\n1 0\nb:\n1\n")  # missing c
-    with pytest.raises(InvalidInput, match="c"):
-        cli.parse_lp_file(str(p))
-    p.write_text(LP.replace("0.2 0.1", "0 x"))  # non-numeric token
-    with pytest.raises(InvalidInput, match="non-numeric"):
-        cli.parse_lp_file(str(p))
-    p.write_text(LP.replace("-1, 0\n", "-1\n", 1))  # ragged A rows
-    with pytest.raises(InvalidInput, match="rows of different lengths"):
-        cli.parse_lp_file(str(p))
-    p.write_text(LP.replace("0, -1", "0, 1\n0, 1"))  # five rows of A, four of b
-    with pytest.raises(InvalidInput, match="inconsistent shapes"):
-        cli.parse_lp_file(str(p))
-    p.write_text(LP.replace("-1, 0", "nan, 0"))  # was returned as an A holding nan
-    with pytest.raises(InvalidInput, match="section 'A' holds a non-finite number"):
-        cli.parse_lp_file(str(p))
-    p.write_bytes(LP.encode().replace(b"1 1 1 1", b"1 1 1 \xff"))  # was a UnicodeDecodeError
+    with pytest.raises(InvalidInput, match="unknown problem kind 'lp'"):  # run solves no LP
+        cli.parse_problem_file(str(p))
+    p.write_text(LP.replace("x0 0.2 0.1\n", ""))
+    assert cli.parse_lp_file(str(p))[3] is None
+    for text, message in [
+            (LP.replace("c 1 0\n", ""), "missing field 'c'"),
+            (LP.replace("x0 0.2 0.1", "x0 0 x"), "field 'x0' holds non-numeric data"),
+            (LP.replace("b 1 1 1 1", "b 1 1 1"), "field 'b' has 3 numbers, expected 4"),
+            (LP.replace("A 1 0 -1", "A 1 0 nan"), "field 'A' holds a non-finite number"),
+            (LP.replace("x0 0.2 0.1", "x0 0.2"), "field 'x0' has 1 numbers, expected 2"),
+            (LP.replace("kind lp", "kind quadratic"), "kind 'quadratic', expected 'lp'"),
+            (LP.replace("kind lp\n", ""), "missing field 'kind'")]:
+        p.write_text(text)
+        with pytest.raises(InvalidInput, match=message):
+            cli.parse_lp_file(str(p))
+    p.write_bytes(LP.encode().replace(b"1 1 1 1", b"1 1 1 \xff"))
     with pytest.raises(InvalidInput, match="not UTF-8"):
         cli.parse_lp_file(str(p))
 
@@ -365,6 +361,24 @@ def test_rates_lists_suites(capsys):
 
 def test_rates_unknown_suite():
     assert cli.main(["rates", "--suite", "bogus"]) == 2
+
+
+@pytest.mark.parametrize("suite, algorithms", [("gd-vs-agd", ["gd", "agd"]),
+                                               ("subgradient", ["psd"])])
+def test_rates_suite_csv(tmp_path, suite, algorithms):
+    header = "algorithm,fitted_exponent,r2,theory_exponent,passed\n"
+    code, out, err = _run(["rates", "--suite", suite])
+    assert code == 0
+    csv = out[out.index(header):]  # after the table
+    rows = [line.split(",") for line in csv.splitlines()[1:]]
+    assert [row[0] for row in rows] == algorithms
+    assert all(row[4] == "pass" for row in rows)
+    path = tmp_path / "rates.csv"
+    code_out, table, _ = _run(["rates", "--suite", suite, "--out", str(path)])
+    assert code_out == 0
+    assert path.read_bytes() == csv.encode()
+    assert table + csv == out  # --out moves the CSV from stdout to the file
+    assert _run(["rates", "--suite", suite]) == (code, out, err)
 
 
 def test_verify_list_sorted(capsys):
@@ -661,6 +675,25 @@ def test_fuzz_problem_file_bytes_exit_codes(bytes_file, head, tail):
     assert (code3, out3, _timeless(err3)) == (code, out, _timeless(err))
 
 
+def _lp_outcome(path):
+    """parse_lp_file's arrays as bytes, or the message of its InvalidInput."""
+    try:
+        return [None if v is None else (v.shape, v.tobytes()) for v in cli.parse_lp_file(path)]
+    except InvalidInput as exc:
+        return str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(head=st.sampled_from([b"kind lp\n", b"kind lp\nrows 4\ndim 2\n", LP.encode()]),
+       tail=st.binary(max_size=48))
+@example(head=LP.encode(), tail=b"# a comment\n")  # a file that parses
+def test_fuzz_lp_file_bytes(bytes_file, head, tail):
+    bytes_file.write_bytes(head + tail)
+    outcome = _lp_outcome(str(bytes_file))  # any other exception fails the test
+    with mock.patch.object(cli, "PIECE", 3):  # every line read in 3-character pieces
+        assert _lp_outcome(str(bytes_file)) == outcome
+
+
 def _timeless(err):
     return [line for line in err.splitlines() if not line.startswith("wall time")]
 
@@ -759,13 +792,6 @@ def test_run_token_outside_the_format_exit_2(tmp_path, token, message):
     code, out, err = _run(["run", "--problem", str(p), "--algo", "gd", "--iters", "3"])
     assert code == 2 and out == ""
     assert "field 'b' holds %s" % message in err
-
-
-def test_parse_lp_file_comma_only_row_adds_nothing(tmp_path):
-    p = tmp_path / "box.lp"
-    p.write_text(LP.replace("b:\n", "b:\n,\n"))  # np.fromstring reads " " as [-1.0]
-    A, b, c, x0 = cli.parse_lp_file(str(p))
-    assert np.array_equal(b, np.ones(4))
 
 
 def test_numbers_bad_token_under_old_numpy(monkeypatch):

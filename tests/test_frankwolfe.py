@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexkit import frankwolfe
-from convexkit.core import NumericalError, ProblemOracle, make_rng
+from convexkit import frankwolfe, problems
+from convexkit.core import NumericalError, ProblemOracle, make_rng, run_solver
 
 vec = st.lists(st.floats(min_value=-5, max_value=5), min_size=3, max_size=3)
 
@@ -56,6 +56,14 @@ def test_fw_iterate_stays_in_hull_with_convex_weights():
     assert np.all(weights >= -1e-12)
     recon = sum(w * v for v, w in verts)
     assert np.allclose(recon, tr.final_point, atol=1e-12)
+
+
+def test_run_solver_fw_is_run_fw_on_the_problems_loo():
+    # no problem kind carries an LOO, so the registry's fw runner needs one set by hand
+    q = problems.make_quadratic(np.diag([1.0, 3.0, 0.5]), np.array([0.4, -2.0, 1.0]))
+    q.loo = lambda p: frankwolfe.loo_box(p, -1.0, 1.0)
+    want = frankwolfe.run_fw(q, q.loo, np.zeros(3), 25)[0].to_csv()
+    assert run_solver(q, "fw", 25).to_csv() == want
 
 
 def test_fw_duality_gap_upper_bounds_gap():

@@ -55,6 +55,17 @@ def test_logdet_barrier_oracles():
         ipm.logdet_barrier(21)
 
 
+def test_logdet_value_raises_outside_the_pd_cone():
+    # det diag(-1, -2, 1) = 2 > 0: slogdet alone read this as log 2
+    ld = ipm.logdet_barrier(3)
+    x = np.diag([-1.0, -2.0, 1.0]).ravel()
+    with pytest.raises(DomainError):
+        ld.value(x)
+    with pytest.raises(DomainError):
+        ld.evaluate(x)
+    assert not ld.in_domain(x)
+
+
 def test_newton_exact_on_quadratic_barrier_free():
     # f_t with t = 0 on the box barrier is minimized at the center
     barrier = _box_barrier()
@@ -76,8 +87,7 @@ def test_newton_step_decrement():
 
 
 def test_singular_hessian_detected():
-    bad = ipm.Barrier(2, lambda x: 0.0, lambda x: np.ones(2),
-                      lambda x: np.zeros((2, 2)), 1.0, lambda x: True)
+    bad = ipm.Barrier(2, lambda x: 0.0, lambda x: (np.ones(2), np.zeros((2, 2))), 1.0)
     with pytest.raises(SingularHessian):
         ipm.newton_decrement(ipm.ShiftedBarrier(bad, np.zeros(2), 1.0), np.zeros(2))
 
@@ -191,31 +201,6 @@ def test_logdet_evaluate_matches_oracles(seed, d, shift, v):
             ld.evaluate(outside.ravel())
 
 
-def _oracles_only(barrier, calls=None):
-    """The same barrier built by hand: no fused evaluation."""
-    def logged(name, fn):
-        def call(x):
-            if calls is not None:
-                calls.append(name)
-            return fn(x)
-        return call
-    return ipm.Barrier(barrier.dim, barrier.value, logged("gradient", barrier.gradient),
-                       logged("hessian", barrier.hessian), barrier.nu,
-                       logged("in_domain", barrier.in_domain))
-
-
-def test_evaluate_falls_back_to_in_domain_gradient_hessian():
-    calls = []
-    box = _oracles_only(_box_barrier(), calls)
-    g, H = box.evaluate(np.array([0.3, -0.2]))
-    assert calls == ["in_domain", "gradient", "hessian"]
-    assert _same_bytes(g, _box_barrier().gradient(np.array([0.3, -0.2])))
-    calls.clear()
-    with pytest.raises(DomainError):
-        box.evaluate(np.array([1.5, 0.0]))
-    assert calls == ["in_domain"]
-
-
 def test_shifted_evaluate_adds_the_linear_term():
     box = _box_barrier()
     x, a = np.array([0.3, -0.2]), np.array([0.5, 2.0])
@@ -238,26 +223,19 @@ def test_path_follow_decrement_above_quarter_is_numerical_error():
         ipm.path_follow(np.array([1.0, 0.0]), _box_barrier(), np.zeros(2), 0.1, 1e-3, c0=28.0)
 
 
+def test_preliminary_decrement_above_quarter_is_numerical_error():
+    # from (0.9, 0), c0 = 1 halves t each step: the step to t = 0.25 lands where lambda = 0.32
+    with pytest.raises(NumericalError, match="> 1/4 on the auxiliary path at t = 0.25$"):
+        ipm.preliminary_stage(_box_barrier(), np.array([0.9, 0.0]), np.array([1.0, 0.0]), c0=1.0)
+
+
 def test_path_follow_raises_singular_hessian():
     box = _box_barrier()
 
-    def hessian(x):  # positive definite at the center only
-        return box.hessian(x) if not x.any() else np.zeros((2, 2))
+    def evaluate(x):  # positive definite at the center only
+        g, H = box.evaluate(x)
+        return g, H if not x.any() else np.zeros((2, 2))
 
-    flat = ipm.Barrier(2, box.value, box.gradient, hessian, box.nu, box.in_domain)
+    flat = ipm.Barrier(2, box.value, evaluate, box.nu)
     with pytest.raises(SingularHessian):
         ipm.path_follow(np.array([1.0, 0.0]), flat, np.zeros(2), 0.1, 1e-3)
-
-
-def test_hand_built_barrier_solves_the_interval_lp():
-    # test_solve_lp_1d_interval's LP through a Barrier without a fused evaluation
-    A = np.array([[1.0], [-1.0]])
-    b = np.array([1.0, 0.0])
-    c = np.array([1.0])
-    runs = []
-    for barrier in (ipm.log_barrier_polytope(A, b), _oracles_only(ipm.log_barrier_polytope(A, b))):
-        t0, x0, _ = ipm.preliminary_stage(barrier, np.array([0.5]), c)
-        x, states = ipm.path_follow(c, barrier, x0, t0, 1e-6)
-        assert abs(float(c @ x)) <= 1e-6
-        runs.append([(s.t, s.lam, s.x.tobytes()) for s in states])
-    assert runs[0] == runs[1]

@@ -65,6 +65,22 @@ def test_mpgd_euclidean_reduces_to_pgd():
     assert np.allclose(a.final_point, b.final_point, atol=1e-15)
 
 
+def _lasso_parts():
+    rng = make_rng(21)
+    lasso = problems.make_lasso(rng.normal(size=(8, 3)), rng.normal(size=8), 0.3)
+    return lasso.extra["smooth"], lasso.extra["reg"]
+
+
+def test_mpgd_euclidean_with_l1_prox_is_bitwise_pgd():
+    f, g = _lasso_parts()
+    h, x0 = 1.0 / f.beta, np.ones(3)
+    a = mirror.run_mpgd(f, g, mirror.euclidean_geometry(3), h, x0, 30)
+    b = proximal.run_pgd(f, g, h, x0, 30)
+    assert a.final_point.tobytes() == b.final_point.tobytes()
+    assert a.values().tobytes() == b.values().tobytes()
+    assert b.final_point[2] == 0.0  # the l1 prox zeroes a coordinate
+
+
 def test_mpgd_rejects_bad_start():
     f = ProblemOracle(2, lambda x: 0.0, lambda x: np.zeros(2))
     geom = mirror.entropic_geometry(2)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from convexkit import core, gradient, mirror, problems, stochastic
+from convexkit import core, gradient, mirror, problems, proximal, stochastic
 from convexkit.core import (CapabilityError, DivergenceError, InvalidInput, IterateTrace,
                             make_rng)
 
@@ -41,6 +41,17 @@ def test_smpgd_zero_noise_matches_mpgd_iterates():
     tr = stochastic.run_smpgd(q, None, geom, 0.1, np.ones(3), 30, seed=0)
     ref = mirror.run_mpgd(q, None, geom, 0.1, np.ones(3), 30)
     assert np.allclose(tr.last_iterate, ref.final_point, atol=1e-12)
+
+
+def test_smpgd_zero_noise_with_l1_prox_ends_at_pgd_point():
+    rng = make_rng(21)
+    lasso = problems.make_lasso(rng.normal(size=(8, 3)), rng.normal(size=8), 0.3)
+    f, g = lasso.extra["smooth"], lasso.extra["reg"]
+    f.stochastic_gradient = lambda x, r: f.subgradient(x)
+    h, x0 = 1.0 / f.beta, np.ones(3)
+    tr = stochastic.run_smpgd(f, g, mirror.euclidean_geometry(3), h, x0, 30)
+    ref = proximal.run_pgd(f, g, h, x0, 30)
+    assert tr.last_iterate.tobytes() == ref.final_point.tobytes()
 
 
 def test_smpgd_weighted_average_converges_better_than_last():
@@ -272,6 +283,17 @@ def test_batch_divergence_guard_names_the_seed():
     q = _noisy_quadratic(0.1, seed=15)
     with pytest.raises(DivergenceError, match="seed"):
         stochastic.run_sgd(q, 5.0, np.ones(3), 200, seed=range(4))
+
+
+def test_svrg_with_l1_prox_reaches_the_composite_minimizer():
+    fs = _finite_sum(16)
+    lam = 0.3
+    g = core.ProblemOracle(3, lambda x: lam * float(np.abs(x).sum()),
+                           prox=lambda y, h: proximal.prox_l1(y, lam * h))
+    ref = proximal.run_pgd(fs, g, 1.0 / fs.beta, np.zeros(3), 3000).final_point
+    assert np.linalg.norm(ref - fs.x_star) > 0.1  # the l1 term moves the minimizer
+    tr, _ = stochastic.run_svrg(fs, g=g, x0=np.zeros(3), epochs=40, seed=0)
+    assert np.allclose(tr.final_point, ref, rtol=0.0, atol=1e-9)
 
 
 def test_svrg_divergence_raises():
