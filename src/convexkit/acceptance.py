@@ -11,7 +11,7 @@ import numpy as np
 
 from . import (altmin, frankwolfe, gradient, ipm, krylov, mirror, nonsmooth,
                problems, proximal, stochastic)
-from .core import ProblemOracle, fit_rate, make_rng
+from .core import ProblemOracle, fit_rate, make_rng, run_solver
 
 
 def _random_quadratic(d, kappa, seed=0):
@@ -91,11 +91,8 @@ def crit_05_subgradient():
     """Averaged PSD gap <= LR/sqrt(N); the lower-bound instance keeps >= 0.05 LR/sqrt(N)."""
     for N in (100, 10000):
         w = problems.make_worst_case_nonsmooth(N, 2.0, 1.0)
-        R = w.extra["R"]
-        proj = lambda z: nonsmooth.project_ball(z, np.zeros(w.dim), R)
-        trace = nonsmooth.run_psd(w, proj, R / math.sqrt(N), np.zeros(w.dim), N)
-        gap = trace.gaps()[-1]
-        bound = w.L * R / math.sqrt(N)
+        gap = run_solver(w, "psd", N).gaps()[-1]  # step R/sqrt(N) on the ball of radius R
+        bound = w.L * w.domain.radius / math.sqrt(N)
         assert gap <= bound, (N, gap, bound)
         assert gap >= 0.05 * bound, (N, gap, 0.05 * bound)
     # SVM instance: reference optimum from a long strongly convex subgradient run
@@ -103,16 +100,13 @@ def crit_05_subgradient():
     X = rng.normal(size=(40, 5))
     Y = np.sign(rng.normal(size=40))
     svm = problems.make_svm_hinge(X, Y, 0.5)
-    ball = svm.extra["ball_radius"]
-    centre = np.zeros(5)
-    proj = lambda z: nonsmooth.project_ball(z, centre, ball)
+    proj = lambda z: nonsmooth.project_ball(z, np.zeros(5), svm.domain.radius)
     x_ref, _ = nonsmooth.run_psd_strong(svm, proj, np.zeros(5), 200000)
     f_ref = svm.value(x_ref)
     ref_err = 2.0 * svm.L ** 2 / (svm.alpha * 200001)
     R = float(np.linalg.norm(x_ref))
     for N in (100, 10000):
-        trace = nonsmooth.run_psd(svm, proj, R / math.sqrt(N), np.zeros(5), N)
-        gap = trace.values()[-1] - f_ref
+        gap = run_solver(svm, {"name": "psd", "step": R / math.sqrt(N)}, N).values()[-1] - f_ref
         bound = svm.L * R / math.sqrt(N)
         assert gap <= bound + ref_err, (N, gap, bound)
 

@@ -4,14 +4,15 @@ against theory, and execute the acceptance suite.
 Exit codes: 0 success, 1 acceptance/rate failure or a failed run (e.g. a
 diverging solver), 2 usage error or invalid problem file (including a step
 given to agd, apgd, cg, fista or fw, which take none, and agd/apgd/fista on
-a problem whose smoothness constant is 0 or infinite), 3 missing oracle
-capability or no positive finite default step (1/beta with beta = 0 or
-infinite, for example). `run` writes only the trace CSV to
-stdout; summaries go to stderr. Flags are long-form only; each of
---iters/--step/--seed falls back to the CONVEXKIT_ITERS/CONVEXKIT_STEP/
-CONVEXKIT_SEED environment variable before its default. Worst-case problem
-files are size-capped (MAX_CHAIN_DIM, MAX_NONSMOOTH_STEPS): past a cap, exit 2
-before anything is allocated.
+a problem whose smoothness constant is 0 or infinite, and a step <= 0), 3
+missing oracle capability or domain (md needs the simplex, which no file
+kind declares; psd a ball, which svm and worst-case-nonsmooth files do) or
+no positive finite default step (1/beta with beta = 0 or infinite, for
+example). `run` writes only the trace CSV to stdout; summaries go to
+stderr. Flags are long-form only; each of --iters/--step/--seed falls back
+to the CONVEXKIT_ITERS/CONVEXKIT_STEP/CONVEXKIT_SEED environment variable
+before its default. Worst-case problem files are size-capped (MAX_CHAIN_DIM,
+MAX_NONSMOOTH_STEPS): past a cap, exit 2 before anything is allocated.
 
 `verify` runs its checks in up to two worker interpreters with one BLAS
 thread each, longest check first; on one CPU, for one check, or under a
@@ -29,7 +30,7 @@ import warnings
 
 import numpy as np
 
-from . import acceptance, gradient, nonsmooth, problems
+from . import acceptance, gradient, problems
 from .core import (CapabilityError, ConvexkitError, InvalidInput, InvalidProblem,
                    IterateTrace, fit_rate, run_solver)
 
@@ -329,10 +330,7 @@ def _rate_rows(suite):
         trace = IterateTrace(0.0, rows=len(budgets))  # one row per budget, not per step
         for N in budgets:
             w = problems.make_worst_case_nonsmooth(N, 2.0, 1.0)
-            R = w.extra["R"]
-            proj = lambda z: nonsmooth.project_ball(z, np.zeros(w.dim), R)
-            run = nonsmooth.run_psd(w, proj, R / math.sqrt(N), np.zeros(w.dim), N)
-            trace.add(N, run.final_gap())
+            trace.add(N, run_solver(w, "psd", N).final_gap())
         exponent, r2, kind = fit_rate(trace)
         return [("psd", exponent, r2, -0.5,
                  kind == "polynomial" and exponent <= -0.25)]

@@ -2,6 +2,7 @@
 
 import functools
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -77,6 +78,16 @@ def as_vector(x):
     return v
 
 
+class Ball(namedtuple("Ball", "radius")):
+    """The domain {x : ||x|| <= radius}, a ball about the origin."""
+    what = "a ball"
+
+
+class Simplex(namedtuple("Simplex", "")):
+    """The domain {x >= 0 : sum(x) = 1}."""
+    what = "the simplex"
+
+
 class ProblemOracle:
     """Bundle of value/subgradient oracles, optional capabilities, and declared constants.
 
@@ -87,17 +98,23 @@ class ProblemOracle:
     stochastic_gradient(x, rng), component_gradient(i, x).
     Constants: alpha (strong convexity, >= 0), beta (smoothness, may be inf),
     L (Lipschitz, may be inf), f_star / x_star when known.
+    domain: the set the problem is posed on, and f_star and x_star are
+    optimal over: None for all of R^d, a Ball(radius) or a Simplex().
+    run_solver's psd projects onto the ball and md needs the simplex.
     """
 
     def __init__(self, dim, value, subgradient=None, *, value_and_grad=None, prox=None,
                  loo=None, block_argmin=None, stochastic_gradient=None,
                  component_gradient=None, n_components=None, n_blocks=None,
                  alpha=0.0, beta=math.inf, L=math.inf, f_star=None, x_star=None,
-                 name="problem", extra=None):
+                 domain=None, name="problem", extra=None):
         if dim < 1:
             raise InvalidProblem("dim must be >= 1")
         if math.isfinite(alpha) and math.isfinite(beta) and alpha > beta + 1e-12:
             raise InvalidProblem("need alpha <= beta")
+        if not (domain is None or isinstance(domain, Simplex)
+                or isinstance(domain, Ball) and domain.radius >= 0):
+            raise InvalidProblem("domain must be None, a Ball of radius >= 0 or a Simplex")
         self.dim = int(dim)
         self.value = value
         self.subgradient = subgradient
@@ -115,6 +132,7 @@ class ProblemOracle:
         self.L = float(L)
         self.f_star = f_star
         self.x_star = None if x_star is None else np.asarray(x_star, dtype=float)
+        self.domain = domain
         self.name = name
         self.extra = dict(extra) if extra else {}
 
@@ -540,116 +558,102 @@ def fit_rate(trace, skip=0):
 
 # --- uniform solver dispatch -------------------------------------------------
 
+# A registry row: the method's names, the oracles and the domain class it needs,
+# its default step as step(problem, N), or None if it chooses its own and takes
+# none, and run(problem, x0, N, h, seed), which returns its trace.
+Solver = namedtuple("Solver", "names oracles domain step run")
+
+
 @functools.lru_cache(maxsize=None)
 def _solver_registry():
     # imported lazily so core stays at the bottom of the dependency order
-    from . import gradient, krylov, nonsmooth, proximal, frankwolfe, mirror
-
-    def step(p, default):
-        """The given step, else default(), which must be positive and finite."""
-        if "step" in p:
-            return p["step"]
-        h = default()
-        if not 0 < h < math.inf:
-            raise CapabilityError("%r has no positive finite default step here; give one"
-                                  % p["name"])
-        return h
+    from . import frankwolfe, gradient, krylov, mirror, nonsmooth, proximal, stochastic
 
     def inverse(c, numerator=1.0):  # numerator / c, or inf (no valid default) for c <= 0
         return numerator / c if c > 0 else math.inf
 
-    def run_gd(problem, x0, N, seed, p):
-        h = step(p, lambda: inverse(problem.beta) if math.isfinite(problem.beta) else 1.0)
-        return gradient.run_gd(problem, h, x0, N)
+    def smooth(p):  # the smooth part of a composite problem, else the problem
+        return p.extra.get("smooth", p)
 
-    def run_agd(problem, x0, N, seed, p):
-        return gradient.run_agd(problem, x0, N)
+    def run_cg(p, x0, N, h, seed):
+        if "A" not in p.extra or "b" not in p.extra:
+            raise CapabilityError("problem %r lacks the quadratic (A,b) data needed by cg" % p.name)
+        return krylov.cg_solve(p.extra["A"], p.extra["b"], x0, N, f_star=p.f_star)[0]
 
-    def run_psd(problem, x0, N, seed, p):
-        R = 1.0  # max(1, 2 ||x0||) from x0 = 0
-        h = step(p, lambda: R / math.sqrt(max(N, 1)))
-        proj = lambda z: nonsmooth.project_ball(z, np.zeros(problem.dim), R)
-        return nonsmooth.run_psd(problem, proj, h, x0, N)
-
-    def run_fw(problem, x0, N, seed, p):
-        tr, _ = frankwolfe.run_fw(problem, problem.loo, x0, N)
-        return tr
-
-    def run_pgd(problem, x0, N, seed, p):
-        f = problem.extra.get("smooth", problem)
-        h = step(p, lambda: inverse(f.beta))
-        return proximal.run_pgd(f, problem.extra.get("reg"), h, x0, N, problem.f_star)
-
-    def run_apgd(problem, x0, N, seed, p):
-        f = problem.extra.get("smooth", problem)
-        return proximal.run_apgd(f, problem.extra.get("reg"), x0, N, problem.f_star)
-
-    def run_ppm(problem, x0, N, seed, p):
-        h = step(p, lambda: 1.0)
-        return proximal.run_ppm(problem, h, x0, N)
-
-    def run_md(problem, x0, N, seed, p):
-        geom = mirror.entropic_geometry(problem.dim)
-        h = step(p, lambda: inverse(problem.L if math.isfinite(problem.L) else 1.0,
-                                    math.sqrt(2 * math.log(problem.dim) / max(N, 1))))
-        x0 = np.full(problem.dim, 1.0 / problem.dim)  # x0 = 0 is not positive
-        return mirror.run_mpgd(problem, None, geom, h, x0, N, constraint="simplex")
-
-    def run_sgd(problem, x0, N, seed, p):
-        from . import stochastic
-        h = step(p, lambda: inverse(2 * problem.beta) if math.isfinite(problem.beta) else 0.1)
-        return stochastic.run_sgd(problem, h, x0, N, seed)
-
-    def run_cg(problem, x0, N, seed, p):
-        A = problem.extra.get("A")
-        b = problem.extra.get("b")
-        if A is None or b is None:
-            raise CapabilityError("problem %r lacks the quadratic (A,b) data needed by cg" % problem.name)
-        return krylov.cg_solve(A, b, x0, N, f_star=problem.f_star)[0]
-
-    return {  # name: (capabilities, runner, whether it takes a step)
-        "gd": (("subgradient",), run_gd, True),
-        "agd": (("subgradient",), run_agd, False),
-        "psd": (("subgradient",), run_psd, True),
-        "fw": (("loo",), run_fw, False),
-        "ista": ((), run_pgd, True),
-        "pgd": ((), run_pgd, True),
-        "fista": ((), run_apgd, False),
-        "apgd": ((), run_apgd, False),
-        "ppm": (("prox",), run_ppm, True),
-        "md": (("subgradient",), run_md, True),
-        "sgd": (("stochastic_gradient",), run_sgd, True),
-        "cg": ((), run_cg, False),
-    }
+    table = [
+        Solver(("gd",), ("subgradient",), None,
+               lambda p, N: inverse(p.beta) if math.isfinite(p.beta) else 1.0,
+               lambda p, x0, N, h, seed: gradient.run_gd(p, h, x0, N)),
+        Solver(("agd",), ("subgradient",), None, None,
+               lambda p, x0, N, h, seed: gradient.run_agd(p, x0, N)),
+        Solver(("psd",), ("subgradient",), Ball,
+               lambda p, N: p.domain.radius / math.sqrt(max(N, 1)),
+               lambda p, x0, N, h, seed: nonsmooth.run_psd(
+                   p, lambda z: nonsmooth.project_ball(z, np.zeros(p.dim), p.domain.radius),
+                   h, x0, N)),
+        Solver(("fw",), ("loo",), None, None,
+               lambda p, x0, N, h, seed: frankwolfe.run_fw(p, p.loo, x0, N)[0]),
+        Solver(("ista", "pgd"), (), None, lambda p, N: inverse(smooth(p).beta),
+               lambda p, x0, N, h, seed: proximal.run_pgd(
+                   smooth(p), p.extra.get("reg"), h, x0, N, p.f_star)),
+        Solver(("fista", "apgd"), (), None, None,
+               lambda p, x0, N, h, seed: proximal.run_apgd(
+                   smooth(p), p.extra.get("reg"), x0, N, p.f_star)),
+        Solver(("ppm",), ("prox",), None, lambda p, N: 1.0,
+               lambda p, x0, N, h, seed: proximal.run_ppm(p, h, x0, N)),
+        Solver(("md",), ("subgradient",), Simplex,
+               lambda p, N: inverse(p.L if math.isfinite(p.L) else 1.0,
+                                    math.sqrt(2 * math.log(p.dim) / max(N, 1))),
+               lambda p, x0, N, h, seed: mirror.run_mpgd(  # from the centre: 0 is not positive
+                   p, None, mirror.entropic_geometry(p.dim), h, np.full(p.dim, 1.0 / p.dim),
+                   N, constraint="simplex")),
+        Solver(("sgd",), ("stochastic_gradient",), None,
+               lambda p, N: inverse(2 * p.beta) if math.isfinite(p.beta) else 0.1,
+               lambda p, x0, N, h, seed: stochastic.run_sgd(p, h, x0, N, seed)),
+        Solver(("cg",), (), None, None, run_cg),
+    ]
+    return {name: row for row in table for name in row.names}
 
 
 def solver_names():
     return sorted(_solver_registry())
 
 
-def _solver(name):
-    solvers = _solver_registry()
-    if name not in solvers:
-        raise InvalidInput("unknown algorithm %r (have: %s)" % (name, ", ".join(sorted(solvers))))
-    return solvers[name]
-
-
 def run_solver(problem, algo, budget, seed=0):
-    """Dispatch a named algorithm; returns a trace with budget+1 records."""
+    """Run a named algorithm from the origin; returns a trace with budget+1 records.
+
+    algo is a name or {"name": ..., "step": ...}. A method that needs a
+    domain runs only on a problem that declares one of that kind.
+    """
     if isinstance(algo, str):
         algo = {"name": algo}
     unknown = set(algo) - {"name", "step"}
     if unknown:
         raise InvalidInput("unknown algorithm settings: %s" % ", ".join(sorted(map(str, unknown))))
     name = algo.get("name")
-    caps, runner, takes_step = _solver(name)
-    if "step" in algo and not takes_step:  # agd, apgd, cg, fista and fw choose their own
+    solvers = _solver_registry()
+    if name not in solvers:
+        raise InvalidInput("unknown algorithm %r (have: %s)" % (name, ", ".join(sorted(solvers))))
+    solver = solvers[name]
+    if "step" in algo and solver.step is None:  # agd, apgd, cg, fista and fw choose their own
         raise InvalidInput("algorithm %s takes no step" % name)
     if budget < 0:
         raise InvalidInput("budget must be >= 0")
-    for cap in caps:
+    N = int(budget)
+    for cap in solver.oracles:
         problem.require(cap)
-    trace = runner(problem, np.zeros(problem.dim), int(budget), seed, algo)
+    h = algo.get("step")
+    if "step" in algo and h <= 0:  # a usage error, whatever the problem's domain
+        raise InvalidInput("step must be positive")
+    if solver.domain is not None and not isinstance(problem.domain, solver.domain):
+        raise CapabilityError("%s needs a problem declared on %s; problem %r declares %s"
+                              % (name, solver.domain.what, problem.name,
+                                 "no domain" if problem.domain is None else problem.domain))
+    if "step" not in algo and solver.step is not None:
+        h = solver.step(problem, N)
+        if not 0 < h < math.inf:
+            raise CapabilityError("%r has no positive finite default step here; give one" % name)
+    trace = solver.run(problem, np.zeros(problem.dim), N, h, seed)
     if len(trace) != budget + 1:
         raise NumericalError("solver %s produced %d records, expected %d"
                              % (name, len(trace), budget + 1))

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import InvalidProblem, ProblemOracle, as_vector, composite_value, make_rng
+from .core import Ball, InvalidProblem, ProblemOracle, as_vector, composite_value, make_rng
 
 
 def _logsumexp(z):
@@ -188,7 +188,8 @@ def make_worst_case_smooth(N, beta, d, name="worst-case-smooth"):
 
     f(x) = (beta/4) * (1/2 (x_1^2 + sum (x_k - x_{k+1})^2 + x_d^2) - x_1), with
     minimizer x*_k = 1 - k/(d+1). Gradients queried from the origin only reach
-    one new coordinate per step, which caps the achievable gap for N < d.
+    one new coordinate per step, which caps the achievable gap for N < d; f
+    itself depends on d alone.
     """
     if d < 1:
         raise InvalidProblem("d must be >= 1")
@@ -202,14 +203,15 @@ def make_worst_case_smooth(N, beta, d, name="worst-case-smooth"):
     value, grad, value_and_grad = _quadratic_oracles(A, b)
     return ProblemOracle(d, value, grad, value_and_grad=value_and_grad, alpha=0.0,
                          beta=float(beta), f_star=f_star, x_star=x_star, name=name,
-                         extra={"A": A, "b": b, "N": N})
+                         extra={"A": A, "b": b})
 
 
 def make_worst_case_nonsmooth(N, L, R, name="worst-case-nonsmooth"):
     """gamma*max_i x_i + (alpha/2)||x||^2 in dimension N+1; resists subgradient span methods.
 
-    The subgradient oracle breaks argmax ties toward the smallest index, which
-    is what keeps span iterates out of the last coordinate.
+    Posed on the ball of radius R, which holds x*. The subgradient oracle
+    breaks argmax ties toward the smallest index, which is what keeps span
+    iterates out of the last coordinate.
     """
     if L <= 0 or R <= 0:
         raise InvalidProblem("need L, R > 0")
@@ -235,8 +237,8 @@ def make_worst_case_nonsmooth(N, L, R, name="worst-case-nonsmooth"):
         return gamma * float(x[i]) + 0.5 * alpha * float(x.dot(x)), alpha * x + e
 
     return ProblemOracle(d, value, subgrad, alpha=alpha, L=float(L),
-                         f_star=f_star, x_star=x_star, name=name,
-                         extra={"R": R}, value_and_grad=value_and_grad)
+                         f_star=f_star, x_star=x_star, domain=Ball(R), name=name,
+                         value_and_grad=value_and_grad)
 
 
 class ResistingFeasibilityOracle:
@@ -310,7 +312,8 @@ def make_finite_sum(components, name="finite-sum"):
 
 
 def make_svm_hinge(X, Y, lam, name="svm-hinge"):
-    """Soft-margin SVM: mean hinge loss plus (lam/2)||theta||^2 with labels in {-1, 1}."""
+    """Soft-margin SVM: mean hinge loss plus (lam/2)||theta||^2 with labels in {-1, 1}, on
+    the ball of radius max_i ||X_i|| / lam that holds every minimizer (10 if lam = 0)."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if X.ndim != 2 or Y.shape != (X.shape[0],) or not np.all(np.abs(Y) == 1):
@@ -337,8 +340,7 @@ def make_svm_hinge(X, Y, lam, name="svm-hinge"):
         return value, -X.T.dot(Y * (margin < 1.0)) / n + lam * theta
 
     return ProblemOracle(X.shape[1], value, subgrad, value_and_grad=value_and_grad, alpha=lam,
-                         L=L, name=name,
-                         extra={"ball_radius": ball_radius, "X": X, "Y": Y})
+                         L=L, domain=Ball(ball_radius), name=name, extra={"X": X, "Y": Y})
 
 
 def make_experts_instance(T, d, seed=0):

@@ -47,8 +47,9 @@ Cases:
          The data mixes magnitudes from 1e-8 to 1e8 with -0, 0 and a
          subnormal; integer fields are written in the same format. Each
          array in the problem's extra (and in a nested problem's extra, as
-         "smooth.X") is hashed through its bytes, as are alpha, beta and f*
-         (the bytes of "None" when f* is unknown).
+         "smooth.X") is hashed through its bytes, as are the radius of a
+         declared ball, alpha, beta and f* (the bytes of "None" when f* is
+         unknown).
   clt/*  clt_check at n = 300 steps and 64 trials on I, diag(1, 4), a
          non-diagonal 2 x 2 A with theta* != 0 and noise_scale 2, and a 3 x 3
          A. "cov" hashes the empirical covariance's bytes, "rel" the relative
@@ -225,7 +226,7 @@ def _trace_cases():
     for name, run in _loops(probs).items():
         yield "trace/loop/" + name, run
     svm = probs["svm"]
-    proj = lambda z: nonsmooth.project_ball(z, np.zeros(TRACE_D), svm.extra["ball_radius"])
+    proj = lambda z: nonsmooth.project_ball(z, np.zeros(TRACE_D), svm.domain.radius)
     yield "trace/svm/nonsmooth.run_psd", lambda: nonsmooth.run_psd(
         svm, proj, 0.5, np.zeros(TRACE_D), LOOP_N)
     yield "trace/svm/nonsmooth.run_psd_strong", lambda: nonsmooth.run_psd_strong(
@@ -255,11 +256,12 @@ def _trace_cases():
     yield ("trace/loop/stochastic.run_svrg/target-gap",
            lambda: svrg(sct, "constant", 200, 2, target_gap=1e-6))
     w = problems.make_worst_case_nonsmooth(TRACE_D - 1, 2.0, 1.0)
-    wproj = lambda z: nonsmooth.project_ball(z, np.zeros(w.dim), w.extra["R"])
+    R = w.domain.radius
+    wproj = lambda z: nonsmooth.project_ball(z, np.zeros(w.dim), R)
     yield "trace/worst-case-nonsmooth/nonsmooth.run_psd", lambda: nonsmooth.run_psd(
-        w, wproj, w.extra["R"] / np.sqrt(LOOP_N), np.zeros(w.dim), LOOP_N)
+        w, wproj, R / np.sqrt(LOOP_N), np.zeros(w.dim), LOOP_N)
     yield "trace/worst-case-nonsmooth/nonsmooth.run_psd/x0", lambda: nonsmooth.run_psd(
-        w, wproj, w.extra["R"] / np.sqrt(LOOP_N), x0, LOOP_N)
+        w, wproj, R / np.sqrt(LOOP_N), x0, LOOP_N)
     yield ("trace/worst-case-nonsmooth/nonsmooth.run_psd_strong",
            lambda: nonsmooth.run_psd_strong(w, wproj, np.zeros(w.dim), LOOP_N)[1])
     yield from _more_loops()
@@ -457,6 +459,8 @@ def _parse_case(path, kind, fields, fmt):
             fh.write("%s %s\n" % (key, " ".join(fmt % v for v in np.asarray(numbers, float))))
     p = cli.parse_problem_file(path)
     out = _extra_hashes(p.extra)
+    if p.domain is not None:
+        out["domain.radius"] = _sha([np.float64(p.domain.radius).tobytes()])
     out["constants"] = _sha([p.alpha, p.beta, b"None" if p.f_star is None else p.f_star])
     out["dim"] = p.dim
     return out

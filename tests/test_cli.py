@@ -15,8 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from convexkit import acceptance, cli
-from convexkit.core import InvalidInput, solver_names
+from convexkit import acceptance, cli, nonsmooth, problems
+from convexkit.core import InvalidInput, ProblemOracle, Simplex, run_solver, solver_names
 
 QUAD = """\
 # a 2-d quadratic
@@ -217,7 +217,7 @@ b 0 0
 
 
 @pytest.mark.parametrize("text, algo", [
-    ("kind worst-case-nonsmooth\nsteps 0\nL 1\nR 1\n", "md"),  # dim 1: sqrt(2 log 1 / N) = 0
+    ("kind worst-case-nonsmooth\nsteps 0\nL 1\nR 1\n", "md"),  # md needs the simplex
     (SVM, "pgd"), (SVM, "ista"),  # hinge loss: beta = inf, 1 / beta = 0
     (ZERO, "gd"), (ZERO, "pgd"), (ZERO, "ista"),  # A = 0: beta = 0, 1 / beta = inf
 ], ids=["md-dim-1", "pgd-svm", "ista-svm", "gd-zero-A", "pgd-zero-A", "ista-zero-A"])
@@ -710,18 +710,36 @@ def test_run_large_optimum_is_not_divergence(tmp_path, algo):
     assert "final value -4000000000000 gap 0" in err
 
 
-def test_run_md_large_gradient_does_not_overflow(tmp_path):
+def test_run_md_large_gradient_does_not_overflow():
     # h |grad| is about 1400 here, so exp of the unshifted dual vector overflowed;
-    # the symmetric problem keeps every iterate at the uniform point
-    p = tmp_path / "f.prob"
-    p.write_text("kind quadratic\ndim 2\nA 1 0 0 1\nb 2e3 2e3\n")
+    # the symmetric problem keeps every iterate at the uniform point. No file
+    # kind declares the simplex, so the quadratic is declared on it here.
+    q = problems.make_quadratic(np.eye(2), np.array([2e3, 2e3]))
+    on_simplex = ProblemOracle(2, q.value, q.gradient, domain=Simplex())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, out, err = _run(["run", "--problem", str(p), "--algo", "md", "--iters", "3"])
-    assert code == 0, err
-    rows = out.splitlines()[1:]
-    assert len(rows) == 4
-    assert all(row.split(",")[1] == "-1999.75" for row in rows)  # f(1/2, 1/2)
+        trace = run_solver(on_simplex, "md", 3)
+    assert trace.values().tolist() == [-1999.75] * 4  # f(1/2, 1/2)
+
+
+@pytest.mark.parametrize("algo, domain", [("md", "the simplex"), ("psd", "a ball")])
+def test_run_md_and_psd_need_a_declared_domain(quad_file, algo, domain):
+    # md ran on the simplex and psd on the unit ball whatever the problem, and
+    # ended at gaps 0.083 and 0.0094 with exit 0 on this quadratic
+    code, out, err = _run(["run", "--problem", quad_file, "--algo", algo, "--iters", "2000"])
+    assert code == 3 and out == ""
+    assert "%s needs a problem declared on %s" % (algo, domain) in err
+    assert "declares no domain" in err
+
+
+def test_run_psd_projects_onto_the_declared_ball(tmp_path):
+    p = tmp_path / "f.prob"
+    p.write_text("kind worst-case-nonsmooth\nsteps 9\nL 2\nR 0.7\n")
+    code, out, _ = _run(["run", "--problem", str(p), "--algo", "psd", "--iters", "30"])
+    assert code == 0
+    w = problems.make_worst_case_nonsmooth(9, 2.0, 0.7)
+    ball = lambda z: nonsmooth.project_ball(z, np.zeros(10), 0.7)
+    assert out == nonsmooth.run_psd(w, ball, 0.7 / math.sqrt(30), np.zeros(10), 30).to_csv()
 
 
 # --- the number reader ---------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 
 import numpy as np
@@ -7,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convexkit import problems
-from convexkit.core import (CapabilityError, DivergenceError, InsufficientData,
-                            InvalidInput, IterateTrace, NumericalError,
-                            ProblemOracle, as_vector, check_divergence,
+from convexkit.core import (Ball, CapabilityError, DivergenceError, InsufficientData,
+                            InvalidInput, InvalidProblem, IterateTrace, NumericalError,
+                            ProblemOracle, Simplex, as_vector, check_divergence,
                             composite_value, finite_diff_gradient, fit_rate,
                             make_rng, norm, record, run_solver, solver_names)
 
@@ -301,6 +302,8 @@ def test_problem_oracle_kappa():
 @pytest.mark.parametrize("algo", ["gd", "agd", "psd", "cg"])
 def test_run_solver_budget_contract(algo):
     q = problems.make_quadratic(np.diag([1.0, 4.0]), np.array([1.0, 1.0]))
+    if algo == "psd":  # psd needs a problem declared on a ball
+        q = problems.make_worst_case_nonsmooth(3, 1.0, 2.0)
     tr = run_solver(q, algo, 13)
     assert len(tr) == 14
     assert tr.iters()[-1] == 13
@@ -349,10 +352,44 @@ def test_run_solver_capability_error():
 
 def test_run_solver_md_default_step_with_zero_lipschitz_constant():
     # sqrt(2 log d / N) / L with L = 0 has no positive finite value
-    p = ProblemOracle(2, lambda x: 0.0, lambda x: np.zeros(2), L=0.0)
+    p = ProblemOracle(2, lambda x: 0.0, lambda x: np.zeros(2), L=0.0, domain=Simplex())
     with pytest.raises(CapabilityError, match="default step"):
         run_solver(p, "md", 3)
     assert len(run_solver(p, {"name": "md", "step": 0.1}, 3)) == 4
+    # nor has sqrt(2 log 1 / N) = 0 in dimension 1
+    one = ProblemOracle(1, lambda x: 0.0, lambda x: np.zeros(1), L=1.0, domain=Simplex())
+    with pytest.raises(CapabilityError, match="default step"):
+        run_solver(one, "md", 3)
+
+
+@pytest.mark.parametrize("algo, domain", [("md", Simplex()), ("psd", Ball(1.0))])
+def test_run_solver_needs_the_declared_domain(algo, domain):
+    q = problems.make_quadratic(np.diag([2.0, 1.0]), np.array([1.0, 1.0]))
+    with pytest.raises(CapabilityError, match="declares no domain"):
+        run_solver(q, algo, 3)
+    other = Ball(1.0) if algo == "md" else Simplex()
+    wrong = ProblemOracle(2, q.value, q.gradient, domain=other)
+    with pytest.raises(CapabilityError, match="declares %s" % re.escape(repr(other))):
+        run_solver(wrong, algo, 3)
+    right = ProblemOracle(2, q.value, q.gradient, domain=domain)
+    assert len(run_solver(right, algo, 3)) == 4
+    with pytest.raises(InvalidInput, match="step must be positive"):  # before the domain
+        run_solver(q, {"name": algo, "step": 0.0}, 3)
+
+
+def test_run_solver_sgd_refuses_a_nonpositive_step():
+    # sgd ran with any step; the others refused h <= 0 in their loops
+    fs = problems.make_finite_sum([problems.make_quadratic(np.eye(2), np.ones(2))] * 2)
+    for h in (0.0, -0.5):
+        with pytest.raises(InvalidInput, match="step must be positive"):
+            run_solver(fs, {"name": "sgd", "step": h}, 3)
+
+
+@pytest.mark.parametrize("domain", ["simplex", Ball(-1.0), Ball(math.nan)])
+def test_problem_oracle_domain_is_none_a_ball_or_a_simplex(domain):
+    assert ProblemOracle(1, lambda x: 0.0).domain is None
+    with pytest.raises(InvalidProblem, match="domain must be None, a Ball of radius >= 0"):
+        ProblemOracle(1, lambda x: 0.0, domain=domain)
 
 
 def test_solver_names_sorted():
