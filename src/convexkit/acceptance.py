@@ -9,9 +9,8 @@ import math
 
 import numpy as np
 
-from . import (altmin, frankwolfe, gradient, ipm, krylov, mirror, nonsmooth,
-               problems, proximal, stochastic)
-from .core import ProblemOracle, fit_rate, make_rng, run_solver
+from . import altmin, frankwolfe, gradient, ipm, krylov, mirror, nonsmooth, problems, stochastic
+from .core import ProblemOracle, Simplex, fit_rate, guarantee, make_rng, run_solver
 
 
 def _random_quadratic(d, kappa, seed=0):
@@ -27,12 +26,9 @@ def _random_quadratic(d, kappa, seed=0):
 def crit_01_gd_rate():
     """GD gap_N <= beta R^2 / (2N) on a d=20, kappa=100 quadratic."""
     q = _random_quadratic(20, 100.0, seed=11)
-    x0 = np.zeros(20)
-    R2 = float(np.linalg.norm(x0 - q.x_star) ** 2)
-    trace = gradient.run_gd(q, 1.0 / q.beta, x0, 1000)
-    gaps = trace.gaps()
+    gaps = run_solver(q, "gd", 1000).gaps()
     for N in (10, 100, 1000):
-        bound = q.beta * R2 / (2.0 * N)
+        bound = guarantee("gd", q, N, float(np.linalg.norm(q.x_star)))
         assert gaps[N] <= bound + 1e-12, (N, gaps[N], bound)
 
 
@@ -41,11 +37,8 @@ def crit_02_smooth_lower_bound():
     beta = 1.0
     w = problems.make_worst_case_smooth(32, beta, 65)
     lower = (beta / 8.0) * (1.0 / 33.0 - 1.0 / 66.0)
-    x0 = np.zeros(65)
-    gd = gradient.run_gd(w, 1.0 / beta, x0, 32).gaps()[-1]
-    agd = gradient.run_agd(w, x0, 32).gaps()[-1]
-    cg = krylov.cg_solve(w.extra["A"], w.extra["b"], x0, 32, f_star=w.f_star)[0].gaps()[-1]
-    for name, gap in (("gd", gd), ("agd", agd), ("cg", cg)):
+    for name in ("gd", "agd", "cg"):
+        gap = run_solver(w, name, 32).gaps()[-1]
         assert gap >= lower - 1e-12, (name, gap, lower)
 
 
@@ -55,17 +48,13 @@ def crit_03_acceleration():
            problems.make_worst_case_smooth(256, 2.0, 600),
            _random_quadratic(12, 10.0, seed=4)]
     for q in zoo:
-        x0 = np.zeros(q.dim)
-        R2 = float(np.linalg.norm(x0 - q.x_star) ** 2)
-        trace = gradient.run_agd(q, x0, 256)
-        gaps = trace.gaps()
+        gaps = run_solver(q, "agd", 256).gaps()
         for N in (16, 64, 256):
-            bound = 2.0 * q.beta * R2 / (N * N)
+            bound = guarantee("agd", q, N, float(np.linalg.norm(q.x_star)))
             assert gaps[N] <= bound + 1e-12, (q.name, N, gaps[N], bound)
     w = problems.make_worst_case_smooth(256, 1.0, 65)
-    x0 = np.zeros(65)
-    e_gd, _, _ = fit_rate(gradient.run_gd(w, 1.0, x0, 256), skip=8)
-    e_agd, _, _ = fit_rate(gradient.run_agd(w, x0, 256), skip=8)
+    e_gd, _, _ = fit_rate(run_solver(w, "gd", 256), skip=8)
+    e_agd, _, _ = fit_rate(run_solver(w, "agd", 256), skip=8)
     assert e_agd <= -1.7, e_agd
     assert e_gd >= -1.3, e_gd
 
@@ -92,7 +81,7 @@ def crit_05_subgradient():
     for N in (100, 10000):
         w = problems.make_worst_case_nonsmooth(N, 2.0, 1.0)
         gap = run_solver(w, "psd", N).gaps()[-1]  # step R/sqrt(N) on the ball of radius R
-        bound = w.L * w.domain.radius / math.sqrt(N)
+        bound = guarantee("psd", w, N, w.domain.radius)
         assert gap <= bound, (N, gap, bound)
         assert gap >= 0.05 * bound, (N, gap, 0.05 * bound)
     # SVM instance: reference optimum from a long strongly convex subgradient run
@@ -107,7 +96,7 @@ def crit_05_subgradient():
     R = float(np.linalg.norm(x_ref))
     for N in (100, 10000):
         gap = run_solver(svm, {"name": "psd", "step": R / math.sqrt(N)}, N).values()[-1] - f_ref
-        bound = svm.L * R / math.sqrt(N)
+        bound = guarantee("psd", svm, N, R)
         assert gap <= bound + ref_err, (N, gap, bound)
 
 
@@ -218,13 +207,12 @@ def crit_09_frank_wolfe():
 def crit_10_proximal():
     """ISTA optimum, FISTA rate, prox contraction, and the sharp PPM PL rate."""
     lasso = problems.make_lasso(np.eye(2), np.array([3.0, 0.0]), 1.0)
-    f, g = lasso.extra["smooth"], lasso.extra["reg"]
-    trace = proximal.run_pgd(f, g, 1.0 / f.beta, np.zeros(2), 200)
-    assert np.linalg.norm(trace.final_point - np.array([1.0, 0.0])) <= 1e-6
-    F_star = lasso.value(np.array([1.0, 0.0]))
+    x_star = np.array([1.0, 0.0])
+    assert np.linalg.norm(run_solver(lasso, "ista", 200).final_point - x_star) <= 1e-6
     for N in (16, 64):
-        tr = proximal.run_apgd(f, g, np.zeros(2), N, f_star=F_star)
-        assert tr.gaps()[-1] <= 2.0 * f.beta * 1.0 / (N * N) + 1e-12, (N, tr.gaps()[-1])
+        gap = run_solver(lasso, "fista", N).values()[-1] - lasso.value(x_star)
+        bound = guarantee("fista", lasso, N, float(np.linalg.norm(x_star)))
+        assert gap <= bound + 1e-12, (N, gap, bound)
     q = _random_quadratic(6, 25.0, seed=9)
     h = 0.37
     rng = make_rng(10)
@@ -250,12 +238,10 @@ def crit_11_mirror():
     ell = rng.uniform(-1.0, 1.0, size=d)
     L1 = float(np.max(np.abs(ell)))
     f = ProblemOracle(d, lambda x: float(ell @ x), lambda x: ell.copy(),
-                      L=L1, f_star=float(np.min(ell)))
-    geom = mirror.entropic_geometry(d)
-    h = math.sqrt(2.0 * math.log(d) / N) / L1
-    trace = mirror.run_mpgd(f, None, geom, h, np.full(d, 1.0 / d), N, constraint="simplex")
-    avg_gap = trace.custom("avg_value")[-1] - f.f_star
-    assert avg_gap <= L1 * math.sqrt(8.0 * math.log(d) / N), avg_gap
+                      L=L1, f_star=float(np.min(ell)), domain=Simplex())
+    avg_gap = run_solver(f, "md", N).custom("avg_value")[-1] - f.f_star
+    bound = 2.0 * guarantee("md", f, N)  # twice the paper's bound
+    assert avg_gap <= bound, (avg_gap, bound)
     dT, T = 16, 1000
     losses = problems.make_experts_instance(T, dT, seed=2)
     hT = math.sqrt(2.0 * math.log(dT) / T)

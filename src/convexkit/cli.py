@@ -30,7 +30,7 @@ import warnings
 
 import numpy as np
 
-from . import acceptance, gradient, problems
+from . import acceptance, problems
 from .core import (CapabilityError, ConvexkitError, InvalidInput, InvalidProblem,
                    IterateTrace, fit_rate, run_solver)
 
@@ -313,17 +313,14 @@ RATE_SUITES = {
 
 
 def _rate_rows(suite):
+    def row(name, trace, theory, slack, skip=0):
+        exponent, r2, kind = fit_rate(trace, skip=skip)
+        return name, exponent, r2, theory, kind == "polynomial" and exponent <= theory + slack
+
     if suite == "gd-vs-agd":
         w = problems.make_worst_case_smooth(1024, 1.0, 65)
-        x0 = np.zeros(65)
-        rows = []
-        for name, trace, theory, slack in (
-                ("gd", gradient.run_gd(w, 1.0, x0, 1024), -1.0, 0.5),
-                ("agd", gradient.run_agd(w, x0, 1024), -2.0, 0.6)):
-            exponent, r2, kind = fit_rate(trace, skip=65)
-            rows.append((name, exponent, r2, theory,
-                         kind == "polynomial" and exponent <= theory + slack))
-        return rows
+        return [row(name, run_solver(w, name, 1024), theory, slack, skip=65)
+                for name, theory, slack in (("gd", -1.0, 0.5), ("agd", -2.0, 0.6))]
     if suite == "subgradient":
         # gap at the budget across N, each run with its own tuned step
         budgets = [int(N) for N in np.unique(np.geomspace(16, 512, 12).astype(int))]
@@ -331,9 +328,7 @@ def _rate_rows(suite):
         for N in budgets:
             w = problems.make_worst_case_nonsmooth(N, 2.0, 1.0)
             trace.add(N, run_solver(w, "psd", N).final_gap())
-        exponent, r2, kind = fit_rate(trace)
-        return [("psd", exponent, r2, -0.5,
-                 kind == "polynomial" and exponent <= -0.25)]
+        return [row("psd", trace, -0.5, 0.25)]
     raise InvalidInput("unknown suite %r (have: %s)"
                        % (suite, ", ".join(sorted(RATE_SUITES))))
 

@@ -99,8 +99,8 @@ class ProblemOracle:
     Constants: alpha (strong convexity, >= 0), beta (smoothness, may be inf),
     L (Lipschitz, may be inf), f_star / x_star when known.
     domain: the set the problem is posed on, and f_star and x_star are
-    optimal over: None for all of R^d, a Ball(radius) or a Simplex().
-    run_solver's psd projects onto the ball and md needs the simplex.
+    optimal over: None for all of R^d, a Ball(radius) or a Simplex(). Each
+    run_solver method runs on the domain kinds its registry row lists.
     """
 
     def __init__(self, dim, value, subgradient=None, *, value_and_grad=None, prox=None,
@@ -558,22 +558,24 @@ def fit_rate(trace, skip=0):
 
 # --- uniform solver dispatch -------------------------------------------------
 
-# A registry row: the method's names, the oracles and the domain class it needs,
-# its default step as step(problem, N), or None if it chooses its own and takes
-# none, and run(problem, x0, N, h, seed), which returns its trace.
-Solver = namedtuple("Solver", "names oracles domain step run")
+# A registry row: the method's names, the oracles it needs, the domain kinds it runs
+# on (classes, NoneType for R^d; None: any), its default step(problem, N) or None if
+# it takes none, run(problem, x0, N, h, seed) -> trace, and rate(problem, N, R).
+Solver = namedtuple("Solver", "names oracles domain step run rate")
 
 
 @functools.lru_cache(maxsize=None)
 def _solver_registry():
     # imported lazily so core stays at the bottom of the dependency order
     from . import frankwolfe, gradient, krylov, mirror, nonsmooth, proximal, stochastic
+    in_rd = (type(None), Ball)  # a ball only where it holds the unprojected minimizer
 
-    def inverse(c, numerator=1.0):  # numerator / c, or inf (no valid default) for c <= 0
-        return numerator / c if c > 0 else math.inf
-
-    def smooth(p):  # the smooth part of a composite problem, else the problem
-        return p.extra.get("smooth", p)
+    inverse = lambda c, numerator=1.0: numerator / c if c > 0 else math.inf  # inf: no default
+    smooth = lambda p: p.extra.get("smooth", p)  # the smooth part of f + g, else the problem
+    part = lambda p: smooth(p).beta  # the smoothness of f in f + g
+    whole = lambda p: math.inf if "reg" in p.extra else p.beta  # f + g is not smooth
+    gd_rate = lambda beta: lambda p, N, R: beta(p) * R ** 2 / (2.0 * N)  # at step 1/beta
+    agd_rate = lambda beta: lambda p, N, R: 2.0 * beta(p) * R ** 2 / (N * N)
 
     def run_cg(p, x0, N, h, seed):
         if "A" not in p.extra or "b" not in p.extra:
@@ -581,36 +583,40 @@ def _solver_registry():
         return krylov.cg_solve(p.extra["A"], p.extra["b"], x0, N, f_star=p.f_star)[0]
 
     table = [
-        Solver(("gd",), ("subgradient",), None,
+        Solver(("gd",), ("subgradient",), in_rd,
                lambda p, N: inverse(p.beta) if math.isfinite(p.beta) else 1.0,
-               lambda p, x0, N, h, seed: gradient.run_gd(p, h, x0, N)),
-        Solver(("agd",), ("subgradient",), None, None,
-               lambda p, x0, N, h, seed: gradient.run_agd(p, x0, N)),
-        Solver(("psd",), ("subgradient",), Ball,
+               lambda p, x0, N, h, seed: gradient.run_gd(p, h, x0, N), gd_rate(whole)),
+        Solver(("agd",), ("subgradient",), in_rd, None,
+               lambda p, x0, N, h, seed: gradient.run_agd(p, x0, N), agd_rate(whole)),
+        Solver(("psd",), ("subgradient",), (Ball,),
                lambda p, N: p.domain.radius / math.sqrt(max(N, 1)),
                lambda p, x0, N, h, seed: nonsmooth.run_psd(
                    p, lambda z: nonsmooth.project_ball(z, np.zeros(p.dim), p.domain.radius),
-                   h, x0, N)),
+                   h, x0, N),
+               lambda p, N, R: p.L * R / math.sqrt(N)),  # R: its step's R / sqrt(N)
         Solver(("fw",), ("loo",), None, None,
-               lambda p, x0, N, h, seed: frankwolfe.run_fw(p, p.loo, x0, N)[0]),
-        Solver(("ista", "pgd"), (), None, lambda p, N: inverse(smooth(p).beta),
+               lambda p, x0, N, h, seed: frankwolfe.run_fw(p, p.loo, x0, N)[0], None),
+        Solver(("ista", "pgd"), (), in_rd, lambda p, N: inverse(part(p)),
                lambda p, x0, N, h, seed: proximal.run_pgd(
-                   smooth(p), p.extra.get("reg"), h, x0, N, p.f_star)),
-        Solver(("fista", "apgd"), (), None, None,
+                   smooth(p), p.extra.get("reg"), h, x0, N, p.f_star), gd_rate(part)),
+        Solver(("fista", "apgd"), (), in_rd, None,
                lambda p, x0, N, h, seed: proximal.run_apgd(
-                   smooth(p), p.extra.get("reg"), x0, N, p.f_star)),
-        Solver(("ppm",), ("prox",), None, lambda p, N: 1.0,
-               lambda p, x0, N, h, seed: proximal.run_ppm(p, h, x0, N)),
-        Solver(("md",), ("subgradient",), Simplex,
+                   smooth(p), p.extra.get("reg"), x0, N, p.f_star), agd_rate(part)),
+        Solver(("ppm",), ("prox",), in_rd, lambda p, N: 1.0,
+               lambda p, x0, N, h, seed: proximal.run_ppm(p, h, x0, N),
+               lambda p, N, R: R ** 2 / (2.0 * N)),  # R^2 / (2hN) at h = 1
+        Solver(("md",), ("subgradient",), (Simplex,),
                lambda p, N: inverse(p.L if math.isfinite(p.L) else 1.0,
                                     math.sqrt(2 * math.log(p.dim) / max(N, 1))),
                lambda p, x0, N, h, seed: mirror.run_mpgd(  # from the centre: 0 is not positive
                    p, None, mirror.entropic_geometry(p.dim), h, np.full(p.dim, 1.0 / p.dim),
-                   N, constraint="simplex")),
-        Solver(("sgd",), ("stochastic_gradient",), None,
+                   N, constraint="simplex"),
+               lambda p, N, R: p.L * math.sqrt(2.0 * math.log(p.dim) / N)),  # on the average
+        Solver(("sgd",), ("stochastic_gradient",), in_rd,
                lambda p, N: inverse(2 * p.beta) if math.isfinite(p.beta) else 0.1,
-               lambda p, x0, N, h, seed: stochastic.run_sgd(p, h, x0, N, seed)),
-        Solver(("cg",), (), None, None, run_cg),
+               lambda p, x0, N, h, seed: stochastic.run_sgd(p, h, x0, N, seed), None),
+        # AGD's iterate is in the Krylov space that CG minimizes over
+        Solver(("cg",), (), in_rd, None, run_cg, agd_rate(whole)),
     ]
     return {name: row for row in table for name in row.names}
 
@@ -619,11 +625,30 @@ def solver_names():
     return sorted(_solver_registry())
 
 
+def guarantee(name, problem, N, R=None):
+    """The paper's bound on the final gap of run_solver(problem, name, N), or None.
+
+    R >= ||x0 - x*|| with x0 = 0; for psd, R is the radius its step R / sqrt(N)
+    is tuned for, the declared ball's by default. md's bound is on the average,
+    from the simplex's centre, with L bounding the gradients' sup norm, and needs
+    no R. None where the paper proves none, the method refuses the domain, or
+    the bound is not finite (beta = inf for gd, say, or R = None where the bound
+    needs R).
+    """
+    solver = _solver_registry()[name]
+    if (N < 1 or solver.rate is None  # at N = 0 the bound is inf
+            or solver.domain and not isinstance(problem.domain, solver.domain)):
+        return None
+    bound = solver.rate(problem, N, math.nan if R is None else R)
+    return bound if math.isfinite(bound) else None
+
+
 def run_solver(problem, algo, budget, seed=0):
     """Run a named algorithm from the origin; returns a trace with budget+1 records.
 
-    algo is a name or {"name": ..., "step": ...}. A method that needs a
-    domain runs only on a problem that declares one of that kind.
+    algo is a name or {"name": ..., "step": ...}. The problem's domain must be of
+    a kind the row lists: psd needs a ball, md the simplex and fw any; the rest
+    step in R^d and refuse the simplex. guarantee() bounds a default run's gap.
     """
     if isinstance(algo, str):
         algo = {"name": algo}
@@ -645,9 +670,10 @@ def run_solver(problem, algo, budget, seed=0):
     h = algo.get("step")
     if "step" in algo and h <= 0:  # a usage error, whatever the problem's domain
         raise InvalidInput("step must be positive")
-    if solver.domain is not None and not isinstance(problem.domain, solver.domain):
+    if solver.domain and not isinstance(problem.domain, solver.domain):
+        kinds = " or ".join(getattr(kind, "what", "no domain") for kind in solver.domain)
         raise CapabilityError("%s needs a problem declared on %s; problem %r declares %s"
-                              % (name, solver.domain.what, problem.name,
+                              % (name, kinds, problem.name,
                                  "no domain" if problem.domain is None else problem.domain))
     if "step" not in algo and solver.step is not None:
         h = solver.step(problem, N)

@@ -362,19 +362,23 @@ def test_run_solver_md_default_step_with_zero_lipschitz_constant():
         run_solver(one, "md", 3)
 
 
-@pytest.mark.parametrize("algo, domain", [("md", Simplex()), ("psd", Ball(1.0))])
+@pytest.mark.parametrize("algo, domain", [("md", Simplex()), ("psd", Ball(1.0))] + [
+    (algo, None) for algo in ("gd", "agd", "ista", "pgd", "fista", "apgd", "ppm", "sgd", "cg")])
 def test_run_solver_needs_the_declared_domain(algo, domain):
+    # None: it steps in R^d, so it refuses the simplex (gd ran there and ended below f*)
     q = problems.make_quadratic(np.diag([2.0, 1.0]), np.array([1.0, 1.0]))
-    with pytest.raises(CapabilityError, match="declares no domain"):
-        run_solver(q, algo, 3)
-    other = Ball(1.0) if algo == "md" else Simplex()
-    wrong = ProblemOracle(2, q.value, q.gradient, domain=other)
-    with pytest.raises(CapabilityError, match="declares %s" % re.escape(repr(other))):
-        run_solver(wrong, algo, 3)
-    right = ProblemOracle(2, q.value, q.gradient, domain=domain)
-    assert len(run_solver(right, algo, 3)) == 4
-    with pytest.raises(InvalidInput, match="step must be positive"):  # before the domain
-        run_solver(q, {"name": algo, "step": 0.0}, 3)
+    for declared, named in ((None, "no domain"), (Ball(1.0), "Ball(radius=1.0)"),
+                            (Simplex(), "Simplex()")):
+        p = ProblemOracle(2, q.value, q.gradient, prox=q.prox, beta=q.beta, domain=declared,
+                          stochastic_gradient=lambda x, rng: q.gradient(x), extra=q.extra)
+        if declared == domain or domain is None and not isinstance(declared, Simplex):
+            assert len(run_solver(p, algo, 3)) == 4
+            continue
+        with pytest.raises(CapabilityError, match=re.escape("declares " + named)):
+            run_solver(p, algo, 3)
+    if domain is not None:
+        with pytest.raises(InvalidInput, match="step must be positive"):  # before the domain
+            run_solver(q, {"name": algo, "step": 0.0}, 3)
 
 
 def test_run_solver_sgd_refuses_a_nonpositive_step():

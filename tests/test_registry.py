@@ -1,6 +1,6 @@
 """The registry's contract: every run_solver name on every problem kind the
 parser builds, and on one problem declared on the simplex, either refuses the
-problem or returns budget+1 finite rows within the paper's rate for the pair.
+problem or returns budget+1 finite rows within the row's guarantee for the pair.
 
 Each problem is built from read-only arrays, and every array it keeps is made
 read-only too, so a solver that writes into its problem fails here. The
@@ -8,14 +8,17 @@ reference optima are computed here, not by convexkit's own solvers.
 """
 
 import functools
+import itertools
 import math
+import os
+import runpy
 
 import numpy as np
 import pytest
 
 from convexkit import problems
 from convexkit.core import (Ball, CapabilityError, InvalidInput, ProblemOracle, Simplex,
-                            run_solver, solver_names)
+                            guarantee, run_solver, solver_names)
 
 BUDGETS = (1, 10, 100)
 SLACK = 1e-9  # for rounding, and the references' own error
@@ -89,7 +92,8 @@ def _svm_lower_bound(X, Y, lam, value):
 
 @functools.lru_cache(maxsize=None)
 def _cases():
-    """kind -> (problem, x*, f*): the optimum over the problem's declared domain."""
+    """kind -> (problem, R, f*): f* is optimal over the problem's declared domain; R
+    is ||x*||, or the declared ball's radius, which psd's default step is tuned to."""
     rng = np.random.Generator(np.random.Philox(2031))
     d, n = 4, 10
     G = rng.standard_normal((d, d))
@@ -122,32 +126,8 @@ def _cases():
                                     L=float(np.linalg.norm(c)) + mu, f_star=f_star,
                                     x_star=x, domain=Simplex(), name="simplex"),
                       x, f_star)
-    return out
-
-
-SMOOTH = {"quadratic", "least-squares", "logistic", "worst-case-smooth"}
-
-
-def _rate(algo, kind, p, x_star, N):
-    """The paper's bound on the final gap of algo's default run, or None if it proves none.
-
-    x0 = 0, so R = ||x*||; r is the radius of a declared ball and L the
-    Lipschitz constant (on the simplex L bounds the gradients' sup norm).
-    """
-    R2 = float(x_star @ x_star)
-    if algo in ("gd", "ista", "pgd") and (kind in SMOOTH or algo != "gd" and kind == "lasso"):
-        return p.beta * R2 / (2.0 * N)  # step 1/beta
-    if algo in ("agd", "fista", "apgd") and (kind in SMOOTH or algo != "agd" and kind == "lasso"):
-        return 2.0 * p.beta * R2 / (N * N)
-    if algo == "cg" and kind in ("quadratic", "worst-case-smooth"):
-        return 2.0 * p.beta * R2 / (N * N)  # AGD's iterate is in the Krylov space CG minimizes over
-    if algo == "ppm" and kind == "quadratic":
-        return R2 / (2.0 * N)  # step h = 1: R^2 / (2 h N)
-    if algo == "psd" and isinstance(p.domain, Ball):
-        return p.L * p.domain.radius / math.sqrt(N)  # step r / sqrt(N)
-    if algo == "md" and isinstance(p.domain, Simplex):
-        return p.L * math.sqrt(2.0 * math.log(p.dim) / N)  # for the average
-    return None
+    return {kind: (p, p.domain.radius if isinstance(p.domain, Ball) else np.linalg.norm(x), f)
+            for kind, (p, x, f) in out.items()}
 
 
 KINDS = ["quadratic", "least-squares", "logistic", "lasso", "svm", "worst-case-smooth",
@@ -157,17 +137,18 @@ KINDS = ["quadratic", "least-squares", "logistic", "lasso", "svm", "worst-case-s
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("algo", solver_names())
 def test_every_name_refuses_or_meets_its_rate(algo, kind):
-    p, x_star, f_star = _cases()[kind]
+    p, R, f_star = _cases()[kind]
     for N in BUDGETS:
         try:
             trace = run_solver(p, algo, N)
         except (CapabilityError, InvalidInput):
             continue
+        assert kind != "simplex" or algo == "md", algo  # the rest step in R^d or lack a loo
         assert len(trace) == N + 1 and trace.iters().tolist() == list(range(N + 1))
         rows = [line.split(",") for line in trace.to_csv().splitlines()[1:]]
         assert all(math.isfinite(float(v)) for row in rows for v in row if v != "")
         assert np.isfinite(trace.final_point).all()
-        bound = _rate(algo, kind, p, x_star, N)
+        bound = guarantee(algo, p, N, R)
         if algo in ("md", "psd"):  # their rates need the domain: they run nowhere else
             assert bound is not None, (algo, kind)
         if bound is not None:
@@ -178,6 +159,20 @@ def test_every_name_refuses_or_meets_its_rate(algo, kind):
 
 def test_the_rates_are_checked_where_the_paper_proves_them():
     # every method that takes a problem file, and md on the simplex, is held to a rate somewhere
-    checked = {algo for algo in solver_names() for kind in KINDS
-               if _rate(algo, kind, *_cases()[kind][:2], 10) is not None}
+    checked = {algo for algo in solver_names() for p, R, _ in _cases().values()
+               if guarantee(algo, p, 10, R) is not None}
     assert checked == set(solver_names()) - {"fw", "sgd"}  # no kind has a loo or sampling
+
+
+def test_the_guarantees_match_perfbench_copy_of_the_rates():
+    checks = runpy.run_path(os.path.join(os.path.dirname(__file__), "..", "perfbench", "checks.py"))
+    for beta, L, R, d, N in itertools.product((0.5, 3.0), (0.1, 7.0), (0.3, 2.0), (2, 50),
+                                              (1, 17, 1000)):
+        gd, agd = checks["gd_bound"](beta, R, N), checks["agd_bound"](beta, R, N)
+        want = {"gd": gd, "ista": gd, "pgd": gd, "agd": agd, "fista": agd, "apgd": agd, "cg": agd,
+                "psd": checks["psd_bound"](L, R, N), "ppm": checks["ppm_bound"](R, 1.0, N)}
+        on_ball = ProblemOracle(d, lambda x: 0.0, beta=beta, L=L, domain=Ball(R))
+        for algo, bound in want.items():
+            assert guarantee(algo, on_ball, N, R) == pytest.approx(bound, rel=1e-12), algo
+        on_simplex = ProblemOracle(d, lambda x: 0.0, L=L, domain=Simplex())
+        assert guarantee("md", on_simplex, N) <= checks["md_bound"](L, d, N)
