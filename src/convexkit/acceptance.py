@@ -95,7 +95,7 @@ def crit_05_subgradient():
     ref_err = 2.0 * svm.L ** 2 / (svm.alpha * 200001)
     R = float(np.linalg.norm(x_ref))
     for N in (100, 10000):
-        gap = run_solver(svm, {"name": "psd", "step": R / math.sqrt(N)}, N).values()[-1] - f_ref
+        gap = run_solver(svm, "psd", N, step=R / math.sqrt(N)).values()[-1] - f_ref
         bound = guarantee("psd", svm, N, R)
         assert gap <= bound + ref_err, (N, gap, bound)
 

@@ -4,15 +4,17 @@ against theory, and execute the acceptance suite.
 Exit codes: 0 success, 1 acceptance/rate failure or a failed run (e.g. a
 diverging solver), 2 usage error or invalid problem file (including a step
 given to agd, apgd, cg, fista or fw, which take none, and agd/apgd/fista on
-a problem whose smoothness constant is 0 or infinite, and a step <= 0), 3
-missing oracle capability or domain (md needs the simplex, which no file
-kind declares; psd a ball, which svm and worst-case-nonsmooth files do) or
-no positive finite default step (1/beta with beta = 0 or infinite, for
-example). `run` writes only the trace CSV to stdout; summaries go to
-stderr. Flags are long-form only; each of --iters/--step/--seed falls back
-to the CONVEXKIT_ITERS/CONVEXKIT_STEP/CONVEXKIT_SEED environment variable
-before its default. Worst-case problem files are size-capped (MAX_CHAIN_DIM,
-MAX_NONSMOOTH_STEPS): past a cap, exit 2 before anything is allocated.
+a problem whose smoothness constant is 0 or infinite, as lasso's, and a
+step that is not positive and finite), 3 missing oracle capability or
+domain (md needs the simplex, which no file kind declares; psd a ball,
+which svm and worst-case-nonsmooth files do) or no positive finite default
+step from the problem's constants (1/beta with beta = 0 or infinite, as on
+svm, worst-case-nonsmooth and lasso files). `run` writes only the trace
+CSV to stdout; summaries go to stderr. Flags are long-form only; each of
+--iters/--step/--seed falls back to the CONVEXKIT_ITERS/CONVEXKIT_STEP/
+CONVEXKIT_SEED environment variable before its default. Worst-case problem
+files are size-capped (MAX_CHAIN_DIM, MAX_NONSMOOTH_STEPS): past a cap,
+exit 2 before anything is allocated.
 
 `verify` runs its checks in up to two worker interpreters with one BLAS
 thread each, longest check first; on one CPU, for one check, or under a
@@ -287,11 +289,8 @@ def cmd_run(args):
     iters = _setting(args.iters, "ITERS", 100, int)
     seed = _setting(args.seed, "SEED", 0, int)
     step = _setting(args.step, "STEP", None, float)
-    algo = {"name": args.algo}
-    if step is not None:
-        algo["step"] = step
     started = time.monotonic()
-    trace = run_solver(problem, algo, iters, seed=seed)
+    trace = run_solver(problem, args.algo, iters, step=step, seed=seed)
     elapsed = time.monotonic() - started
     csv_text = trace.to_csv()
     if args.out:

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import numbers
 from collections import namedtuple
 
 import numpy as np
@@ -558,9 +559,9 @@ def fit_rate(trace, skip=0):
 
 # --- uniform solver dispatch -------------------------------------------------
 
-# A registry row: the method's names, the oracles it needs, the domain kinds it runs
-# on (classes, NoneType for R^d; None: any), its default step(problem, N) or None if
-# it takes none, run(problem, x0, N, h, seed) -> trace, and rate(problem, N, R).
+# A registry row: the method's names, the oracles it needs, the domain kinds it runs on
+# (classes, NoneType for R^d; None: any), its default step(problem, N) from the declared
+# constants or None if it takes none, run(problem, x0, N, h, seed), rate(problem, N, R).
 Solver = namedtuple("Solver", "names oracles domain step run rate")
 
 
@@ -573,7 +574,7 @@ def _solver_registry():
     inverse = lambda c, numerator=1.0: numerator / c if c > 0 else math.inf  # inf: no default
     smooth = lambda p: p.extra.get("smooth", p)  # the smooth part of f + g, else the problem
     part = lambda p: smooth(p).beta  # the smoothness of f in f + g
-    whole = lambda p: math.inf if "reg" in p.extra else p.beta  # f + g is not smooth
+    own = lambda p: p.beta  # inf for f + g with g nonsmooth, as make_lasso declares
     gd_rate = lambda beta: lambda p, N, R: beta(p) * R ** 2 / (2.0 * N)  # at step 1/beta
     agd_rate = lambda beta: lambda p, N, R: 2.0 * beta(p) * R ** 2 / (N * N)
 
@@ -583,11 +584,10 @@ def _solver_registry():
         return krylov.cg_solve(p.extra["A"], p.extra["b"], x0, N, f_star=p.f_star)[0]
 
     table = [
-        Solver(("gd",), ("subgradient",), in_rd,
-               lambda p, N: inverse(p.beta) if math.isfinite(p.beta) else 1.0,
-               lambda p, x0, N, h, seed: gradient.run_gd(p, h, x0, N), gd_rate(whole)),
+        Solver(("gd",), ("subgradient",), in_rd, lambda p, N: inverse(p.beta),
+               lambda p, x0, N, h, seed: gradient.run_gd(p, h, x0, N), gd_rate(own)),
         Solver(("agd",), ("subgradient",), in_rd, None,
-               lambda p, x0, N, h, seed: gradient.run_agd(p, x0, N), agd_rate(whole)),
+               lambda p, x0, N, h, seed: gradient.run_agd(p, x0, N), agd_rate(own)),
         Solver(("psd",), ("subgradient",), (Ball,),
                lambda p, N: p.domain.radius / math.sqrt(max(N, 1)),
                lambda p, x0, N, h, seed: nonsmooth.run_psd(
@@ -606,23 +606,29 @@ def _solver_registry():
                lambda p, x0, N, h, seed: proximal.run_ppm(p, h, x0, N),
                lambda p, N, R: R ** 2 / (2.0 * N)),  # R^2 / (2hN) at h = 1
         Solver(("md",), ("subgradient",), (Simplex,),
-               lambda p, N: inverse(p.L if math.isfinite(p.L) else 1.0,
-                                    math.sqrt(2 * math.log(p.dim) / max(N, 1))),
+               lambda p, N: inverse(p.L, math.sqrt(2 * math.log(p.dim) / max(N, 1))),
                lambda p, x0, N, h, seed: mirror.run_mpgd(  # from the centre: 0 is not positive
                    p, None, mirror.entropic_geometry(p.dim), h, np.full(p.dim, 1.0 / p.dim),
                    N, constraint="simplex"),
                lambda p, N, R: p.L * math.sqrt(2.0 * math.log(p.dim) / N)),  # on the average
-        Solver(("sgd",), ("stochastic_gradient",), in_rd,
-               lambda p, N: inverse(2 * p.beta) if math.isfinite(p.beta) else 0.1,
+        Solver(("sgd",), ("stochastic_gradient",), in_rd, lambda p, N: inverse(2 * p.beta),
                lambda p, x0, N, h, seed: stochastic.run_sgd(p, h, x0, N, seed), None),
         # AGD's iterate is in the Krylov space that CG minimizes over
-        Solver(("cg",), (), in_rd, None, run_cg, agd_rate(whole)),
+        Solver(("cg",), (), in_rd, None, run_cg, agd_rate(own)),
     ]
     return {name: row for row in table for name in row.names}
 
 
 def solver_names():
     return sorted(_solver_registry())
+
+
+def _solver(name):
+    """The registry row of a run_solver name; InvalidInput for any other name."""
+    solvers = _solver_registry()
+    if not isinstance(name, str) or name not in solvers:
+        raise InvalidInput("unknown algorithm %r (have: %s)" % (name, ", ".join(sorted(solvers))))
+    return solvers[name]
 
 
 def guarantee(name, problem, N, R=None):
@@ -635,7 +641,7 @@ def guarantee(name, problem, N, R=None):
     the bound is not finite (beta = inf for gd, say, or R = None where the bound
     needs R).
     """
-    solver = _solver_registry()[name]
+    solver = _solver(name)
     if (N < 1 or solver.rate is None  # at N = 0 the bound is inf
             or solver.domain and not isinstance(problem.domain, solver.domain)):
         return None
@@ -643,44 +649,35 @@ def guarantee(name, problem, N, R=None):
     return bound if math.isfinite(bound) else None
 
 
-def run_solver(problem, algo, budget, seed=0):
+def run_solver(problem, name, budget, *, step=None, seed=0):
     """Run a named algorithm from the origin; returns a trace with budget+1 records.
 
-    algo is a name or {"name": ..., "step": ...}. The problem's domain must be of
-    a kind the row lists: psd needs a ball, md the simplex and fw any; the rest
-    step in R^d and refuse the simplex. guarantee() bounds a default run's gap.
+    A step is used only when 0 < step < inf: a given one outside raises InvalidInput,
+    a default one (from the problem's declared constants) CapabilityError. The domain
+    must be of a kind the row lists: psd needs a ball, md the simplex and fw any; the
+    rest step in R^d and refuse the simplex. guarantee() bounds a default run's gap.
     """
-    if isinstance(algo, str):
-        algo = {"name": algo}
-    unknown = set(algo) - {"name", "step"}
-    if unknown:
-        raise InvalidInput("unknown algorithm settings: %s" % ", ".join(sorted(map(str, unknown))))
-    name = algo.get("name")
-    solvers = _solver_registry()
-    if name not in solvers:
-        raise InvalidInput("unknown algorithm %r (have: %s)" % (name, ", ".join(sorted(solvers))))
-    solver = solvers[name]
-    if "step" in algo and solver.step is None:  # agd, apgd, cg, fista and fw choose their own
+    solver = _solver(name)
+    if step is not None and solver.step is None:  # agd, apgd, cg, fista and fw choose their own
         raise InvalidInput("algorithm %s takes no step" % name)
-    if budget < 0:
-        raise InvalidInput("budget must be >= 0")
+    if step is not None and not 0 < step < math.inf:  # a usage error, whatever the problem
+        raise InvalidInput("step must be positive and finite, not %r" % (step,))
+    if not isinstance(budget, numbers.Integral) or budget < 0:
+        raise InvalidInput("budget must be an integer >= 0, not %r" % (budget,))
     N = int(budget)
     for cap in solver.oracles:
         problem.require(cap)
-    h = algo.get("step")
-    if "step" in algo and h <= 0:  # a usage error, whatever the problem's domain
-        raise InvalidInput("step must be positive")
     if solver.domain and not isinstance(problem.domain, solver.domain):
         kinds = " or ".join(getattr(kind, "what", "no domain") for kind in solver.domain)
         raise CapabilityError("%s needs a problem declared on %s; problem %r declares %s"
                               % (name, kinds, problem.name,
                                  "no domain" if problem.domain is None else problem.domain))
-    if "step" not in algo and solver.step is not None:
-        h = solver.step(problem, N)
-        if not 0 < h < math.inf:
+    if step is None and solver.step is not None:
+        step = solver.step(problem, N)
+        if not 0 < step < math.inf:
             raise CapabilityError("%r has no positive finite default step here; give one" % name)
-    trace = solver.run(problem, np.zeros(problem.dim), N, h, seed)
-    if len(trace) != budget + 1:
+    trace = solver.run(problem, np.zeros(problem.dim), N, step, seed)
+    if len(trace) != N + 1:
         raise NumericalError("solver %s produced %d records, expected %d"
-                             % (name, len(trace), budget + 1))
+                             % (name, len(trace), N + 1))
     return trace

@@ -149,8 +149,9 @@ def make_lasso(X, Y, lam, name="lasso"):
         v, grad = f.value_and_grad(x)
         return v + g.value(x), grad + lam * np.sign(x)
 
+    # f + g is not smooth: beta stays inf, and f's is extra["smooth"].beta
     return ProblemOracle(f.dim, composite_value(f, g), subgrad, value_and_grad=value_and_grad,
-                         alpha=f.alpha, beta=f.beta, name=name, extra={"smooth": f, "reg": g})
+                         alpha=f.alpha, name=name, extra={"smooth": f, "reg": g})
 
 
 def make_softmax_smoothed(a_rows, b, lam, beta_smooth, name="softmax"):

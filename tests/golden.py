@@ -219,10 +219,10 @@ def _trace_cases():
     probs = _trace_problems()
     for algo in core.solver_names():
         for kind, prob in probs.items():
-            for label, spec in (("default", {"name": algo}),
-                                ("step-%g" % TRACE_STEP, {"name": algo, "step": TRACE_STEP})):
+            for label, step in (("default", None), ("step-%g" % TRACE_STEP, TRACE_STEP)):
                 yield ("trace/run_solver/%s/%s/%s" % (algo, kind, label),
-                       lambda prob=prob, spec=spec: core.run_solver(prob, spec, TRACE_N))
+                       lambda prob=prob, algo=algo, step=step:
+                           core.run_solver(prob, algo, TRACE_N, step=step))
     for name, run in _loops(probs).items():
         yield "trace/loop/" + name, run
     svm = probs["svm"]

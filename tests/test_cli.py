@@ -220,7 +220,12 @@ b 0 0
     ("kind worst-case-nonsmooth\nsteps 0\nL 1\nR 1\n", "md"),  # md needs the simplex
     (SVM, "pgd"), (SVM, "ista"),  # hinge loss: beta = inf, 1 / beta = 0
     (ZERO, "gd"), (ZERO, "pgd"), (ZERO, "ista"),  # A = 0: beta = 0, 1 / beta = inf
-], ids=["md-dim-1", "pgd-svm", "ista-svm", "gd-zero-A", "pgd-zero-A", "ista-zero-A"])
+    # f is not smooth, so beta = inf (gd took step 1.0 on the first two, 1/beta of
+    # lasso's smooth part on the third); test_run_non_finite_float_field_exit_2 runs
+    # these files with --step
+    (SVM, "gd"), ("kind worst-case-nonsmooth\nsteps 8\nL 1\nR 1\n", "gd"), (LASSO, "gd"),
+], ids=["md-dim-1", "pgd-svm", "ista-svm", "gd-zero-A", "pgd-zero-A", "ista-zero-A",
+        "gd-svm", "gd-worst-case-nonsmooth", "gd-lasso"])
 def test_run_zero_default_step_exit_3(tmp_path, capsys, text, algo):
     p = tmp_path / "f.prob"
     p.write_text(text)
@@ -231,12 +236,25 @@ def test_run_zero_default_step_exit_3(tmp_path, capsys, text, algo):
 @pytest.mark.parametrize("text, algo", [
     ("kind worst-case-nonsmooth\nsteps 0\nL 1\nR 1\n", "md"), (SVM, "pgd"), (QUAD, "gd"),
 ], ids=["md-dim-1", "pgd-svm", "gd-quadratic"])
-@pytest.mark.parametrize("step", ["0", "-0.5"])
-def test_run_explicit_nonpositive_step_still_exit_2(tmp_path, text, algo, step):
+@pytest.mark.parametrize("step", ["0", "-0.5", "nan", "inf", "-inf"])
+def test_run_explicit_nonpositive_step_still_exit_2(tmp_path, monkeypatch, text, algo, step):
+    # nan and inf passed the step <= 0 test and ended in DivergenceError, exit 1
     p = tmp_path / "f.prob"
     p.write_text(text)
-    assert cli.main(["run", "--problem", str(p), "--algo", algo, "--iters", "3",
-                     "--step", step]) == 2
+    code, out, err = _run(["run", "--problem", str(p), "--algo", algo, "--iters", "3",
+                           "--step=" + step])  # "--step -inf" would read -inf as a flag
+    assert code == 2 and out == "" and "step must be positive and finite" in err
+    monkeypatch.setenv("CONVEXKIT_STEP", step)
+    code, out, err = _run(["run", "--problem", str(p), "--algo", algo, "--iters", "3"])
+    assert code == 2 and out == "" and "step must be positive and finite" in err
+
+
+def test_run_agd_on_lasso_exit_2(tmp_path):
+    # lasso declared its smooth part's beta, so agd ran on the nonsmooth f + g
+    p = tmp_path / "lasso.prob"
+    p.write_text(LASSO)
+    code, out, err = _run(["run", "--problem", str(p), "--algo", "agd", "--iters", "3"])
+    assert code == 2 and out == "" and "finite positive smoothness constant" in err
 
 
 def _run(argv):
@@ -281,7 +299,7 @@ def test_sgd_zero_beta_default_step_is_a_capability_error():
     assert fs.beta == 0.0
     with pytest.raises(CapabilityError, match="default step"):
         run_solver(fs, "sgd", 3)
-    assert len(run_solver(fs, {"name": "sgd", "step": 0.1}, 3)) == 4
+    assert len(run_solver(fs, "sgd", 3, step=0.1)) == 4
 
 
 @pytest.mark.parametrize("algo", ["agd", "apgd", "cg", "fista", "fw"])
@@ -642,9 +660,11 @@ def test_run_non_finite_float_field_exit_2(tmp_path, kind, field, bad):
         p.write_text("\n".join(lines) + "\n")
         return str(p)
 
-    algo = "cg" if kind == "quadratic" else "gd"  # cg wrote nan rows and exited 0
-    assert _run(["run", "--problem", write(None), "--algo", algo, "--iters", "3"])[0] == 0
-    code, out, err = _run(["run", "--problem", write(field), "--algo", algo, "--iters", "3"])
+    argv = ["--algo", "cg" if kind == "quadratic" else "gd", "--iters", "3"]  # cg wrote nan rows
+    if cli.parse_problem_file(write(None)).beta == math.inf:  # gd has no default step
+        argv += ["--step", "0.1"]
+    assert _run(["run", "--problem", write(None)] + argv)[0] == 0
+    code, out, err = _run(["run", "--problem", write(field)] + argv)
     assert code == 2 and out == ""
     assert "field %r holds a non-finite number" % field in err
 
@@ -715,7 +735,7 @@ def test_run_md_large_gradient_does_not_overflow():
     # the symmetric problem keeps every iterate at the uniform point. No file
     # kind declares the simplex, so the quadratic is declared on it here.
     q = problems.make_quadratic(np.eye(2), np.array([2e3, 2e3]))
-    on_simplex = ProblemOracle(2, q.value, q.gradient, domain=Simplex())
+    on_simplex = ProblemOracle(2, q.value, q.gradient, L=1.0, domain=Simplex())  # step 0.68
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         trace = run_solver(on_simplex, "md", 3)

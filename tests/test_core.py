@@ -12,7 +12,7 @@ from convexkit.core import (Ball, CapabilityError, DivergenceError, Insufficient
                             InvalidInput, InvalidProblem, IterateTrace, NumericalError,
                             ProblemOracle, Simplex, as_vector, check_divergence,
                             composite_value, finite_diff_gradient, fit_rate,
-                            make_rng, norm, record, run_solver, solver_names)
+                            guarantee, make_rng, norm, record, run_solver, solver_names)
 
 
 def test_as_vector_rejects_bad_input():
@@ -310,38 +310,46 @@ def test_run_solver_budget_contract(algo):
 
 
 def test_run_solver_negative_budget():
+    # 2.5 ran 3 steps and raised NumericalError, and nan raised ValueError
     q = problems.make_quadratic(np.eye(2), np.zeros(2))
     for algo in ("gd", "cg"):
-        with pytest.raises(InvalidInput, match="budget"):
-            run_solver(q, algo, -1)
+        for budget in (-1, 2.5, 3.0, math.nan, math.inf, "3", None):
+            with pytest.raises(InvalidInput, match="budget"):
+                run_solver(q, algo, budget)
+        assert len(run_solver(q, algo, np.int64(3))) == 4
 
 
 def test_prox_methods_run_on_plain_smooth_problems():
     q = problems.make_quadratic(np.diag([2.0, 1.0]), np.array([1.0, 1.0]))
-    gd = run_solver(q, {"name": "gd", "step": 0.3}, 20)
-    assert run_solver(q, {"name": "ista", "step": 0.3}, 20).to_csv() == gd.to_csv()
+    gd = run_solver(q, "gd", 20, step=0.3)
+    assert run_solver(q, "ista", 20, step=0.3).to_csv() == gd.to_csv()
     agd = run_solver(q, "agd", 20)
     assert np.array_equal(run_solver(q, "fista", 20).values(), agd.values())
 
 
 def test_run_solver_unknown_algo():
+    # guarantee raised KeyError on an unknown name
     q = problems.make_quadratic(np.eye(2), np.zeros(2))
-    with pytest.raises(InvalidInput):
-        run_solver(q, "nope", 3)
+    for name in ("nope", {"name": "gd"}, None):
+        with pytest.raises(InvalidInput, match="unknown algorithm"):
+            run_solver(q, name, 3)
+        with pytest.raises(InvalidInput, match="unknown algorithm"):
+            guarantee(name, q, 10, 1.0)
 
 
 @pytest.mark.parametrize("key", ["x0", "radius", "tol", "stepsize"])
 def test_run_solver_refuses_settings_other_than_name_and_step(key):
+    # the settings are keywords: step and seed
     q = problems.make_quadratic(np.eye(2), np.zeros(2))
-    with pytest.raises(InvalidInput, match="unknown algorithm settings: %s" % key):
-        run_solver(q, {"name": "gd", key: np.ones(2)}, 3)
+    with pytest.raises(TypeError, match=key):
+        run_solver(q, "gd", 3, **{key: np.ones(2)})
 
 
 @pytest.mark.parametrize("algo", ["agd", "apgd", "cg", "fista", "fw"])
 def test_run_solver_refuses_a_step_for_solvers_that_choose_their_own(algo):
     q = problems.make_quadratic(np.eye(2), np.ones(2))
     with pytest.raises(InvalidInput, match="algorithm %s takes no step" % algo):
-        run_solver(q, {"name": algo, "step": 0.1}, 3)
+        run_solver(q, algo, 3, step=0.1)
 
 
 def test_run_solver_capability_error():
@@ -355,11 +363,17 @@ def test_run_solver_md_default_step_with_zero_lipschitz_constant():
     p = ProblemOracle(2, lambda x: 0.0, lambda x: np.zeros(2), L=0.0, domain=Simplex())
     with pytest.raises(CapabilityError, match="default step"):
         run_solver(p, "md", 3)
-    assert len(run_solver(p, {"name": "md", "step": 0.1}, 3)) == 4
+    assert len(run_solver(p, "md", 3, step=0.1)) == 4
     # nor has sqrt(2 log 1 / N) = 0 in dimension 1
     one = ProblemOracle(1, lambda x: 0.0, lambda x: np.zeros(1), L=1.0, domain=Simplex())
     with pytest.raises(CapabilityError, match="default step"):
         run_solver(one, "md", 3)
+    # nor sqrt(2 log d / N) / L with no L declared (md took L = 1)
+    p.L = math.inf
+    with pytest.raises(CapabilityError, match="default step"):
+        run_solver(p, "md", 3)
+    p.L = 1.0
+    assert len(run_solver(p, "md", 3)) == 4
 
 
 @pytest.mark.parametrize("algo, domain", [("md", Simplex()), ("psd", Ball(1.0))] + [
@@ -369,8 +383,9 @@ def test_run_solver_needs_the_declared_domain(algo, domain):
     q = problems.make_quadratic(np.diag([2.0, 1.0]), np.array([1.0, 1.0]))
     for declared, named in ((None, "no domain"), (Ball(1.0), "Ball(radius=1.0)"),
                             (Simplex(), "Simplex()")):
-        p = ProblemOracle(2, q.value, q.gradient, prox=q.prox, beta=q.beta, domain=declared,
-                          stochastic_gradient=lambda x, rng: q.gradient(x), extra=q.extra)
+        p = ProblemOracle(2, q.value, q.gradient, prox=q.prox, beta=q.beta, L=1.0,
+                          domain=declared, stochastic_gradient=lambda x, rng: q.gradient(x),
+                          extra=q.extra)
         if declared == domain or domain is None and not isinstance(declared, Simplex):
             assert len(run_solver(p, algo, 3)) == 4
             continue
@@ -378,15 +393,16 @@ def test_run_solver_needs_the_declared_domain(algo, domain):
             run_solver(p, algo, 3)
     if domain is not None:
         with pytest.raises(InvalidInput, match="step must be positive"):  # before the domain
-            run_solver(q, {"name": algo, "step": 0.0}, 3)
+            run_solver(q, algo, 3, step=0.0)
 
 
 def test_run_solver_sgd_refuses_a_nonpositive_step():
-    # sgd ran with any step; the others refused h <= 0 in their loops
+    # sgd ran with any step; the others refused h <= 0 in their loops, and nan
+    # and inf passed the h <= 0 test
     fs = problems.make_finite_sum([problems.make_quadratic(np.eye(2), np.ones(2))] * 2)
-    for h in (0.0, -0.5):
-        with pytest.raises(InvalidInput, match="step must be positive"):
-            run_solver(fs, {"name": "sgd", "step": h}, 3)
+    for h in (0.0, -0.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidInput, match="step must be positive and finite"):
+            run_solver(fs, "sgd", 3, step=h)
 
 
 @pytest.mark.parametrize("domain", ["simplex", Ball(-1.0), Ball(math.nan)])

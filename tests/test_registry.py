@@ -15,10 +15,13 @@ import runpy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from convexkit import problems
-from convexkit.core import (Ball, CapabilityError, InvalidInput, ProblemOracle, Simplex,
-                            guarantee, run_solver, solver_names)
+from convexkit import core, problems
+from convexkit.core import (Ball, CapabilityError, DivergenceError, DomainError, InvalidInput,
+                            NumericalError, ProblemOracle, Simplex, guarantee, run_solver,
+                            solver_names)
 
 BUDGETS = (1, 10, 100)
 SLACK = 1e-9  # for rounding, and the references' own error
@@ -176,3 +179,41 @@ def test_the_guarantees_match_perfbench_copy_of_the_rates():
             assert guarantee(algo, on_ball, N, R) == pytest.approx(bound, rel=1e-12), algo
         on_simplex = ProblemOracle(d, lambda x: 0.0, L=L, domain=Simplex())
         assert guarantee("md", on_simplex, N) <= checks["md_bound"](L, d, N)
+
+
+def test_lasso_declares_no_smoothness_so_gd_agd_and_cg_have_no_guarantee():
+    p, R, _ = _cases()["lasso"]
+    assert p.beta == math.inf and p.extra["smooth"].beta < math.inf
+    for algo in ("gd", "agd", "cg"):
+        assert guarantee(algo, p, 10, R) is None, algo
+    assert guarantee("ista", p, 10, R) is not None
+
+
+STEPPED = [name for name in solver_names() if core._solver_registry()[name].step is not None]
+EDGE_STEPS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308]
+
+
+# a step near 1e308 overflows numpy's arithmetic before the divergence guard sees the point
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(algo=st.sampled_from(STEPPED), kind=st.sampled_from(KINDS),
+       step=st.one_of(st.sampled_from(EDGE_STEPS), st.floats()))
+def test_a_step_is_used_only_when_positive_and_finite(algo, kind, step):
+    # nan and inf passed the h <= 0 test, and ran until DivergenceError
+    p, N, valid = _cases()[kind][0], 5, 0 < step < math.inf
+    try:
+        trace = run_solver(p, algo, N, step=step)
+    except InvalidInput:
+        assert not valid, (algo, kind, step)
+        return
+    except (CapabilityError, DivergenceError, DomainError, NumericalError):
+        # a refusal, or a failed run (exit 1): md's large steps leave its domain, and
+        # psd's projection refuses a point that overflowed
+        assert valid, (algo, kind, step)
+        return
+    assert valid, (algo, kind, step)
+    assert len(trace) == N + 1
+    rows = [line.split(",") for line in trace.to_csv().splitlines()[1:]]
+    assert all(math.isfinite(float(v)) for row in rows for v in row if v != "")
+    assert np.isfinite(trace.final_point).all()
