@@ -33,21 +33,27 @@ class Barrier:
 
     def dual_norm(self, x, v):
         """||v||*_x = sqrt(<v, H(x)^-1 v>)."""
-        return _decrement(_pd(self.hessian(x)), np.asarray(v, dtype=float))
+        return _newton(np.asarray(v, dtype=float), self.hessian(x))[2]
 
 
-def _pd(H):
-    """H, once a Cholesky factorization has shown it positive definite."""
+def _newton(g, H):
+    """(H^-1, H^-1 g, sqrt(<g, H^-1 g>)) from one inversion of H, once a Cholesky
+    factorization has shown H positive definite; other dual norms and steps at
+    the same point are matrix-vector products with that H^-1."""
     try:
         np.linalg.cholesky(H)
+        H_inv = np.linalg.inv(H)
+        if not math.isfinite(H_inv.sum()):  # the Cholesky test lets NaN entries through
+            raise np.linalg.LinAlgError
     except np.linalg.LinAlgError:
         raise SingularHessian("Hessian not positive definite")
-    return H
+    direction = H_inv.dot(g)
+    return H_inv, direction, math.sqrt(max(float(g.dot(direction)), 0.0))
 
 
-def _decrement(H, g):
-    """sqrt(<g, H^-1 g>) for a positive definite H."""
-    return math.sqrt(max(float(g.dot(np.linalg.solve(H, g))), 0.0))
+def _norm(H_inv, v):
+    """sqrt(<v, H^-1 v>)."""
+    return math.sqrt(max(float(v.dot(H_inv.dot(v))), 0.0))
 
 
 def log_barrier_polytope(A, b):
@@ -115,20 +121,13 @@ class ShiftedBarrier:
         return self.t * self.a + g, H
 
 
-def _newton(f, x):
-    """(H^-1 g, lambda) at x from one evaluation of f."""
-    g, H = f.evaluate(x)
-    direction = np.linalg.solve(_pd(H), g)
-    return direction, math.sqrt(max(float(g @ direction), 0.0))
-
-
 def newton_decrement(f, x):
-    return _newton(f, x)[1]
+    return _newton(*f.evaluate(x))[2]
 
 
 def newton_step(f, x):
     """Full Newton step; returns (x_plus, lambda_before)."""
-    direction, lam = _newton(f, x)
+    _, direction, lam = _newton(*f.evaluate(x))
     return x - direction, lam
 
 
@@ -138,7 +137,7 @@ def damped_newton(f, x, target=1e-10, max_iter=500):
     no_decrease = 0
     v = f.value(x)
     for _ in range(max_iter):
-        direction, lam = _newton(f, x)
+        _, direction, lam = _newton(*f.evaluate(x))
         if lam <= target:
             return x
         x = x - direction / (1.0 + lam)
@@ -164,22 +163,22 @@ class PathState:
 C0 = 1.0 / 16.0
 
 
-def _path_step(barrier, x, grad, H, shift, t, path=""):
+def _path_step(barrier, x, grad, H_inv, shift, t, path=""):
     """One Newton step on a path: x - H^-1 (shift + grad), evaluated there.
 
-    grad and H are the barrier's at x and shift is the linear term's gradient
-    at t. Returns (x, grad, H, lambda) at the new point; NumericalError if the
-    step leaves the domain or lambda exceeds 1/4 there.
+    grad and H_inv are the barrier's gradient and inverse Hessian at x; shift is
+    the linear term's gradient at t. Returns (x, grad, H_inv, lambda) at the new
+    point; NumericalError if the step leaves the domain or lambda exceeds 1/4.
     """
-    x = x - np.linalg.solve(H, shift + grad)
+    x = x - H_inv.dot(shift + grad)
     try:
         grad, H = barrier.evaluate(x)
     except DomainError:
         raise NumericalError("Newton step left the domain%s at t = %g" % (path, t))
-    lam = _decrement(_pd(H), shift + grad)
+    H_inv, _, lam = _newton(shift + grad, H)
     if lam > 0.25 + 1e-12:
         raise NumericalError("decrement %g > 1/4%s at t = %g" % (lam, path, t))
-    return x, grad, H, lam
+    return x, grad, H_inv, lam
 
 
 def path_follow(a, barrier, x_center, t0, eps, c0=C0):
@@ -187,14 +186,14 @@ def path_follow(a, barrier, x_center, t0, eps, c0=C0):
 
     Requires the centering precondition lambda_{f_t0}(x_center) <= 1/4; stops
     once t >= 2 nu / eps, where the certificate is below eps. Returns
-    (x, list of PathState). H depends on x alone, so one evaluation per point
-    serves the decrement at t and the step to the next t.
+    (x, list of PathState). H depends on x alone, so one evaluation and one
+    inversion of H per point give the decrement at t and the step to the next t.
     """
     a = as_vector(a)
     t = float(t0)
     x = as_vector(x_center).copy()
     grad, H = barrier.evaluate(x)
-    lam = _decrement(_pd(H), t * a + grad)
+    H_inv, _, lam = _newton(t * a + grad, H)
     if lam > 0.25 + 1e-12:
         raise InvalidInput("x_center is not centered for t0 (decrement %g)" % lam)
     states = [PathState(t, x, lam)]
@@ -202,7 +201,7 @@ def path_follow(a, barrier, x_center, t0, eps, c0=C0):
     growth = 1.0 + c0 / math.sqrt(barrier.nu)
     while t < t_stop:
         t *= growth
-        x, grad, H, lam = _path_step(barrier, x, grad, H, t * a, t)
+        x, grad, H_inv, lam = _path_step(barrier, x, grad, H_inv, t * a, t)
         states.append(PathState(t, x, lam))
     return x, states
 
@@ -213,18 +212,19 @@ def preliminary_stage(barrier, xbar0, a, c0=C0):
     Follows the auxiliary path for -t <grad phi(xbar0), .> + phi with t
     shrinking geometrically from 1 (the pair (1, xbar0) is exactly centered),
     then finishes with damped Newton on phi and picks the largest safe t0.
+    One inversion of H per point serves the stopping rule's dual norms and the step.
     """
     a = as_vector(a)
     x = as_vector(xbar0).copy()
     g0, H = barrier.evaluate(x)
-    _pd(H)
+    H_inv = _newton(g0, H)[0]
     grad = g0
     t = 1.0
     shrink = 1.0 - c0 / math.sqrt(barrier.nu)
     iterations = 0
-    while not (t * _decrement(H, g0) <= 1.0 / 16.0 and _decrement(H, grad) <= 0.5):
+    while not (t * _norm(H_inv, g0) <= 1.0 / 16.0 and _norm(H_inv, grad) <= 0.5):
         t *= shrink
-        x, grad, H, _ = _path_step(barrier, x, grad, H, -t * g0, t, " on the auxiliary path")
+        x, grad, H_inv, _ = _path_step(barrier, x, grad, H_inv, -t * g0, t, " on the auxiliary path")
         iterations += 1
         if iterations > 10000:
             raise CenteringFailed("preliminary stage did not converge")

@@ -43,9 +43,12 @@ def make_quadratic(A, b, name="quadratic"):
         f_star = -0.5 * float(b @ x_star)
     value, grad, value_and_grad = _quadratic_oracles(A, b)
 
-    def prox(y, h):
-        # argmin of f + ||.-y||^2/(2h) solves (I + hA)x = y + hb
-        return np.linalg.solve(np.eye(b.size) + h * A, y + h * b)
+    last = [None, None]  # the last step h and (I + hA)^-1, inverted when h first comes
+
+    def prox(y, h):  # argmin of f + ||.-y||^2/(2h) solves (I + hA)x = y + hb
+        if last[0] != h:
+            last[:] = h, np.linalg.inv(np.eye(b.size) + h * A)
+        return last[1].dot(y + h * b)
 
     return ProblemOracle(b.size, value, grad, value_and_grad=value_and_grad, prox=prox,
                          alpha=alpha, beta=beta, f_star=f_star, x_star=x_star, name=name,

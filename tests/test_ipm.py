@@ -239,3 +239,103 @@ def test_path_follow_raises_singular_hessian():
     flat = ipm.Barrier(2, box.value, evaluate, box.nu)
     with pytest.raises(SingularHessian):
         ipm.path_follow(np.array([1.0, 0.0]), flat, np.zeros(2), 0.1, 1e-3)
+
+
+def test_one_evaluation_cholesky_and_inversion_per_newton_point(monkeypatch):
+    counts = dict.fromkeys(("evaluate", "cholesky", "inv", "solve"), 0)
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in ("cholesky", "inv", "solve"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    make_barrier, damped_newton, path_follow = (ipm.log_barrier_polytope, ipm.damped_newton,
+                                                ipm.path_follow)
+
+    def counted_barrier(A, b):
+        barrier = make_barrier(A, b)
+        barrier.evaluate = counting("evaluate", barrier.evaluate)
+        return barrier
+
+    damped_points, states = [], []
+
+    def counted_damped(*args, **kwargs):
+        before = counts["evaluate"]
+        x = damped_newton(*args, **kwargs)
+        damped_points.append(counts["evaluate"] - before)
+        return x
+
+    def recorded_path(*args, **kwargs):
+        x, walked = path_follow(*args, **kwargs)
+        states.extend(walked)
+        return x, walked
+
+    monkeypatch.setattr(ipm, "log_barrier_polytope", counted_barrier)
+    monkeypatch.setattr(ipm, "damped_newton", counted_damped)
+    monkeypatch.setattr(ipm, "path_follow", recorded_path)
+    lp = problems.make_random_lp(12, 3, seed=5)
+    _, _, iterations = ipm.solve_lp(lp.A, lp.b, lp.c, lp.x_interior, 1e-6)
+    # iterations = auxiliary steps + 1 + main-stage points; the auxiliary path
+    # starts at xbar0, damped Newton evaluates each of its points, and t0 takes
+    # one dual norm
+    auxiliary = iterations - len(states)
+    points = auxiliary + damped_points[0] + 1 + len(states)
+    assert len(states) > 100 and damped_points[0] >= 1
+    assert counts == {"evaluate": points, "cholesky": points, "inv": points, "solve": 0}
+
+
+def _spd(seed, d, log_cond, scale):
+    """A random d x d SPD matrix with eigenvalues scale * [1, 10**log_cond]."""
+    rng = make_rng(seed)
+    Q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    evals = scale * 10.0 ** np.append(rng.uniform(0.0, log_cond, size=d - 1), log_cond)
+    evals[0] = scale
+    H = (Q * evals) @ Q.T
+    return 0.5 * (H + H.T), rng.normal(size=d), Q, evals
+
+
+def _fixed(g, H):
+    """A barrier whose gradient and Hessian are g and H everywhere."""
+    return ipm.Barrier(g.size, lambda x: 0.0, lambda x: (g, H), 1.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(2, 8), log_cond=st.floats(0.0, 12.0),
+       log_scale=st.floats(-4.0, 4.0))
+def test_newton_from_the_inverse_matches_the_linear_solve(seed, d, log_cond, log_scale):
+    H, g, _, evals = _spd(seed, d, log_cond, 10.0 ** log_scale)
+    step, lam = ipm.newton_step(_fixed(g, H), np.zeros(d))
+    want = np.linalg.solve(H, g)
+    # both sides err by O(cond(H) eps ||H^-1|| ||g||): the bound the end of the path sits near
+    scale = 2.0 * d * np.finfo(float).eps * (evals.max() / evals.min()) / evals.min()
+    assert np.abs(-step - want).max() <= scale * np.abs(g).sum()
+    assert abs(lam ** 2 - float(g @ want)) <= scale * float(g @ g) * d
+    assert ipm.newton_decrement(_fixed(g, H), np.zeros(d)) == lam
+    assert _fixed(g, H).dual_norm(np.zeros(d), g) == lam
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(2, 8), log_cond=st.floats(0.0, 12.0),
+       kind=st.sampled_from(["indefinite", "zero row", "rank one", "nan"]),
+       i=st.integers(0, 7), j=st.integers(0, 7))
+def test_newton_refuses_a_hessian_that_is_not_positive_definite(seed, d, log_cond, kind, i, j):
+    H, g, Q, evals = _spd(seed, d, log_cond, 1.0)
+    i, j = i % d, j % d
+    if kind == "indefinite":  # eigenvalue i negated, |lambda_i| >= 1 >> rounding in H
+        evals[i] = -evals[i]
+        H = (Q * evals) @ Q.T
+    elif kind == "zero row":  # an exact zero pivot
+        H[i, :] = H[:, i] = 0.0
+    elif kind == "rank one":  # v v^T for an integer v: exact zero pivots
+        v = make_rng(seed).integers(-4, 5, size=d).astype(float)
+        v[0] = v[0] or 1.0
+        H = np.outer(v, v)
+    else:  # one NaN entry, in either triangle
+        H[i, j] = math.nan
+    with pytest.raises(SingularHessian):
+        ipm.newton_step(_fixed(g, H), np.zeros(d))

@@ -30,6 +30,37 @@ def test_quadratic_prox_closed_form():
     assert np.allclose(q.prox(y, h), expect, atol=1e-12)
 
 
+def test_quadratic_prox_inverts_once_per_step_size(monkeypatch):
+    inversions = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda M: inversions.append(M.shape) or inv(M))
+    q = problems.make_quadratic(np.diag([1.0, 4.0, 9.0]), np.ones(3))
+    assert inversions == []  # nothing is inverted when the problem is built
+    y = np.array([0.5, -1.0, 2.0])
+    for _ in range(5):
+        q.prox(y, 0.3)
+    assert inversions == [(3, 3)]
+    q.prox(y, 0.7)
+    q.prox(y, 0.7)
+    assert len(inversions) == 2  # a new step size inverts again, once
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 6), rank=st.integers(0, 6),
+       log_h=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2))
+def test_quadratic_prox_matches_the_linear_solve(seed, d, rank, log_h):
+    rng = make_rng(seed)
+    M = rng.normal(size=(d, min(rank, d)))
+    A = M @ M.T  # PSD, singular when rank < d
+    b, y = rng.normal(size=d), rng.normal(size=d)
+    q = problems.make_quadratic(A, b)
+    for h in 10.0 ** np.array(log_h + log_h[:1]):  # a second step size, then the first again
+        K = np.eye(d) + h * A
+        want = np.linalg.solve(K, y + h * b)
+        tol = 1e-13 * np.linalg.cond(K) * (1.0 + np.abs(y + h * b).max())
+        assert np.abs(q.prox(y, h) - want).max() <= tol
+
+
 def test_logistic_gradient_and_smoothness():
     rng = make_rng(0)
     X = rng.normal(size=(12, 3))
