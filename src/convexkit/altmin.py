@@ -177,15 +177,6 @@ def sinkhorn_reference(instance, max_iter=10 ** 5, tol=1e-12):
     return res.plan, kl0
 
 
-def sinkhorn_last_iterate_check(instance, N, reference=None):
-    """KL(mu_N || mu) <= KL(gamma* || gamma^0) / N."""
-    if reference is None:
-        reference = sinkhorn_reference(instance)
-    _, kl0 = reference
-    res = sinkhorn(instance, N)
-    return res.kl_mu[-1] <= kl0 / N + 1e-12
-
-
 def eot_primal_value(instance, plan):
     """<C, plan> + KL(plan || mu x nu) (regularization strength 1)."""
     return float(np.sum(plan * instance.C)) + kl_divergence(

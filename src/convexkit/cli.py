@@ -59,8 +59,6 @@ from .core import (CapabilityError, ConvexkitError, InvalidInput, InvalidProblem
 #   kind svm              rows, dim, X (rows*dim), Y (rows; +-1), lam
 #   kind worst-case-smooth     steps, beta, dim <= MAX_CHAIN_DIM
 #   kind worst-case-nonsmooth  steps <= MAX_NONSMOOTH_STEPS, L, R
-#   kind lp               rows, dim, A (rows*dim), b (rows), c (dim), x0 (dim; optional)
-#                         read by parse_lp_file; `run` refuses it as an unknown kind
 
 MAX_CHAIN_DIM = 4096  # a dense dim x dim matrix: 128 MB at the cap
 MAX_NONSMOOTH_STEPS = 1000000  # vectors of steps + 1 entries: 8 MB at the cap
@@ -250,22 +248,6 @@ def parse_problem_file(path):
             _integer(fields, "steps", 0, MAX_NONSMOOTH_STEPS), _scalar(fields, "L"),
             _scalar(fields, "R"))
     raise InvalidInput("unknown problem kind %r" % kind)
-
-
-def parse_lp_file(path):
-    """Read a `kind lp` file: minimize <c, x> over {Ax <= b}.
-
-    Returns (A, b, c, x0) with x0 = None when the file has no x0 field.
-    """
-    fields = _parse_fields(path)
-    kind = _kind(fields)
-    if kind != "lp":
-        raise InvalidInput("LP file has kind %r, expected 'lp'" % kind)
-    rows = _integer(fields, "rows", 1)
-    dim = _integer(fields, "dim", 1)
-    A = _numbers(fields, "A", rows * dim).reshape(rows, dim)
-    b, c = _numbers(fields, "b", rows), _numbers(fields, "c", dim)
-    return A, b, c, _numbers(fields, "x0", dim) if "x0" in fields else None
 
 
 # --- config precedence: flag > CONVEXKIT_* env var > default -----------------

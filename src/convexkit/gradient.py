@@ -5,8 +5,8 @@ import math
 
 import numpy as np
 
-from .core import (DivergenceError, InvalidInput, NumericalError, ProblemOracle,
-                   as_vector, norm, record)
+from .core import (InvalidInput, NumericalError, ProblemOracle, as_vector, norm,
+                   record)
 
 
 def default_dt(problem):
@@ -117,17 +117,6 @@ def run_agd(problem, x0, N):
         return v, norm(g)
 
     return _nesterov(problem, None, at, x0, N, problem.f_star)
-
-
-def min_grad_norm_rate(problem, h, x0, N):
-    """Smallest gradient norm over N GD iterates; telescoped descent lemma bound."""
-    trace = run_gd(problem, h, x0, N)
-    best = float(np.min(trace.grad_norms()[:N])) if N > 0 else trace.grad_norms()[0]
-    if problem.f_star is not None and N > 0:
-        bound = math.sqrt(2.0 * (trace.values()[0] - problem.f_star) / (N * h))
-        if best > bound * (1 + 1e-9) + 1e-12:
-            raise DivergenceError("stationarity bound violated: %g > %g" % (best, bound))
-    return best
 
 
 def reduce_to_strongly_convex(base_solver, problem, x0, R, eps):

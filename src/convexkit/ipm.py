@@ -89,6 +89,8 @@ def logdet_barrier(d):
         """The symmetric part of x as a d x d matrix, once Cholesky has shown it PD."""
         X = np.asarray(x, dtype=float).reshape(d, d)
         X = 0.5 * (X + X.T)
+        if not np.isfinite(X).all():  # Cholesky returns a NaN factor for NaN entries
+            raise DomainError("matrix has non-finite entries")
         try:
             np.linalg.cholesky(X)
         except np.linalg.LinAlgError:

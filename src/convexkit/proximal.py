@@ -156,41 +156,6 @@ def moreau_envelope(problem, h, y):
     return problem.value(xh) + 0.5 * float(d @ d) / h
 
 
-def ppm_lyapunov_check(problem, h, x0, N, tol=1e-8):
-    """Check that n^2 h^2 ||grad f||^2 + 2nh (f - f*) + ||x - x*||^2 never increases
-    along PPM, and the implied gradient-norm and gap bounds at iterate N."""
-    if problem.f_star is None or problem.x_star is None:
-        raise InvalidInput("needs declared f* and x*")
-    prox = _prox_of(problem)
-    x = as_vector(x0).copy()
-    R = float(np.linalg.norm(x - problem.x_star))
-    scale = problem.scale_at(x)
-    lyap_prev = None
-    ok = True
-    diag = []
-    for n in range(N + 1):
-        g = problem.subgradient(x)
-        lyap = (n * n * h * h * float(g.dot(g))
-                + 2 * n * h * (problem.value(x) - problem.f_star)
-                + norm(x - problem.x_star) ** 2)
-        if lyap_prev is not None and lyap > lyap_prev + tol * scale:
-            ok = False
-            diag.append((n, lyap_prev, lyap))
-        lyap_prev = lyap
-        if n < N:
-            x = prox(x, h)
-    if N > 0:
-        g = problem.subgradient(x)
-        if norm(g) > R / (N * h) + tol * scale:
-            ok = False
-            diag.append(("grad_bound", norm(g), R / (N * h)))
-        gap = problem.value(x) - problem.f_star
-        if gap > R * R / (4.0 * N * h) + tol * scale:
-            ok = False
-            diag.append(("gap_bound", gap, R * R / (4.0 * N * h)))
-    return ok, diag
-
-
 def numeric_conjugate(x_grid, f_vals, y_grid):
     """f*(y) = max over the sample grid of x*y - f(x)."""
     x_grid = np.asarray(x_grid, dtype=float)
@@ -200,9 +165,5 @@ def numeric_conjugate(x_grid, f_vals, y_grid):
         raise InvalidInput("grids must be non-empty")
     if x_grid.size != f_vals.size:
         raise InvalidInput("need one sample per grid point")
-    # outer product is fine at default grid sizes (2048 x 2048 doubles)
+    # one len(y_grid) x len(x_grid) outer product: 32 MB at 2048 x 2048
     return np.max(np.outer(y_grid, x_grid) - f_vals[None, :], axis=1)
-
-
-def conjugate_grid(lo, hi, n=2048):
-    return np.linspace(lo, hi, n)

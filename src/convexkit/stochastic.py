@@ -64,14 +64,6 @@ def run_smpgd(f, g, geometry, h, x0, N, seed=0, averaging="geometric"):
     return trace
 
 
-def run_sgd_pl(problem, h, x0, N, seeds):
-    """Mean final gap of SGD over the given seeds (PL noise-floor check),
-    run as one batch."""
-    if problem.f_star is None:
-        raise InvalidInput("needs a declared f*")
-    return float(np.mean(run_sgd(problem, h, x0, N, seed=list(seeds)).final_gap()))
-
-
 def run_asgd(problem, gamma, x0, n, seed=0):
     """SGD with steps h_k = k^-gamma plus Polyak-Ruppert (uniform) averaging
     of iterates 0..n-1. Returns (theta_bar, trace of squared distances).

@@ -185,7 +185,7 @@ def test_sinkhorn_primal_dominates_initial_plan():
 def test_sinkhorn_last_iterate_bound():
     inst = altmin.EotInstance.random(4, 4, seed=9, cost_scale=2.0)
     ref = altmin.sinkhorn_reference(inst)
-    assert altmin.sinkhorn_last_iterate_check(inst, 30, reference=ref)
     plan_star, kl0 = ref
+    assert altmin.sinkhorn(inst, 30).kl_mu[-1] <= kl0 / 30 + 1e-12  # KL(mu_N || mu) <= kl0 / N
     assert kl0 >= 0.0
     assert kl_divergence(plan_star.ravel(), altmin.initial_plan(inst).ravel()) == pytest.approx(kl0)

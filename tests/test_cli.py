@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convexkit import acceptance, cli, nonsmooth, problems
@@ -60,17 +60,17 @@ def test_parse_problem_file(quad_file):
     assert np.allclose(q.x_star, [0.5, 1.0])
 
 
-def test_parse_problem_file_errors(tmp_path):
+def test_parse_problem_file_errors(tmp_path, capsys):
     p = tmp_path / "bad.prob"
-    p.write_text("kind quadratic\ndim 2\nA 1 2 3\nb 0 0\n")
-    with pytest.raises(InvalidInput, match="A"):
-        cli.parse_problem_file(str(p))
-    p.write_text("dim 2\n")
-    with pytest.raises(InvalidInput, match="kind"):
-        cli.parse_problem_file(str(p))
-    p.write_text("kind martian\n")
-    with pytest.raises(InvalidInput, match="martian"):
-        cli.parse_problem_file(str(p))
+    for text, message in [("kind quadratic\ndim 2\nA 1 2 3\nb 0 0\n", "field 'A' has 3 numbers"),
+                          ("dim 2\n", "missing field 'kind'"),
+                          ("kind martian\n", "unknown problem kind 'martian'"),
+                          (LP, "unknown problem kind 'lp'")]:  # run solves no LP
+        p.write_text(text)
+        with pytest.raises(InvalidInput, match=message):
+            cli.parse_problem_file(str(p))
+        assert cli.main(["run", "--problem", str(p), "--algo", "gd", "--iters", "3"]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_parse_worst_case_file(tmp_path):
@@ -78,34 +78,6 @@ def test_parse_worst_case_file(tmp_path):
     p.write_text("kind worst-case-smooth\nsteps 8\nbeta 1.0\ndim 17\n")
     w = cli.parse_problem_file(str(p))
     assert w.dim == 17 and w.beta == 1.0
-
-
-def test_parse_lp_file(tmp_path):
-    p = tmp_path / "box.lp"
-    p.write_text(LP)
-    A, b, c, x0 = cli.parse_lp_file(str(p))
-    assert np.array_equal(A, [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-    assert np.array_equal(b, np.ones(4))
-    assert np.array_equal(c, [1.0, 0.0])
-    assert np.array_equal(x0, [0.2, 0.1])
-    with pytest.raises(InvalidInput, match="unknown problem kind 'lp'"):  # run solves no LP
-        cli.parse_problem_file(str(p))
-    p.write_text(LP.replace("x0 0.2 0.1\n", ""))
-    assert cli.parse_lp_file(str(p))[3] is None
-    for text, message in [
-            (LP.replace("c 1 0\n", ""), "missing field 'c'"),
-            (LP.replace("x0 0.2 0.1", "x0 0 x"), "field 'x0' holds non-numeric data"),
-            (LP.replace("b 1 1 1 1", "b 1 1 1"), "field 'b' has 3 numbers, expected 4"),
-            (LP.replace("A 1 0 -1", "A 1 0 nan"), "field 'A' holds a non-finite number"),
-            (LP.replace("x0 0.2 0.1", "x0 0.2"), "field 'x0' has 1 numbers, expected 2"),
-            (LP.replace("kind lp", "kind quadratic"), "kind 'quadratic', expected 'lp'"),
-            (LP.replace("kind lp\n", ""), "missing field 'kind'")]:
-        p.write_text(text)
-        with pytest.raises(InvalidInput, match=message):
-            cli.parse_lp_file(str(p))
-    p.write_bytes(LP.encode().replace(b"1 1 1 1", b"1 1 1 \xff"))
-    with pytest.raises(InvalidInput, match="not UTF-8"):
-        cli.parse_lp_file(str(p))
 
 
 def test_run_writes_trace_and_exits_zero(quad_file, tmp_path, capsys):
@@ -693,25 +665,6 @@ def test_fuzz_problem_file_bytes_exit_codes(bytes_file, head, tail):
     with mock.patch.object(cli, "PIECE", 3):  # every line read in 3-character pieces
         code3, out3, err3 = _run(argv)
     assert (code3, out3, _timeless(err3)) == (code, out, _timeless(err))
-
-
-def _lp_outcome(path):
-    """parse_lp_file's arrays as bytes, or the message of its InvalidInput."""
-    try:
-        return [None if v is None else (v.shape, v.tobytes()) for v in cli.parse_lp_file(path)]
-    except InvalidInput as exc:
-        return str(exc)
-
-
-@settings(max_examples=100, deadline=None)
-@given(head=st.sampled_from([b"kind lp\n", b"kind lp\nrows 4\ndim 2\n", LP.encode()]),
-       tail=st.binary(max_size=48))
-@example(head=LP.encode(), tail=b"# a comment\n")  # a file that parses
-def test_fuzz_lp_file_bytes(bytes_file, head, tail):
-    bytes_file.write_bytes(head + tail)
-    outcome = _lp_outcome(str(bytes_file))  # any other exception fails the test
-    with mock.patch.object(cli, "PIECE", 3):  # every line read in 3-character pieces
-        assert _lp_outcome(str(bytes_file)) == outcome
 
 
 def _timeless(err):

@@ -1,4 +1,6 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -56,14 +58,22 @@ def test_logdet_barrier_oracles():
 
 
 def test_logdet_value_raises_outside_the_pd_cone():
-    # det diag(-1, -2, 1) = 2 > 0: slogdet alone read this as log 2
-    ld = ipm.logdet_barrier(3)
-    x = np.diag([-1.0, -2.0, 1.0]).ravel()
-    with pytest.raises(DomainError):
-        ld.value(x)
-    with pytest.raises(DomainError):
-        ld.evaluate(x)
-    assert not ld.in_domain(x)
+    # det diag(-1, -2, 1) = 2 > 0: slogdet alone read this as log 2. numpy's
+    # Cholesky returns a NaN factor for a NaN entry, which in_domain read as
+    # inside, with value NaN and a RuntimeWarning from slogdet.
+    outside = [np.diag([-1.0, -2.0, 1.0]).ravel()]
+    for entry, bad in itertools.product(range(4), [math.nan, math.inf, -math.inf]):
+        outside.append(np.eye(2).ravel())
+        outside[-1][entry] = bad
+    for x in outside:
+        ld = ipm.logdet_barrier(math.isqrt(x.size))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                ld.value(x)
+            with pytest.raises(DomainError):
+                ld.evaluate(x)
+            assert not ld.in_domain(x)
 
 
 def test_newton_exact_on_quadratic_barrier_free():

@@ -96,14 +96,27 @@ def test_moreau_envelope_below_f_and_gradient_identity():
 
 
 def test_ppm_lyapunov_check_passes_on_quadratic():
+    # along PPM, n^2 h^2 ||grad f||^2 + 2nh (f - f*) + ||x - x*||^2 never increases,
+    # and at iterate N, ||grad f|| <= R / (Nh) and f - f* <= R^2 / (4Nh)
     q = problems.make_quadratic(np.diag([1.0, 3.0]), np.array([1.0, 1.0]))
-    ok, diag = proximal.ppm_lyapunov_check(q, 0.7, np.zeros(2), 40)
-    assert ok, diag
+    h, N = 0.7, 40
+    trace = proximal.run_ppm(q, h, np.zeros(2), N)
+    xs = [np.zeros(2)]
+    for _ in range(N):
+        xs.append(q.prox(xs[-1], h))
+    assert np.array_equal(xs[-1], trace.final_point)
+    n = np.arange(N + 1)
+    dist2 = np.array([np.sum((x - q.x_star) ** 2) for x in xs])
+    lyap = (n * h * trace.grad_norms()) ** 2 + 2 * n * h * trace.gaps() + dist2
+    R, tol = math.sqrt(dist2[0]), 1e-8 * q.scale_at(np.zeros(2))
+    assert np.all(np.diff(lyap) <= tol)
+    assert trace.grad_norms()[N] <= R / (N * h) + tol
+    assert trace.gaps()[N] <= R * R / (4.0 * N * h) + tol
 
 
 def test_numeric_conjugate_of_square():
     # f(x) = x^2/2 is self-conjugate
-    grid = proximal.conjugate_grid(-6.0, 6.0, 1500)
+    grid = np.linspace(-6.0, 6.0, 1500)
     ys = np.linspace(-2.0, 2.0, 41)
     star = proximal.numeric_conjugate(grid, 0.5 * grid ** 2, ys)
     assert np.allclose(star, 0.5 * ys ** 2, atol=1e-4)
@@ -111,7 +124,7 @@ def test_numeric_conjugate_of_square():
 
 def test_numeric_conjugate_of_abs():
     # |x|* is the indicator of [-1,1]: 0 inside, large outside the grid range
-    grid = proximal.conjugate_grid(-4.0, 4.0, 2001)
+    grid = np.linspace(-4.0, 4.0, 2001)
     star = proximal.numeric_conjugate(grid, np.abs(grid), np.array([0.0, 0.5, 2.0]))
     assert abs(star[0]) < 1e-10
     assert abs(star[1]) < 1e-3

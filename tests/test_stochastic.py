@@ -68,7 +68,7 @@ def test_smpgd_weighted_average_converges_better_than_last():
 def test_sgd_pl_noise_floor():
     q = _noisy_quadratic(0.5, seed=4)
     h = 1.0 / (2.0 * q.beta)
-    mean_gap = stochastic.run_sgd_pl(q, h, np.zeros(3), 300, seeds=range(40))
+    mean_gap = np.mean(stochastic.run_sgd(q, h, np.zeros(3), 300, seed=list(range(40))).final_gap())
     floor = q.sigma2d * h * q.beta / (2 * q.alpha)
     assert mean_gap <= 3.0 * (floor + (1 - q.alpha * h) ** 300 * (q.value(np.zeros(3)) - q.f_star))
 
@@ -252,7 +252,7 @@ def test_row_generator_serves_one_kind_of_draw():
 def test_sgd_pl_equals_mean_of_single_seed_gaps():
     q = _noisy_quadratic(0.5, seed=4)
     h = 1.0 / (2.0 * q.beta)
-    mean_gap = stochastic.run_sgd_pl(q, h, np.zeros(3), 200, seeds=range(12))
+    mean_gap = np.mean(stochastic.run_sgd(q, h, np.zeros(3), 200, seed=list(range(12))).final_gap())
     singles = [stochastic.run_sgd(q, h, np.zeros(3), 200, seed=s).final_gap()
                for s in range(12)]
     assert mean_gap == pytest.approx(np.mean(singles), rel=1e-12)
