@@ -35,7 +35,7 @@ def crit_01_gd_rate():
 def crit_02_smooth_lower_bound():
     """GD, AGD, and CG all stall on the chain quadratic: gap_32 >= (beta/8)(1/33 - 1/66)."""
     beta = 1.0
-    w = problems.make_worst_case_smooth(32, beta, 65)
+    w = problems.make_worst_case_smooth(beta, 65)
     lower = (beta / 8.0) * (1.0 / 33.0 - 1.0 / 66.0)
     for name in ("gd", "agd", "cg"):
         gap = run_solver(w, name, 32).gaps()[-1]
@@ -45,14 +45,14 @@ def crit_02_smooth_lower_bound():
 def crit_03_acceleration():
     """AGD meets 2 beta R^2 / N^2 on three problems; fitted exponents split GD from AGD."""
     zoo = [_random_quadratic(20, 100.0, seed=3),
-           problems.make_worst_case_smooth(256, 2.0, 600),
+           problems.make_worst_case_smooth(2.0, 600),
            _random_quadratic(12, 10.0, seed=4)]
     for q in zoo:
         gaps = run_solver(q, "agd", 256).gaps()
         for N in (16, 64, 256):
             bound = guarantee("agd", q, N, float(np.linalg.norm(q.x_star)))
             assert gaps[N] <= bound + 1e-12, (q.name, N, gaps[N], bound)
-    w = problems.make_worst_case_smooth(256, 1.0, 65)
+    w = problems.make_worst_case_smooth(1.0, 65)
     e_gd, _, _ = fit_rate(run_solver(w, "gd", 256), skip=8)
     e_agd, _, _ = fit_rate(run_solver(w, "agd", 256), skip=8)
     assert e_agd <= -1.7, e_agd
@@ -287,11 +287,10 @@ def crit_13_sinkhorn():
         assert float(np.max(np.abs(half - inst.mu))) <= 1e-12
 
 
-def _two_block_quadratic(H, b=None):
+def _two_block_quadratic(H):
     H = np.asarray(H, dtype=float)
     d = H.shape[0]
-    if b is None:
-        b = np.zeros(d)
+    b = np.zeros(d)
     q = problems.make_quadratic(H, b)
     # per block i: its index, the rest, H[i, rest] and H[i, i]
     blocks = []

@@ -168,9 +168,11 @@ def initial_plan(instance):
     return M / M.sum()
 
 
-def sinkhorn_reference(instance, max_iter=10 ** 5, tol=1e-12):
-    """High-accuracy plan gamma* plus KL(gamma* || gamma^0) for the bound checks."""
-    res = sinkhorn(instance, max_iter, tol=tol)
+def sinkhorn_reference(instance):
+    """High-accuracy plan gamma* plus KL(gamma* || gamma^0) for the bound checks:
+    Sinkhorn to marginal errors of 1e-12, within 10^5 iterations."""
+    tol = 1e-12
+    res = sinkhorn(instance, 10 ** 5, tol=tol)
     if res.mu_err[-1] > tol or res.nu_err[-1] > tol:
         raise InvalidInput("reference run did not converge to %g" % tol)
     kl0 = kl_divergence(res.plan.ravel(), initial_plan(instance).ravel())

@@ -10,11 +10,9 @@ domain (md needs the simplex, which no file kind declares; psd a ball,
 which svm and worst-case-nonsmooth files do) or no positive finite default
 step from the problem's constants (1/beta with beta = 0 or infinite, as on
 svm, worst-case-nonsmooth and lasso files). `run` writes only the trace
-CSV to stdout; summaries go to stderr. Flags are long-form only; each of
---iters/--step/--seed falls back to the CONVEXKIT_ITERS/CONVEXKIT_STEP/
-CONVEXKIT_SEED environment variable before its default. Worst-case problem
-files are size-capped (MAX_CHAIN_DIM, MAX_NONSMOOTH_STEPS): past a cap,
-exit 2 before anything is allocated.
+CSV to stdout; summaries go to stderr. Flags are long-form only. --iters
+(MAX_ITERS) and worst-case problem files (MAX_CHAIN_DIM, MAX_NONSMOOTH_STEPS)
+are size-capped: past a cap, exit 2 before anything is allocated.
 
 `verify` runs its checks in up to two worker interpreters with one BLAS
 thread each, longest check first; on one CPU, for one check, or under a
@@ -57,9 +55,10 @@ from .core import (CapabilityError, ConvexkitError, InvalidInput, InvalidProblem
 #   kind logistic         rows, dim, X (rows*dim), Y (rows; 0/1)
 #   kind lasso            rows, dim, X (rows*dim), Y (rows), lam
 #   kind svm              rows, dim, X (rows*dim), Y (rows; +-1), lam
-#   kind worst-case-smooth     steps, beta, dim <= MAX_CHAIN_DIM
+#   kind worst-case-smooth     beta, dim <= MAX_CHAIN_DIM
 #   kind worst-case-nonsmooth  steps <= MAX_NONSMOOTH_STEPS, L, R
 
+MAX_ITERS = 1000000  # trace columns of iters + 1 rows: 8 MB each at the cap
 MAX_CHAIN_DIM = 4096  # a dense dim x dim matrix: 128 MB at the cap
 MAX_NONSMOOTH_STEPS = 1000000  # vectors of steps + 1 entries: 8 MB at the cap
 PIECE = 1 << 20  # characters of a line read at once
@@ -241,8 +240,7 @@ def parse_problem_file(path):
         return problems.make_svm_hinge(X, Y, _scalar(fields, "lam"))
     if kind == "worst-case-smooth":
         return problems.make_worst_case_smooth(
-            _integer(fields, "steps", 0), _scalar(fields, "beta"),
-            _integer(fields, "dim", 1, MAX_CHAIN_DIM))
+            _scalar(fields, "beta"), _integer(fields, "dim", 1, MAX_CHAIN_DIM))
     if kind == "worst-case-nonsmooth":
         return problems.make_worst_case_nonsmooth(
             _integer(fields, "steps", 0, MAX_NONSMOOTH_STEPS), _scalar(fields, "L"),
@@ -250,29 +248,14 @@ def parse_problem_file(path):
     raise InvalidInput("unknown problem kind %r" % kind)
 
 
-# --- config precedence: flag > CONVEXKIT_* env var > default -----------------
-
-def _setting(flag_value, env_name, default, cast):
-    if flag_value is not None:
-        return flag_value
-    raw = os.environ.get("CONVEXKIT_" + env_name)
-    if raw is not None:
-        try:
-            return cast(raw)
-        except ValueError:
-            raise InvalidInput("CONVEXKIT_%s=%r is not a valid value" % (env_name, raw))
-    return default
-
-
 # --- subcommands -------------------------------------------------------------
 
 def cmd_run(args):
+    if args.iters > MAX_ITERS:
+        raise InvalidInput("--iters must be at most %d, not %d" % (MAX_ITERS, args.iters))
     problem = parse_problem_file(args.problem)
-    iters = _setting(args.iters, "ITERS", 100, int)
-    seed = _setting(args.seed, "SEED", 0, int)
-    step = _setting(args.step, "STEP", None, float)
     started = time.monotonic()
-    trace = run_solver(problem, args.algo, iters, step=step, seed=seed)
+    trace = run_solver(problem, args.algo, args.iters, step=args.step, seed=args.seed)
     elapsed = time.monotonic() - started
     csv_text = trace.to_csv()
     if args.out:
@@ -299,7 +282,7 @@ def _rate_rows(suite):
         return name, exponent, r2, theory, kind == "polynomial" and exponent <= theory + slack
 
     if suite == "gd-vs-agd":
-        w = problems.make_worst_case_smooth(1024, 1.0, 65)
+        w = problems.make_worst_case_smooth(1.0, 65)
         return [row(name, run_solver(w, name, 1024), theory, slack, skip=65)
                 for name, theory, slack in (("gd", -1.0, 0.5), ("agd", -2.0, 0.6))]
     if suite == "subgradient":
@@ -496,9 +479,9 @@ def build_parser():
     p_run = sub.add_parser("run", help="run one solver on a problem file")
     p_run.add_argument("--problem", required=True, help="problem spec file")
     p_run.add_argument("--algo", required=True, help="solver name (e.g. gd, agd, psd)")
-    p_run.add_argument("--iters", type=int, default=None)
+    p_run.add_argument("--iters", type=int, default=100)
     p_run.add_argument("--step", type=float, default=None)
-    p_run.add_argument("--seed", type=int, default=None)
+    p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--out", default=None, help="trace CSV path (default stdout)")
     p_run.set_defaults(func=cmd_run)
 

@@ -145,11 +145,6 @@ class ProblemOracle:
         g = self.subgradient(x)
         return self.value(x), g
 
-    def kappa(self):
-        if self.alpha > 0 and math.isfinite(self.beta):
-            return self.beta / self.alpha
-        return math.inf
-
     def scale_at(self, x0):
         return 1.0 + abs(float(self.value(np.asarray(x0, dtype=float))))
 
@@ -256,7 +251,7 @@ class IterateTrace:
         if self._seeds:
             raise CapabilityError("a batch has rows per seed: use trace(s)")
 
-    def to_csv(self, path=None):
+    def to_csv(self):
         """The trace as CSV; the time_s column is always 0, so equal runs give equal bytes."""
         self._single_run()
         n = self._n
@@ -277,12 +272,8 @@ class IterateTrace:
         flat = [None] * (n * len(columns))
         for i, cells in enumerate(columns):
             flat[i::len(columns)] = cells
-        text = ("iter,value,gap,grad_norm,time_s\n"
+        return ("iter,value,gap,grad_norm,time_s\n"
                 + (",".join(fields) + ",0\n") * n % tuple(flat))
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
 
 
 class _Row(dict):
@@ -431,10 +422,9 @@ def plus_reg(v, g, z):
     return v if g is None else v + g.value(z)
 
 
-def finite_diff_gradient(f, x, h=1e-6):
-    """Central-difference gradient of a value oracle."""
-    if h <= 0:
-        raise InvalidInput("h must be positive")
+def finite_diff_gradient(f, x):
+    """Central-difference gradient of a value oracle, at step h = 1e-6."""
+    h = 1e-6
     x = as_vector(x)
     g = np.zeros_like(x)
     for i in range(x.size):

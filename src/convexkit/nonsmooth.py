@@ -83,23 +83,22 @@ def run_psd_strong(problem, projector, x0, N):
     return trace.final_point, trace
 
 
-def run_psd_functional(objective, constraints, projector, eps, x0, x_star_dist=None):
+def run_psd_functional(objective, constraints, projector, eps, x0):
     """Subgradient method with functional constraints f_i <= 0.
 
     Two-case update: if max_i f_i(x) <= eps take an objective step with
     h = eps/||p||^2, otherwise step on the worst constraint with
-    h = f_max(x)/||p||^2. Succeeds within ceil(L^2 R^2 / eps^2) iterations.
-    Returns (best feasible-ish point, iterations used).
+    h = f_max(x)/||p||^2. Succeeds within ceil(L^2 R^2 / eps^2) iterations,
+    R = ||x0 - objective.x_star||. Returns (best feasible-ish point,
+    iterations used).
     """
     x = as_vector(x0).copy()
     L = objective.L
     if not math.isfinite(L):
         raise InvalidInput("objective must declare a Lipschitz constant")
-    R = x_star_dist
-    if R is None and objective.x_star is not None:
-        R = float(np.linalg.norm(x - objective.x_star))
-    if R is None:
-        raise InvalidInput("need a distance bound to the optimum")
+    if objective.x_star is None:
+        raise InvalidInput("objective must declare x_star, which sets the budget's R")
+    R = float(np.linalg.norm(x - objective.x_star))
     budget = int(math.ceil(L * L * R * R / (eps * eps)))
     best, best_val = None, math.inf
     for n in range(budget + 1):
@@ -145,10 +144,6 @@ class EllipsoidState:
     def ball(cls, center, radius):
         center = as_vector(center)
         return cls(center, radius * radius * np.eye(center.size))
-
-    def contains(self, z, tol=0.0):
-        d = as_vector(z) - self.x
-        return float(d @ np.linalg.solve(self.Sigma, d)) <= 1.0 + tol
 
     def log_volume_unit(self):
         """log(vol / vol(unit ball)) = 1/2 log det Sigma."""

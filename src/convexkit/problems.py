@@ -16,7 +16,7 @@ def _logsumexp(z):
 SYMMETRY_BLOCK = 1 << 16  # numbers per block of rows in make_quadratic's symmetry test
 
 
-def make_quadratic(A, b, name="quadratic"):
+def make_quadratic(A, b):
     """f(x) = 1/2 <x, Ax> - <b, x> with A symmetric PSD.
 
     value and gradient are row-wise: given an (S, d) row matrix they return
@@ -51,7 +51,7 @@ def make_quadratic(A, b, name="quadratic"):
         return last[1].dot(y + h * b)
 
     return ProblemOracle(b.size, value, grad, value_and_grad=value_and_grad, prox=prox,
-                         alpha=alpha, beta=beta, f_star=f_star, x_star=x_star, name=name,
+                         alpha=alpha, beta=beta, f_star=f_star, x_star=x_star, name="quadratic",
                          extra={"A": A, "b": b})
 
 
@@ -76,7 +76,7 @@ def _quadratic_oracles(A, b):
     return value, grad, value_and_grad
 
 
-def make_logistic(X, Y, name="logistic"):
+def make_logistic(X, Y):
     """Average logistic negative log-likelihood over rows of X with 0/1 labels."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -102,7 +102,7 @@ def make_logistic(X, Y, name="logistic"):
         return float(np.mean(np.logaddexp(0.0, z) - Y * z)), X.T.dot(s - Y) / n
 
     return ProblemOracle(X.shape[1], value, grad, value_and_grad=value_and_grad, beta=beta,
-                         name=name, extra={"X": X, "Y": Y})
+                         name="logistic", extra={"X": X, "Y": Y})
 
 
 def make_least_squares(X, Y, name="least-squares"):
@@ -135,13 +135,13 @@ def make_least_squares(X, Y, name="least-squares"):
                          x_star=x_star, name=name, extra={"X": X, "Y": Y})
 
 
-def make_lasso(X, Y, lam, name="lasso"):
+def make_lasso(X, Y, lam):
     """Least squares plus lam*||theta||_1; composite with a prox-friendly part."""
     from .proximal import prox_l1
 
     if lam < 0:
         raise InvalidProblem("lam must be >= 0")
-    f = make_least_squares(X, Y, name=name + "-smooth")
+    f = make_least_squares(X, Y, name="lasso-smooth")
     g = ProblemOracle(f.dim, lambda x: lam * float(np.add.reduce(np.abs(x), axis=None)),
                       prox=lambda y, h: prox_l1(y, lam * h))
 
@@ -154,10 +154,10 @@ def make_lasso(X, Y, lam, name="lasso"):
 
     # f + g is not smooth: beta stays inf, and f's is extra["smooth"].beta
     return ProblemOracle(f.dim, composite_value(f, g), subgrad, value_and_grad=value_and_grad,
-                         alpha=f.alpha, name=name, extra={"smooth": f, "reg": g})
+                         alpha=f.alpha, name="lasso", extra={"smooth": f, "reg": g})
 
 
-def make_softmax_smoothed(a_rows, b, lam, beta_smooth, name="softmax"):
+def make_softmax_smoothed(a_rows, b, lam, beta_smooth):
     """Softmax smoothing of max_i (<a_i, x> - b_i) plus a quadratic regularizer.
 
     The unsmoothed max objective is kept around (extra["unsmoothed_value"]) for
@@ -184,16 +184,15 @@ def make_softmax_smoothed(a_rows, b, lam, beta_smooth, name="softmax"):
         return float(np.max(A @ x - b)) + 0.5 * lam * float(x @ x)
 
     return ProblemOracle(A.shape[1], value, grad, alpha=lam, beta=smooth_const,
-                         name=name, extra={"unsmoothed_value": unsmoothed})
+                         name="softmax", extra={"unsmoothed_value": unsmoothed})
 
 
-def make_worst_case_smooth(N, beta, d, name="worst-case-smooth"):
-    """Chain quadratic that resists every gradient-span method for N steps.
+def make_worst_case_smooth(beta, d):
+    """Chain quadratic that resists every gradient-span method for fewer than d steps.
 
     f(x) = (beta/4) * (1/2 (x_1^2 + sum (x_k - x_{k+1})^2 + x_d^2) - x_1), with
     minimizer x*_k = 1 - k/(d+1). Gradients queried from the origin only reach
-    one new coordinate per step, which caps the achievable gap for N < d; f
-    itself depends on d alone.
+    one new coordinate per step, which caps the achievable gap for N < d.
     """
     if d < 1:
         raise InvalidProblem("d must be >= 1")
@@ -206,11 +205,11 @@ def make_worst_case_smooth(N, beta, d, name="worst-case-smooth"):
     f_star = -(beta / 8.0) * (1.0 - 1.0 / (d + 1.0))
     value, grad, value_and_grad = _quadratic_oracles(A, b)
     return ProblemOracle(d, value, grad, value_and_grad=value_and_grad, alpha=0.0,
-                         beta=float(beta), f_star=f_star, x_star=x_star, name=name,
-                         extra={"A": A, "b": b})
+                         beta=float(beta), f_star=f_star, x_star=x_star,
+                         name="worst-case-smooth", extra={"A": A, "b": b})
 
 
-def make_worst_case_nonsmooth(N, L, R, name="worst-case-nonsmooth"):
+def make_worst_case_nonsmooth(N, L, R):
     """gamma*max_i x_i + (alpha/2)||x||^2 in dimension N+1; resists subgradient span methods.
 
     Posed on the ball of radius R, which holds x*. The subgradient oracle
@@ -241,7 +240,7 @@ def make_worst_case_nonsmooth(N, L, R, name="worst-case-nonsmooth"):
         return gamma * float(x[i]) + 0.5 * alpha * float(x.dot(x)), alpha * x + e
 
     return ProblemOracle(d, value, subgrad, alpha=alpha, L=float(L),
-                         f_star=f_star, x_star=x_star, domain=Ball(R), name=name,
+                         f_star=f_star, x_star=x_star, domain=Ball(R), name="worst-case-nonsmooth",
                          value_and_grad=value_and_grad)
 
 
@@ -281,11 +280,8 @@ class ResistingFeasibilityOracle:
     def ball_radius(self):
         return (self.R / 2.0) * 0.5 ** (self.n / self.d)
 
-    def box_volume(self):
-        return float(np.prod(self.hi - self.lo))
 
-
-def make_finite_sum(components, name="finite-sum"):
+def make_finite_sum(components):
     """Average of smooth component oracles, with sampling and per-component gradients."""
     if not components:
         raise InvalidProblem("need at least one component")
@@ -312,10 +308,10 @@ def make_finite_sum(components, name="finite-sum"):
     return ProblemOracle(dim, value, grad, alpha=alpha, beta=beta,
                          component_gradient=component_gradient,
                          stochastic_gradient=stochastic_gradient,
-                         n_components=n, name=name, extra={"beta_component": beta_comp})
+                         n_components=n, name="finite-sum", extra={"beta_component": beta_comp})
 
 
-def make_svm_hinge(X, Y, lam, name="svm-hinge"):
+def make_svm_hinge(X, Y, lam):
     """Soft-margin SVM: mean hinge loss plus (lam/2)||theta||^2 with labels in {-1, 1}, on
     the ball of radius max_i ||X_i|| / lam that holds every minimizer (10 if lam = 0)."""
     X = np.asarray(X, dtype=float)
@@ -344,7 +340,7 @@ def make_svm_hinge(X, Y, lam, name="svm-hinge"):
         return value, -X.T.dot(Y * (margin < 1.0)) / n + lam * theta
 
     return ProblemOracle(X.shape[1], value, subgrad, value_and_grad=value_and_grad, alpha=lam,
-                         L=L, domain=Ball(ball_radius), name=name, extra={"X": X, "Y": Y})
+                         L=L, domain=Ball(ball_radius), name="svm-hinge", extra={"X": X, "Y": Y})
 
 
 def make_experts_instance(T, d, seed=0):
@@ -392,7 +388,7 @@ def make_random_lp(m, d, seed=0):
     return LpInstance(A, b, c, x_int)
 
 
-def lp_vertex_optimum(lp, tol=1e-9):
+def lp_vertex_optimum(lp):
     """Brute-force LP optimum by enumerating basic feasible points."""
     A, b, c = lp.A, lp.b, lp.c
     best_val, best_x = math.inf, None
@@ -402,7 +398,7 @@ def lp_vertex_optimum(lp, tol=1e-9):
             v = np.linalg.solve(sub, b[list(idx)])
         except np.linalg.LinAlgError:
             continue
-        if np.all(A @ v <= b + tol):
+        if np.all(A @ v <= b + 1e-9):
             val = float(c @ v)
             if val < best_val:
                 best_val, best_x = val, v

@@ -30,18 +30,16 @@ def smpgd_lambda(alpha_f, alpha_g, h):
     return (1.0 - alpha_f * h) / (1.0 + alpha_g * h)
 
 
-def run_smpgd(f, g, geometry, h, x0, N, seed=0, averaging="geometric"):
+def run_smpgd(f, g, geometry, h, x0, N, seed=0):
     """Stochastic mirror proximal gradient descent with the proof's weighting.
 
     The returned trace's final_point is the lambda_h-geometrically weighted
-    average of the iterates (weights lambda_h^(N-n)) and its last_iterate is
-    the last iterate; averaging="uniform" is available for the alpha = 0 case.
-    A sequence of seeds runs as one batch, as in run_sgd.
+    average of the iterates (weights lambda_h^(N-n)), the uniform average when
+    alpha_f = alpha_g = 0, and its last_iterate is the last iterate. A
+    sequence of seeds runs as one batch, as in run_sgd.
     """
     grad = f.require("stochastic_gradient")
     lam = smpgd_lambda(f.alpha, 0.0 if g is None else g.alpha, h)
-    if averaging == "uniform":
-        lam = 1.0
     total = composite_value(f, g)
     last = {}
 

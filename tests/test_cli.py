@@ -74,10 +74,13 @@ def test_parse_problem_file_errors(tmp_path, capsys):
 
 
 def test_parse_worst_case_file(tmp_path):
+    # f depends on beta and dim alone: a steps field, valid or not, is not read
     p = tmp_path / "w.prob"
-    p.write_text("kind worst-case-smooth\nsteps 8\nbeta 1.0\ndim 17\n")
-    w = cli.parse_problem_file(str(p))
-    assert w.dim == 17 and w.beta == 1.0
+    for steps in ("", "steps 8\n", "steps nan\n"):
+        p.write_text("kind worst-case-smooth\n%sbeta 1.0\ndim 17\n" % steps)
+        w = cli.parse_problem_file(str(p))
+        assert w.dim == 17 and w.beta == 1.0
+        assert cli.main(["run", "--problem", str(p), "--algo", "gd", "--iters", "3"]) == 0
 
 
 def test_run_writes_trace_and_exits_zero(quad_file, tmp_path, capsys):
@@ -130,11 +133,10 @@ def test_run_diverging_pgd_exits_1_without_rows(tmp_path, capsys):
     QUAD.replace("dim 2", "dim nan"), QUAD.replace("dim 2", "dim inf"),
     QUAD.replace("dim 2", "dim 2.5"), QUAD.replace("dim 2", "dim 0"),
     LASSO.replace("rows 4", "rows -inf"), LASSO.replace("rows 4", "rows 4.000001"),
-    "kind worst-case-smooth\nsteps nan\nbeta 1\ndim 3\n",
     "kind worst-case-nonsmooth\nsteps -5\nL 1\nR 1\n",
     "kind worst-case-nonsmooth\nsteps 2.5\nL 1\nR 1\n",
 ], ids=["dim-nan", "dim-inf", "dim-2.5", "dim-0", "rows-minus-inf", "rows-4.000001",
-        "steps-nan", "steps-minus-5", "steps-2.5"])
+        "steps-minus-5", "steps-2.5"])
 def test_run_non_integer_field_usage_error(tmp_path, capsys, text):
     p = tmp_path / "bad.prob"
     p.write_text(text)
@@ -209,15 +211,12 @@ def test_run_zero_default_step_exit_3(tmp_path, capsys, text, algo):
     ("kind worst-case-nonsmooth\nsteps 0\nL 1\nR 1\n", "md"), (SVM, "pgd"), (QUAD, "gd"),
 ], ids=["md-dim-1", "pgd-svm", "gd-quadratic"])
 @pytest.mark.parametrize("step", ["0", "-0.5", "nan", "inf", "-inf"])
-def test_run_explicit_nonpositive_step_still_exit_2(tmp_path, monkeypatch, text, algo, step):
+def test_run_explicit_nonpositive_step_still_exit_2(tmp_path, text, algo, step):
     # nan and inf passed the step <= 0 test and ended in DivergenceError, exit 1
     p = tmp_path / "f.prob"
     p.write_text(text)
     code, out, err = _run(["run", "--problem", str(p), "--algo", algo, "--iters", "3",
                            "--step=" + step])  # "--step -inf" would read -inf as a flag
-    assert code == 2 and out == "" and "step must be positive and finite" in err
-    monkeypatch.setenv("CONVEXKIT_STEP", step)
-    code, out, err = _run(["run", "--problem", str(p), "--algo", algo, "--iters", "3"])
     assert code == 2 and out == "" and "step must be positive and finite" in err
 
 
@@ -275,13 +274,10 @@ def test_sgd_zero_beta_default_step_is_a_capability_error():
 
 
 @pytest.mark.parametrize("algo", ["agd", "apgd", "cg", "fista", "fw"])
-def test_run_stepless_solver_refuses_a_step(quad_file, monkeypatch, algo):
+def test_run_stepless_solver_refuses_a_step(quad_file, algo):
     code, out, err = _run(["run", "--problem", quad_file, "--algo", algo, "--step", "1e-9"])
     assert code == 2 and out == ""
     assert "algorithm %s takes no step" % algo in err
-    monkeypatch.setenv("CONVEXKIT_STEP", "1e-9")
-    code, out, err = _run(["run", "--problem", quad_file, "--algo", algo])
-    assert code == 2 and "algorithm %s takes no step" % algo in err
 
 
 def test_run_unknown_algo_with_step_is_named_unknown(quad_file):
@@ -290,7 +286,7 @@ def test_run_unknown_algo_with_step_is_named_unknown(quad_file):
 
 
 @pytest.mark.parametrize("text, field", [
-    ("kind worst-case-smooth\nsteps 8\nbeta 1\ndim 1e9\n", "dim"),
+    ("kind worst-case-smooth\nbeta 1\ndim 1e9\n", "dim"),
     ("kind worst-case-nonsmooth\nsteps 1e15\nL 1\nR 1\n", "steps"),
 ], ids=["smooth-dim-1e9", "nonsmooth-steps-1e15"])
 def test_run_worst_case_size_cap_exit_2(tmp_path, capsys, monkeypatch, text, field):
@@ -326,21 +322,16 @@ def test_run_missing_file_exit_2(tmp_path):
                      "--algo", "gd", "--iters", "5"]) == 2
 
 
-def test_env_var_fallback(quad_file, tmp_path, monkeypatch, capsys):
-    out = str(tmp_path / "t.csv")
-    monkeypatch.setenv("CONVEXKIT_ITERS", "4")
-    assert cli.main(["run", "--problem", quad_file, "--algo", "gd",
-                     "--out", out]) == 0
-    with open(out) as fh:
-        assert len(fh.read().strip().split("\n")) == 6
-    # explicit flag wins over the environment
-    assert cli.main(["run", "--problem", quad_file, "--algo", "gd",
-                     "--iters", "2", "--out", out]) == 0
-    with open(out) as fh:
-        assert len(fh.read().strip().split("\n")) == 4
-    monkeypatch.setenv("CONVEXKIT_ITERS", "not-a-number")
-    assert cli.main(["run", "--problem", quad_file, "--algo", "gd",
-                     "--out", out]) == 2
+@pytest.mark.parametrize("iters", [cli.MAX_ITERS + 1, 10 ** 15])
+def test_run_iters_past_the_cap_exit_2(quad_file, monkeypatch, iters):
+    # 10**15 iterations asked IterateTrace for 7.11 PiB and ended in a traceback
+    def no_parse(path):
+        raise AssertionError("the iters cap must be checked before the file is parsed")
+    monkeypatch.setattr(cli, "parse_problem_file", no_parse)
+    code, out, err = _run(["run", "--problem", quad_file, "--algo", "gd",
+                           "--iters", str(iters)])
+    assert code == 2 and out == ""
+    assert "--iters must be at most %d" % cli.MAX_ITERS in err
 
 
 def test_rates_lists_suites(capsys):
@@ -541,13 +532,15 @@ def _finite_or_empty(field):
 @settings(max_examples=60, deadline=None)
 @given(algo=st.sampled_from(solver_names()), which=st.integers(0, 1),
        step=st.floats(-1e3, 1e3).filter(lambda h: h != 0.0),
-       iters=st.integers(-2, 40))
+       iters=st.integers(-2, 40) | st.integers(cli.MAX_ITERS + 1, 10 ** 18))
 def test_fuzz_run_exit_codes_and_pure_csv(fuzz_files, algo, which, step, iters):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(["run", "--problem", fuzz_files[which], "--algo", algo,
                          "--step=%r" % step, "--iters=%d" % iters])
     assert code in (0, 1, 2, 3)
+    if iters > cli.MAX_ITERS:
+        assert code == 2 and out.getvalue() == ""
     if code == 0:
         lines = out.getvalue().split("\n")
         assert lines[0] == "iter,value,gap,grad_norm,time_s"
@@ -588,7 +581,6 @@ INTEGER_FIELDS = [  # (file text, field, its value in the text, minimum)
     (QUAD, "dim", "2", 1),
     (LASSO, "rows", "4", 1),
     (LASSO, "dim", "2", 1),
-    ("kind worst-case-smooth\nsteps 8\nbeta 1\ndim 3\n", "steps", "8", 0),
 ]
 
 
@@ -614,7 +606,7 @@ FIELDS_BY_KIND = {  # kind -> (field, a valid value) in file order
     "logistic": [("rows", "3"), ("dim", "2"), ("X", "1 0 0 1 1 1"), ("Y", "0 1 1")],
     "lasso": [("rows", "3"), ("dim", "2"), ("X", "1 0 0 1 1 1"), ("Y", "1 2 3"), ("lam", "0.1")],
     "svm": [("rows", "3"), ("dim", "2"), ("X", "1 0 0 1 1 1"), ("Y", "1 -1 1"), ("lam", "0.1")],
-    "worst-case-smooth": [("steps", "8"), ("beta", "1"), ("dim", "3")],
+    "worst-case-smooth": [("beta", "1"), ("dim", "3")],
     "worst-case-nonsmooth": [("steps", "8"), ("L", "1"), ("R", "1")],
 }
 FLOAT_FIELDS = [(kind, field) for kind, fields in FIELDS_BY_KIND.items()

@@ -294,11 +294,6 @@ def test_problem_oracle_capability_error_names_oracle():
     assert p.require("subgradient") is p.subgradient
 
 
-def test_problem_oracle_kappa():
-    p = ProblemOracle(1, lambda x: 0.0, lambda x: np.zeros(1), alpha=2.0, beta=8.0)
-    assert p.kappa() == 4.0
-
-
 @pytest.mark.parametrize("algo", ["gd", "agd", "psd", "cg"])
 def test_run_solver_budget_contract(algo):
     q = problems.make_quadratic(np.diag([1.0, 4.0]), np.array([1.0, 1.0]))

@@ -71,13 +71,14 @@ def test_psd_strong_rate():
 
 def test_psd_functional_infeasible_budget():
     c = np.array([1.0, 0.0])
-    obj = ProblemOracle(2, lambda x: float(c @ x), lambda x: c.copy(), L=1.0)
+    # x_star at distance R = 1 from x0: a budget of L^2 R^2 / eps^2 = 100
+    obj = ProblemOracle(2, lambda x: float(c @ x), lambda x: c.copy(), L=1.0,
+                        x_star=(1.0, 0.0))
     # constraint that is never satisfiable inside the ball
     bad = ProblemOracle(2, lambda x: 1.0 + float(x @ x), lambda x: 2 * x, L=10.0)
     proj = lambda z: nonsmooth.project_ball(z, np.zeros(2), 1.0)
     with pytest.raises(InfeasibleOrBudget):
-        nonsmooth.run_psd_functional(obj, [bad], proj, 0.1, np.zeros(2),
-                                     x_star_dist=1.0)
+        nonsmooth.run_psd_functional(obj, [bad], proj, 0.1, np.zeros(2))
 
 
 def test_ellipsoid_frozen_first_update():
@@ -110,7 +111,8 @@ def test_ellipsoid_contains_kept_halfspace_points():
         z = rng.normal(size=3)
         z = z / np.linalg.norm(z) * rng.uniform(0, 1) ** (1 / 3)
         if p @ (z - state.x) <= 0:
-            assert new.contains(z, tol=1e-9)
+            d = z - new.x
+            assert d @ np.linalg.solve(new.Sigma, d) <= 1 + 1e-9
 
 
 def test_run_ellipsoid_no_feasible_point():

@@ -33,7 +33,7 @@ def _problem(kind, seed):
     if kind == "svm":
         return problems.make_svm_hinge(X, np.where(Y > 0, 1.0, -1.0), 0.1)
     if kind == "worst-case-smooth":
-        return problems.make_worst_case_smooth(D, 1.0 + seed % 5, D)
+        return problems.make_worst_case_smooth(1.0 + seed % 5, D)
     if kind == "worst-case-nonsmooth":
         return problems.make_worst_case_nonsmooth(D - 1, 1.0 + seed % 5, 1.0)
     raise ValueError(kind)

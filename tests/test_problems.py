@@ -109,7 +109,7 @@ def test_softmax_smoothing_error_bound():
 
 def test_worst_case_smooth_frozen_values():
     beta, d = 1.0, 65
-    w = problems.make_worst_case_smooth(32, beta, d)
+    w = problems.make_worst_case_smooth(beta, d)
     # closed forms: f* = -(beta/8)(1 - 1/(d+1)), x*_k = 1 - k/(d+1)
     assert abs(w.f_star - (-0.12310606060606061)) < 1e-15
     assert abs(w.value(w.x_star) - w.f_star) < 1e-12
@@ -135,10 +135,10 @@ def test_worst_case_nonsmooth_frozen_values():
 def test_resisting_oracle_halves_box():
     o = problems.ResistingFeasibilityOracle(1.0, 2)
     r0 = o.ball_radius()
-    v0 = o.box_volume()
+    v0 = np.prod(o.hi - o.lo)
     sep = o.query(np.zeros(2))
     assert np.abs(sep).sum() == 1.0
-    assert o.box_volume() == v0 / 2.0
+    assert np.prod(o.hi - o.lo) == v0 / 2.0
     for _ in range(3):
         o.query(o.lo)  # querying the low corner keeps the upper half
     assert o.ball_radius() == r0 * 0.5 ** (4 / 2.0)

@@ -107,7 +107,7 @@ def _cases():
     out = {}
     for kind, p in [("quadratic", problems.make_quadratic(A, b)),
                     ("least-squares", problems.make_least_squares(X, Y)),
-                    ("worst-case-smooth", problems.make_worst_case_smooth(8, 1.5, 17)),
+                    ("worst-case-smooth", problems.make_worst_case_smooth(1.5, 17)),
                     ("worst-case-nonsmooth", problems.make_worst_case_nonsmooth(8, 2.0, 0.7))]:
         out[kind] = (_freeze(p), p.x_star, p.f_star)
     p = problems.make_logistic(X, labels)

@@ -192,13 +192,14 @@ def test_batched_sgd_rows_match_single_seed_runs(S):
 @pytest.mark.parametrize("averaging", ["geometric", "uniform"])
 def test_batched_smpgd_rows_match_single_seed_runs(S, averaging):
     q = _noisy_quadratic(1.0, seed=12, d=3)
+    if averaging == "uniform":  # alpha = 0 declared: lambda_h = 1, the uniform average
+        q.alpha = 0.0
+        assert stochastic.smpgd_lambda(q.alpha, 0.0, 0.1) == 1.0
     geom = mirror.euclidean_geometry(3)
     seeds = range(5, 5 + S)
-    batch = stochastic.run_smpgd(q, None, geom, 0.1, np.ones(3), 80, seed=seeds,
-                                 averaging=averaging)
+    batch = stochastic.run_smpgd(q, None, geom, 0.1, np.ones(3), 80, seed=seeds)
     for s, seed in enumerate(seeds):
-        single = stochastic.run_smpgd(q, None, geom, 0.1, np.ones(3), 80, seed=seed,
-                                      averaging=averaging)
+        single = stochastic.run_smpgd(q, None, geom, 0.1, np.ones(3), 80, seed=seed)
         _assert_rel(batch.values()[:, s], single.values())
         _assert_rel(batch.custom("avg_value")[:, s], single.custom("avg_value"))
         _assert_rel(batch.final_point[s], single.final_point)
