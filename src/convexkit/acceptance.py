@@ -53,8 +53,9 @@ def crit_03_acceleration():
             bound = guarantee("agd", q, N, float(np.linalg.norm(q.x_star)))
             assert gaps[N] <= bound + 1e-12, (q.name, N, gaps[N], bound)
     w = problems.make_worst_case_smooth(1.0, 65)
-    e_gd, _, _ = fit_rate(run_solver(w, "gd", 256), skip=8)
-    e_agd, _, _ = fit_rate(run_solver(w, "agd", 256), skip=8)
+    gd, agd = run_solver(w, "gd", 256), run_solver(w, "agd", 256)
+    e_gd, _, _ = fit_rate(gd.iters(), gd.gaps(), skip=8)
+    e_agd, _, _ = fit_rate(agd.iters(), agd.gaps(), skip=8)
     assert e_agd <= -1.7, e_agd
     assert e_gd >= -1.3, e_gd
 
@@ -139,7 +140,7 @@ def crit_07_ellipsoid():
         i = int(np.argmax(viol))
         return A[i].copy() if viol[i] > 0 else None
 
-    best, _, _ = nonsmooth.run_ellipsoid(obj, separation, np.array([0.3, 0.3]), 2.0, 2000)
+    best, _ = nonsmooth.run_ellipsoid(obj, separation, np.array([0.3, 0.3]), 2.0, 2000)
     assert obj.value(best) - (-1.0) <= 1e-6, obj.value(best)
 
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import acceptance, problems
 from .core import (CapabilityError, ConvexkitError, InvalidInput, InvalidProblem,
-                   IterateTrace, fit_rate, run_solver)
+                   fit_rate, run_solver)
 
 
 # --- problem spec files ------------------------------------------------------
@@ -277,22 +277,21 @@ RATE_SUITES = {
 
 
 def _rate_rows(suite):
-    def row(name, trace, theory, slack, skip=0):
-        exponent, r2, kind = fit_rate(trace, skip=skip)
+    def row(name, iters, gaps, theory, slack, skip=0):
+        exponent, r2, kind = fit_rate(iters, gaps, skip=skip)
         return name, exponent, r2, theory, kind == "polynomial" and exponent <= theory + slack
 
     if suite == "gd-vs-agd":
         w = problems.make_worst_case_smooth(1.0, 65)
-        return [row(name, run_solver(w, name, 1024), theory, slack, skip=65)
+        traces = {name: run_solver(w, name, 1024) for name in ("gd", "agd")}
+        return [row(name, traces[name].iters(), traces[name].gaps(), theory, slack, skip=65)
                 for name, theory, slack in (("gd", -1.0, 0.5), ("agd", -2.0, 0.6))]
     if suite == "subgradient":
         # gap at the budget across N, each run with its own tuned step
         budgets = [int(N) for N in np.unique(np.geomspace(16, 512, 12).astype(int))]
-        trace = IterateTrace(0.0, rows=len(budgets))  # one row per budget, not per step
-        for N in budgets:
-            w = problems.make_worst_case_nonsmooth(N, 2.0, 1.0)
-            trace.add(N, run_solver(w, "psd", N).final_gap())
-        return [row("psd", trace, -0.5, 0.25)]
+        gaps = [run_solver(problems.make_worst_case_nonsmooth(N, 2.0, 1.0), "psd", N).final_gap()
+                for N in budgets]
+        return [row("psd", budgets, gaps, -0.5, 0.25)]
     raise InvalidInput("unknown suite %r (have: %s)"
                        % (suite, ", ".join(sorted(RATE_SUITES))))
 

@@ -155,14 +155,13 @@ class ProblemOracle:
 
 
 class IterateTrace:
-    """Per-iteration rows kept as columns, plus the final point.
+    """The rows record writes, kept as columns, plus the final point.
 
-    Columns: iter, value, grad_norm and one per custom key; gaps() is value -
-    f_star when f_star is declared. S seeds that record steps as one batch
-    have S-vector cells, and trace(s) views seed s. grad_norm and custom
-    cells may be absent from a row: a per-row flag says so, and the cell
-    reads NaN. The columns hold the given number of rows: add has no
-    room beyond them.
+    Row n is iteration n. Columns: value, grad_norm and one per custom key,
+    each float and NaN where a row gives no cell; gaps() is value - f_star
+    when f_star is declared. S seeds that record steps as one batch have
+    S-vector cells, and trace(s) views seed s. The columns hold the given
+    number of rows: add has no room beyond them.
     """
 
     def __init__(self, f_star=None, *, rows, seeds=None):
@@ -170,36 +169,29 @@ class IterateTrace:
         self.final_point = None
         self._seeds = () if seeds is None else (seeds,)
         self._n = 0
-        self._last = None  # the last row's iteration, as stored in _iter
-        self._iter = np.zeros(rows, dtype=np.int64)
         self._value = self._column(rows)
-        self._opt = {}  # "grad_norm" or a custom key -> (column, presence flags)
+        self._opt = {}  # "grad_norm" or a custom key -> its column
 
     def _column(self, rows):
         return np.full((rows,) + self._seeds, math.nan)
 
-    def add(self, it, value, grad_norm=None, **custom):
+    def add(self, value, grad_norm=None, **custom):
         n = self._n
-        if n and it <= self._last:
-            raise InvalidInput("trace iterations must be strictly increasing")
-        self._iter[n] = self._last = int(it)
         self._value[n] = value
         if grad_norm is not None:
             custom["grad_norm"] = grad_norm
         for key, v in custom.items():
-            cell = self._opt.get(key)
-            if cell is None:
-                rows = len(self._iter)
-                cell = self._opt[key] = (self._column(rows), np.zeros(rows, bool))
-            cell[0][n] = v
-            cell[1][n] = True
+            col = self._opt.get(key)
+            if col is None:
+                col = self._opt[key] = self._column(len(self._value))
+            col[n] = v
         self._n = n + 1
 
     def __len__(self):
         return self._n
 
     def iters(self):
-        return self._iter[:self._n]
+        return np.arange(self._n)
 
     def values(self):
         return self._value[:self._n]
@@ -212,7 +204,7 @@ class IterateTrace:
 
     def custom(self, key):
         """Column key, NaN where a row lacks it."""
-        return self._opt[key][0][:self._n] if key in self._opt else self._column(self._n)
+        return self._opt[key][:self._n] if key in self._opt else self._column(self._n)
 
     def custom_keys(self):
         return sorted(self._opt.keys() - {"grad_norm"})
@@ -226,9 +218,9 @@ class IterateTrace:
     def trace(self, s):
         """Seed s of a batch as a single-run trace that views its columns."""
         view = IterateTrace(self.f_star, rows=0)
-        n, view._n, view._last = self._n, self._n, self._last
-        view._iter, view._value = self._iter[:n], self._value[:n, s]
-        view._opt = {k: (col[:n, s], has[:n]) for k, (col, has) in self._opt.items()}
+        n = view._n = self._n
+        view._value = self._value[:n, s]
+        view._opt = {k: col[:n, s] for k, col in self._opt.items()}
         view.final_point = self.final_point[s].copy()
         return view
 
@@ -241,11 +233,12 @@ class IterateTrace:
         """Row n as a _Row dict: iter, value, gap, grad_norm and a custom dict."""
         self._single_run()
         n = range(self._n)[n]
-        custom = {k: cell for k, cell in self._opt.items() if k != "grad_norm" and cell[1][n]}
-        return _Row(n, {"iter": (self._iter, None), "value": (self._value, None),
-                        "gap": (None if self.f_star is None else _Gap(self), None),
-                        "grad_norm": self._opt.get("grad_norm", (None, None)),
-                        "custom": _Row(n, custom)})
+        custom = {k: col for k, col in self._opt.items() if k != "grad_norm"}
+        iters = self.iters()
+        iters.flags.writeable = False  # the row index: row["iter"] = v raises
+        return _Row(n, {"iter": iters, "value": self._value,
+                        "gap": None if self.f_star is None else _Gap(self),
+                        "grad_norm": self._opt.get("grad_norm"), "custom": _Row(n, custom)})
 
     def _single_run(self):
         if self._seeds:
@@ -255,20 +248,11 @@ class IterateTrace:
         """The trace as CSV; the time_s column is always 0, so equal runs give equal bytes."""
         self._single_run()
         n = self._n
-        grad_norm, has = self._opt.get("grad_norm", (None, None))
-        # one "%" over a row template; a column with absent cells goes in as strings
-        fields, columns = [], []
-        for fmt, col, present in (("%d", self._iter, None), ("%.17g", self._value, None),
-                                  ("%.17g", self.gaps(), None), ("%.17g", grad_norm, has)):
-            if col is None:
-                fields.append("")
-                continue
-            cells = col[:n].tolist()
-            if present is not None and not present[:n].all():
-                cells = [fmt % v if h else "" for v, h in zip(cells, present[:n].tolist())]
-                fmt = "%s"
-            fields.append(fmt)
-            columns.append(cells)
+        # one "%" over a row template; a column that no row has (the gap
+        # without f_star, a grad_norm that no row gives) is left out of it
+        cols = (self._value, self.gaps(), self._opt.get("grad_norm"))
+        fields = ["%d"] + ["" if col is None else "%.17g" for col in cols]
+        columns = [range(n)] + [col[:n].tolist() for col in cols if col is not None]
         flat = [None] * (n * len(columns))
         for i, cells in enumerate(columns):
             flat[i::len(columns)] = cells
@@ -277,27 +261,20 @@ class IterateTrace:
 
 
 class _Row(dict):
-    """Row n's cells as read when the dict is made, None where absent.
+    """Row n's cells as read when the dict is made; gap is None without f_star,
+    and grad_norm None when no row gives one.
 
-    Writing a cell writes its column (None makes it absent); writing gap sets
-    value to f_star + gap.
+    Writing a cell writes its column; writing gap sets value to f_star + gap.
     """
 
     def __init__(self, n, cells):
         self._n, self._cells = n, cells
-        super().__init__((k, c if isinstance(c, _Row) else _read(c, n)) for k, c in cells.items())
+        super().__init__((k, c if isinstance(c, _Row) else None if c is None else c[n].item())
+                         for k, c in cells.items())
 
     def __setitem__(self, key, v):
-        col, has = self._cells[key]
-        col[self._n] = math.nan if v is None else v
-        if has is not None:
-            has[self._n] = v is not None
+        self._cells[key][self._n] = v
         super().__setitem__(key, v)
-
-
-def _read(cell, n):
-    col, has = cell
-    return None if col is None or (has is not None and not has[n]) else col[n].item()
 
 
 class _Gap:
@@ -360,7 +337,7 @@ def record(iterates, x0, N, f_star, seed=None):
         if n == 0:
             scale = 1.0 + maximum(abs(value), 0.0 if f_star is None else abs(f_star))
         check(value, x, scale)
-        trace.add(n, value, grad_norm, **custom)
+        trace.add(value, grad_norm, **custom)
     if not len(trace):
         raise NumericalError("the solver yielded no iterate")
     trace.final_point = x
@@ -516,19 +493,21 @@ def row_norm(v):
     return norm(v) if v.ndim == 1 else np.linalg.norm(v, axis=1)
 
 
-def fit_rate(trace, skip=0):
-    """Least-squares fit of the gap sequence: power law C*n^e vs geometric C*rho^n.
+def fit_rate(iters, gaps, skip=0):
+    """Least-squares fit of gaps[k] at iteration iters[k]: power law C*n^e vs geometric C*rho^n.
 
     Returns (exponent, r2, kind) where kind is "polynomial" or "exponential";
-    exponent is the power e or log(rho) respectively.
+    exponent is the power e or log(rho) respectively. Fits the pairs with
+    iteration >= max(1, skip) and a positive gap; gaps = None (a trace without
+    f_star) raises InsufficientData.
     """
-    if trace.f_star is None:
-        raise InsufficientData("no gap column (f_star unknown)")
-    gaps = trace.gaps()
-    keep = (trace.iters() >= max(1, skip)) & (gaps > 0)
+    if gaps is None:
+        raise InsufficientData("no gaps (f_star unknown)")
+    iters, gaps = np.asarray(iters), np.asarray(gaps, dtype=float)
+    keep = (iters >= max(1, skip)) & (gaps > 0)
     if np.count_nonzero(keep) < 10:
         raise InsufficientData("need >= 10 records with positive gap")
-    n = trace.iters()[keep].astype(float)
+    n = iters[keep].astype(float)
     lg = np.log(gaps[keep])
 
     def lsq(xs):

@@ -5,9 +5,8 @@ import math
 
 import numpy as np
 
-from .core import (InfeasibleOrBudget, InvalidInput, InvalidSeparator,
-                   IterateTrace, NoFeasiblePoint, NumericalError, as_vector, norm,
-                   record)
+from .core import (InfeasibleOrBudget, InvalidInput, InvalidSeparator, NoFeasiblePoint,
+                   NumericalError, as_vector, norm, record)
 
 
 def project_ball(x, c, r):
@@ -15,9 +14,12 @@ def project_ball(x, c, r):
     if r <= 0:
         raise InvalidInput("radius must be positive")
     d = x - c
-    nd = math.sqrt(d.dot(d))  # what np.linalg.norm computes, without its overhead
+    nd = math.sqrt(np.vdot(d, d))  # np.linalg.norm's value; inf, not a warning, on overflow
     if nd <= r:
         return x.copy()
+    if nd == math.inf:  # far from c: scale d by its largest entry first
+        d = d / np.max(np.abs(d))
+        nd = math.sqrt(d.dot(d))
     return c + (r / nd) * d
 
 
@@ -55,7 +57,8 @@ def run_psd(problem, projector, h, x0, N):
             pn = norm(p)
             yield avg, problem.value(avg), pn, {"raw": raw}
             if pn != 0.0:
-                x = projector(x - (h / pn) * p)
+                t = h / pn  # inf for a huge h: then step h along the unit vector p / pn
+                x = projector(x - (t * p if t < math.inf else h * (p / pn)))
                 avg = avg + (x - avg) / (n + 2.0)
 
     return record(iterates, x0, N, problem.f_star)
@@ -179,29 +182,24 @@ def run_ellipsoid(objective, separation, center, radius, N):
 
     separation(x) returns None when x is in C, else a separating vector.
     Feasible queries consume objective cuts (the subgradient), infeasible ones
-    the separator. Returns (best feasible point, trace, state). With
-    objective=None runs in feasibility-only mode and returns (None, trace, state).
+    the separator. Returns (best feasible point, final state) after N updates,
+    or earlier if the ellipsoid degenerates. With objective=None it runs in
+    feasibility-only mode: it stops at the first centre in C and returns
+    (that centre, state), or (None, state) when no query lands in C.
     """
     state = EllipsoidState.ball(center, radius)
     best, best_val = None, math.inf
-    # built by hand: the value is a best-so-far, inf before the first feasible
-    # point, which record's divergence guard would reject
-    trace = IterateTrace(None if objective is None else objective.f_star, rows=N + 1)
     for n in range(N + 1):
         sep = separation(state.x) if separation is not None else None
         if sep is None:
             if objective is None:
-                best = state.x.copy()
-                trace.add(n, 0.0)
-                break
+                return state.x.copy(), state
             v = objective.value(state.x)
             if v < best_val:
                 best, best_val = state.x.copy(), v
             p = objective.subgradient(state.x)
-            trace.add(n, best_val, feasible=1.0)
         else:
             p = np.asarray(sep, dtype=float)
-            trace.add(n, best_val if best is not None else math.inf, feasible=0.0)
         if n < N:
             try:
                 state = ellipsoid_update(state, p)
@@ -209,5 +207,4 @@ def run_ellipsoid(objective, separation, center, radius, N):
                 break  # ellipsoid collapsed to numerical degeneracy
     if objective is not None and best is None:
         raise NoFeasiblePoint("no feasible iterate within %d queries" % N)
-    trace.final_point = best
-    return best, trace, state
+    return best, state

@@ -28,15 +28,17 @@ Cases:
          with both epoch plans on a strongly convex d = 5 finite sum (whose
          "evals" count is kept), and run_psd/run_psd_strong on the d = 5
          worst-case nonsmooth instance. Loops that return more than a trace:
-         run_am on check 14's two-block quadratic; run_ellipsoid on check 07's
-         triangle LP and, in feasibility-only mode, from two infeasible
-         centers ("state" hashes the final ellipsoid); cg_solve stopping early
+         run_am on check 14's two-block quadratic; cg_solve stopping early
          at three tolerances on a d = 40 quadratic ("directions" hashes the
          search directions); run_svrg stopping at a target gap. Budget edges:
          run_solver's cg on A = I at budget 6, where CG is exact after one
          step and stays put; run_svrg started at x* with a target gap, so
          one epoch runs; run_am with 0 sweeps; cg_solve with N = 0; and the
-         direct cg_solve on A = I at tol = 0 (7 records).
+         direct cg_solve on A = I at tol = 0 (7 records). run_ellipsoid,
+         which returns no trace, on check 07's triangle LP and, in
+         feasibility-only mode, from two infeasible centers: "best" hashes
+         the point it returns and "state" the final ellipsoid (these keep
+         their trace/loop/ names).
   solve/*  run_psd_functional on check 06's instance and on a two-constraint
          variant, from feasible and infeasible starts ("x" hashes the point,
          "iterations" is the count); sinkhorn on check 13's first two
@@ -283,22 +285,10 @@ def _triangle_lp():
 
 
 def _more_loops():
-    """(name, run) for run_am, run_ellipsoid and cg_solve at tol > 0."""
-    from convexkit import acceptance, altmin, krylov, nonsmooth
+    """(name, run) for run_am and cg_solve at tol > 0."""
+    from convexkit import acceptance, altmin, krylov
     am = acceptance._two_block_quadratic(np.array([[2.0, 0.5], [0.5, 1.0]]))
     yield "trace/loop/altmin.run_am", lambda: altmin.run_am(am, np.array([1.0, -2.0]), 12)
-    obj, separation = _triangle_lp()
-
-    def ellipsoid(objective, center, radius, N):
-        _, trace, state = nonsmooth.run_ellipsoid(objective, separation, np.array(center),
-                                                  radius, N)
-        return trace, {"state": _sha([state.x.tobytes(), state.Sigma.tobytes()])}
-
-    yield ("trace/loop/nonsmooth.run_ellipsoid/triangle-lp",
-           lambda: ellipsoid(obj, [0.3, 0.3], 2.0, 2000))
-    for center, radius in (([1.5, 1.5], 3.0), ([3.0, -2.0], 6.0)):
-        yield ("trace/loop/nonsmooth.run_ellipsoid/feasibility-%g-%g" % tuple(center),
-               lambda center=center, radius=radius: ellipsoid(None, center, radius, 200))
     rng = np.random.Generator(np.random.Philox(2026))
     G = rng.standard_normal((40, 40))
     A, b = G @ G.T / 40 + 0.1 * np.eye(40), rng.standard_normal(40)
@@ -371,9 +361,23 @@ def _sinkhorn_case(nx, ny, seed, N, tol=None):
     return out
 
 
+def _ellipsoid_case(objective, center, radius, N):
+    from convexkit import nonsmooth
+    best, state = nonsmooth.run_ellipsoid(objective, _triangle_lp()[1], np.array(center),
+                                          radius, N)
+    return {"best": _sha([b"None" if best is None else best.tobytes()]),
+            "state": _sha([state.x.tobytes(), state.Sigma.tobytes()])}
+
+
 def _solve_cases():
     """name -> a zero-argument function returning the case's hashes."""
     return {
+        "trace/loop/nonsmooth.run_ellipsoid/triangle-lp":
+            lambda: _ellipsoid_case(_triangle_lp()[0], [0.3, 0.3], 2.0, 2000),
+        "trace/loop/nonsmooth.run_ellipsoid/feasibility-1.5-1.5":
+            lambda: _ellipsoid_case(None, [1.5, 1.5], 3.0, 200),
+        "trace/loop/nonsmooth.run_ellipsoid/feasibility-3--2":
+            lambda: _ellipsoid_case(None, [3.0, -2.0], 6.0, 200),
         "solve/nonsmooth.run_psd_functional/check-06": lambda: _psd_functional_case(1, [0.0, 0.0]),
         "solve/nonsmooth.run_psd_functional/check-06/infeasible-start":
             lambda: _psd_functional_case(1, [-0.8, 0.0]),

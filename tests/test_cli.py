@@ -707,6 +707,27 @@ def test_run_psd_projects_onto_the_declared_ball(tmp_path):
     assert out == nonsmooth.run_psd(w, ball, 0.7 / math.sqrt(30), np.zeros(10), 30).to_csv()
 
 
+@pytest.mark.parametrize("text", [SVM, "kind worst-case-nonsmooth\nsteps 8\nL 2\nR 0.7\n"],
+                         ids=["svm", "worst-case-nonsmooth"])
+@pytest.mark.parametrize("step", ["1e200", "1e308"])
+def test_run_psd_huge_step_ends_finite_or_diverged(tmp_path, text, step):
+    # h / ||p|| overflowed to inf and inf * 0 gave NaN entries (NumericalError, exit 1),
+    # and the projection of a point beyond 1e154 returned the centre, with warnings
+    p = tmp_path / "f.prob"
+    p.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(["run", "--problem", str(p), "--algo", "psd", "--step", step,
+                               "--iters", "20"])
+    if code == 1:
+        assert "DivergenceError" in err and out == ""
+        return
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 21
+    assert all(math.isfinite(float(cell)) for row in rows for cell in row if cell != "")
+
+
 # --- the number reader ---------------------------------------------------------
 
 _DIGITS = st.text("0123456789", max_size=4)

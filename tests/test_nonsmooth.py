@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,19 @@ def test_ball_projection_nonexpansive(xs, ys):
     py = nonsmooth.project_ball(np.array(ys), c, 1.5)
     assert np.linalg.norm(px) <= 1.5 + 1e-12
     assert np.linalg.norm(px - py) <= np.linalg.norm(np.array(xs) - np.array(ys)) + 1e-9
+
+
+@pytest.mark.parametrize("x, c, r, want", [
+    ([1e200, 1e200], [0.0, 0.0], 1.0, [math.sqrt(0.5), math.sqrt(0.5)]),
+    ([1e308, -1e308], [0.0, 0.0], 2.0, [math.sqrt(2.0), -math.sqrt(2.0)]),
+    ([3e200, 0.0, -4e200], [1.0, 1.0, 1.0], 5.0, [4.0, 1.0, -3.0]),
+])
+def test_ball_projection_of_a_far_point_is_on_the_sphere(x, c, r, want):
+    # ||x - c||^2 overflows: the projection returned the centre, with an overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = nonsmooth.project_ball(np.array(x), np.array(c), r)
+    assert np.allclose(p, want, rtol=1e-12, atol=0.0)
 
 
 @settings(max_examples=60, deadline=None)
