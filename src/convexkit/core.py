@@ -230,15 +230,13 @@ class IterateTrace:
         return self
 
     def __getitem__(self, n):
-        """Row n as a _Row dict: iter, value, gap, grad_norm and a custom dict."""
+        """Row n as a dict of one-cell views: += on "value" or a custom cell
+        writes its column; "gap" is a copy of value - f_star, None without f_star."""
         self._single_run()
         n = range(self._n)[n]
-        custom = {k: col for k, col in self._opt.items() if k != "grad_norm"}
-        iters = self.iters()
-        iters.flags.writeable = False  # the row index: row["iter"] = v raises
-        return _Row(n, {"iter": iters, "value": self._value,
-                        "gap": None if self.f_star is None else _Gap(self),
-                        "grad_norm": self._opt.get("grad_norm"), "custom": _Row(n, custom)})
+        value = self._value[n:n + 1]
+        return {"value": value, "gap": None if self.f_star is None else value - self.f_star,
+                "custom": {k: col[n:n + 1] for k, col in self._opt.items() if k != "grad_norm"}}
 
     def _single_run(self):
         if self._seeds:
@@ -258,36 +256,6 @@ class IterateTrace:
             flat[i::len(columns)] = cells
         return ("iter,value,gap,grad_norm,time_s\n"
                 + (",".join(fields) + ",0\n") * n % tuple(flat))
-
-
-class _Row(dict):
-    """Row n's cells as read when the dict is made; gap is None without f_star,
-    and grad_norm None when no row gives one.
-
-    Writing a cell writes its column; writing gap sets value to f_star + gap.
-    """
-
-    def __init__(self, n, cells):
-        self._n, self._cells = n, cells
-        super().__init__((k, c if isinstance(c, _Row) else None if c is None else c[n].item())
-                         for k, c in cells.items())
-
-    def __setitem__(self, key, v):
-        self._cells[key][self._n] = v
-        super().__setitem__(key, v)
-
-
-class _Gap:
-    """A trace's gap as a column, value - f_star: writing gap n sets value n."""
-
-    def __init__(self, trace):
-        self._trace = trace
-
-    def __getitem__(self, n):
-        return self._trace._value[n] - self._trace.f_star
-
-    def __setitem__(self, n, gap):
-        self._trace._value[n] = gap + self._trace.f_star
 
 
 def check_divergence(value, x, scale):
@@ -333,11 +301,12 @@ def record(iterates, x0, N, f_star, seed=None):
                 s = int(np.argmin(ok))
                 raise DivergenceError("iterate of seed %r diverged (value %r)"
                                       % (seeds[s], float(value[s])))
-    for n, (x, value, grad_norm, custom) in zip(range(N + 1), items):
-        if n == 0:
-            scale = 1.0 + maximum(abs(value), 0.0 if f_star is None else abs(f_star))
-        check(value, x, scale)
-        trace.add(value, grad_norm, **custom)
+    with np.errstate(over="ignore", invalid="ignore"):  # the divergence guard reports these
+        for n, (x, value, grad_norm, custom) in zip(range(N + 1), items):
+            if n == 0:
+                scale = 1.0 + maximum(abs(value), 0.0 if f_star is None else abs(f_star))
+            check(value, x, scale)
+            trace.add(value, grad_norm, **custom)
     if not len(trace):
         raise NumericalError("the solver yielded no iterate")
     trace.final_point = x

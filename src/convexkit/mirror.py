@@ -74,6 +74,8 @@ def run_mpgd(f, g, geometry, h, x0, N, constraint=None):
     constraint="simplex" applies the entropic Bregman projection (normalization)
     after the mirror step; g, when given, must carry a prox compatible with the
     geometry (Euclidean geometry makes this ordinary proximal gradient).
+    The dual point is carried from step to step (and taken afresh after a
+    prox), so a weight of x that underflows to 0 keeps its log-weight.
     Custom column "avg_value" tracks f at the uniform average of the iterates.
     """
     if h <= 0:
@@ -83,21 +85,20 @@ def run_mpgd(f, g, geometry, h, x0, N, constraint=None):
     def iterates(x):
         if not geometry.in_domain(x):
             raise DomainError("x0 outside the mirror-map domain")
-        avg = x
+        avg, dual = x, geometry.grad(x)
         for n in itertools.count():
             v, grad = f.value_and_grad(x)
             yield x, plus_reg(v, g, x), norm(grad), {"avg_value": total(avg)}
-            dual = geometry.grad(x) - h * grad
+            dual = dual - h * grad
             if g is None and constraint == "simplex":
                 dual -= np.maximum.reduce(dual)  # the normalization cancels it; exp cannot overflow
-            w = geometry.grad_star(dual)
+            x = geometry.grad_star(dual)
             if g is not None:
-                w = g.prox(w, h)
+                x = g.prox(x, h)
             if constraint == "simplex":
-                w = w / float(np.add.reduce(w))
-            if not geometry.in_domain(w):
-                raise DomainError("iterate left the mirror-map domain")
-            x = w
+                x = x / float(np.add.reduce(x))
+            if g is not None:
+                dual = geometry.grad(x)
             avg = avg + (x - avg) / (n + 2.0)
 
     return record(iterates, x0, N, f.f_star)

@@ -17,8 +17,9 @@ def project_ball(x, c, r):
     nd = math.sqrt(np.vdot(d, d))  # np.linalg.norm's value; inf, not a warning, on overflow
     if nd <= r:
         return x.copy()
-    if nd == math.inf:  # far from c: scale d by its largest entry first
-        d = d / np.max(np.abs(d))
+    if nd == math.inf:  # far from c: scale x and c by their largest entry first,
+        s = max(np.max(np.abs(x)), np.max(np.abs(c)))  # as x - c itself may overflow
+        d = x / s - c / s
         nd = math.sqrt(d.dot(d))
     return c + (r / nd) * d
 

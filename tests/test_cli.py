@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import math
 import os
 import signal
@@ -631,6 +632,41 @@ def test_run_non_finite_float_field_exit_2(tmp_path, kind, field, bad):
     code, out, err = _run(["run", "--problem", write(field)] + argv)
     assert code == 2 and out == ""
     assert "field %r holds a non-finite number" % field in err
+
+
+@pytest.fixture(scope="module")
+def kind_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("kinds")
+    for kind, fields in FIELDS_BY_KIND.items():
+        (d / kind).write_text("\n".join(["kind " + kind] + ["%s %s" % fv for fv in fields]) + "\n")
+    return {kind: str(d / kind) for kind in FIELDS_BY_KIND}
+
+
+# every 20th power of ten from 1e-300, and the largest steps
+STEP_GRID = [10.0 ** k for k in range(-300, 301, 20)] + [1e308, sys.float_info.max]
+
+
+@pytest.mark.parametrize("algo", solver_names())
+def test_every_step_ends_in_a_documented_outcome(kind_files, algo):
+    # numpy's overflow warnings escaped ahead of the divergence guard: gd's, ista's
+    # and pgd's on every file kind from step 1e200 (on logistic from 1e10), ppm's at 1e308
+    for (kind, path), step in itertools.product(kind_files.items(), STEP_GRID):
+        code, out, err = _run(["run", "--problem", path, "--algo", algo, "--iters", "5",
+                               "--step=%r" % step])
+        case = (kind, step, code, err)
+        if code == 0:
+            lines = out.splitlines()
+            assert [int(r.split(",")[0]) for r in lines[1:]] == list(range(6)), case
+            assert all(_finite_or_empty(v) for r in lines[1:] for v in r.split(",")), case
+            continue
+        assert out == "", case
+        if code == 1:
+            assert err.startswith("error: DivergenceError: iterate diverged"), case
+        elif code == 2:
+            assert err == "error: algorithm %s takes no step\n" % algo, case
+        else:
+            assert code == 3 and err.startswith("capability error: "), case
+            assert " lacks the " in err or " needs a problem declared on " in err, case
 
 
 def test_run_problem_file_not_utf8_exit_2(tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convexkit import mirror, problems, proximal
-from convexkit.core import DomainError, InvalidInput, ProblemOracle, make_rng
+from convexkit.core import DomainError, InvalidInput, ProblemOracle, Simplex, make_rng, run_solver
 
 
 def test_euclidean_divergence_is_half_squared_distance():
@@ -55,6 +55,18 @@ def test_entropic_update_multiplicative_form():
     manual = x0 * np.exp(-h * ell)
     manual = manual / manual.sum()
     assert np.allclose(tr.final_point, manual, atol=1e-12)
+
+
+@pytest.mark.parametrize("h", [100.0, 1e3, 1e300])
+def test_md_keeps_its_log_weights_when_a_weight_underflows(h):
+    # from step 100 on, exp(-h g) underflows two weights to 0 after one step;
+    # md took their logs afresh and raised DomainError
+    c = np.array([1.0, -2.0, 0.5])
+    p = ProblemOracle(3, lambda x: float(c @ x), lambda x: c.copy(), L=2.0, f_star=-2.0,
+                      domain=Simplex(), name="linear")
+    trace = run_solver(p, "md", 5, step=h)
+    assert trace.final_value() == -2.0
+    assert np.allclose(trace.final_point, [0.0, 1.0, 0.0], rtol=0.0, atol=1e-50)
 
 
 def test_mpgd_euclidean_reduces_to_pgd():

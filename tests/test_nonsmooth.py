@@ -36,6 +36,18 @@ def test_ball_projection_of_a_far_point_is_on_the_sphere(x, c, r, want):
     assert np.allclose(p, want, rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("x, c, want", [
+    ([1e308, 0.0], [-1e308, 0.0], [-1e308, 0.0]),
+    ([1e308, 1e308], [-1e308, 0.0], [-1e308, math.sqrt(0.2)]),
+])
+def test_ball_projection_when_x_minus_c_overflows(x, c, want):
+    # x - c is inf, and the projection was nan. numpy still warns of the
+    # overflowing subtraction, which record's loop silences, as here
+    with np.errstate(over="ignore"):
+        p = nonsmooth.project_ball(np.array(x), np.array(c), 1.0)
+    assert np.allclose(p, want, rtol=1e-12, atol=0.0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(vec3)
 def test_box_projection_variational_inequality(xs):

@@ -36,7 +36,8 @@ class DictTrace:
         return np.array([r["custom"].get(key, math.nan) for r in self.records], dtype=float)
 
     def rows(self):
-        """The rows as the trace's row view reads them."""
+        """The rows as the trace's columns read them: a cell that a row does not
+        give is NaN, and grad_norm is None when no row gives one."""
         keys = {k for r in self.records for k in r["custom"]}
         some_grad_norm = any(r["grad_norm"] is not None for r in self.records)
         return [dict(r, grad_norm=math.nan if r["grad_norm"] is None and some_grad_norm
@@ -68,11 +69,6 @@ def _bits(v):
     return None if v is None else v if isinstance(v, int) else struct.pack("<d", v)
 
 
-def _row(r):
-    return {k: ({c: _bits(x) for c, x in v.items()} if k == "custom" else _bits(v))
-            for k, v in r.items()}
-
-
 @settings(max_examples=200, deadline=None)
 @given(f_star=st.one_of(st.none(), st.floats(-1e6, 1e6)), rows=ROWS)
 def test_columns_match_the_per_row_dicts(f_star, rows):
@@ -86,7 +82,13 @@ def test_columns_match_the_per_row_dicts(f_star, rows):
     for key in KEYS + ("absent",):
         assert tr.custom(key).tobytes() == ref.custom(key).tobytes()
     assert tr.custom_keys() == sorted({k for r in ref.records for k in r["custom"]})
-    assert [_row(r) for r in tr.records] == [_row(r) for r in ref.rows()]
+    rows = ref.rows()
+    gaps = tr.gaps()
+    assert [_bits(v) for v in tr.values().tolist()] == [_bits(r["value"]) for r in rows]
+    assert (None if gaps is None else [_bits(v) for v in gaps.tolist()]) == (
+        None if f_star is None else [_bits(r["gap"]) for r in rows])
+    assert [_bits(v) for v in tr.grad_norms().tolist()] == [
+        _bits(math.nan if r["grad_norm"] is None else r["grad_norm"]) for r in rows]
 
 
 def _csv_per_cell(values, f_star, grad_norms):
@@ -125,29 +127,31 @@ def test_to_csv_matches_the_per_cell_formatter(rows, f_star, present):
 
 
 def test_records_write_through_to_the_columns():
+    # the row view is a dict of one-cell views of the columns: value, gap and custom
     tr = IterateTrace(f_star=1.0, rows=2)
     tr.add(3.0, 0.5, avg_value=2.0)
     tr.add(2.0)
+    assert len(tr.records) == 2
     first, last = tr.records[0], tr.records[-1]
-    assert first == {"iter": 0, "value": 3.0, "gap": 2.0, "grad_norm": 0.5,
-                     "custom": {"avg_value": 2.0}}
-    assert last["iter"] == 1  # row 1 gives no grad_norm and no avg_value: both read NaN
-    assert math.isnan(last["grad_norm"]) and math.isnan(last["custom"]["avg_value"])
+    assert set(first) == {"value", "gap", "custom"} and set(first["custom"]) == {"avg_value"}
+    assert first["value"].tolist() == [3.0] and first["gap"].tolist() == [2.0]
+    assert first["custom"]["avg_value"].tolist() == [2.0]
+    assert math.isnan(last["custom"]["avg_value"][0])  # row 1 gives no avg_value: it reads NaN
     last["value"] += 10.0
-    last["gap"] += 10.0
+    last["gap"] += 10.0  # a copy of value - f_star: nothing else sees it
     first["custom"]["avg_value"] += 10.0
-    first["grad_norm"] = math.nan
-    last["custom"]["avg_value"] = 1.0
     assert list(tr.values()) == [3.0, 12.0] and list(tr.gaps()) == [2.0, 11.0]
-    assert list(tr.custom("avg_value")) == [12.0, 1.0]
-    assert tr.to_csv().splitlines()[1:] == ["0,3,2,nan,0", "1,12,11,nan,0"]
-    with pytest.raises(ValueError):
-        last["iter"] = 5  # row n is iteration n
+    assert tr.custom("avg_value")[0] == 12.0 and math.isnan(tr.custom("avg_value")[1])
+    assert tr.to_csv().splitlines()[1:] == ["0,3,2,0.5,0", "1,12,11,nan,0"]
     bare = IterateTrace(rows=1)
-    bare.add(1.0)  # no f_star and no grad_norm: gap and grad_norm are None, and empty cells
-    assert bare.records[0] == {"iter": 0, "value": 1.0, "gap": None, "grad_norm": None,
-                               "custom": {}}
+    bare.add(1.0)  # no f_star and no grad_norm: gap is None, and empty cells
+    row = bare.records[0]
+    assert row["value"].tolist() == [1.0] and row["gap"] is None and row["custom"] == {}
     assert bare.to_csv().splitlines()[1:] == ["0,1,,,0"]
+    batch = IterateTrace(rows=1, seeds=2)
+    batch.add(np.zeros(2))
+    with pytest.raises(CapabilityError):
+        batch.records[-1]
 
 
 def test_batch_rows_and_seed_views():
