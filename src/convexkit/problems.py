@@ -130,9 +130,11 @@ def make_least_squares(X, Y, name="least-squares"):
     if evals[0] > 1e-12 * max(1.0, evals[-1]):
         x_star = np.linalg.solve(H, X.T @ Y / n)
         f_star = value(x_star)
-    return ProblemOracle(X.shape[1], value, grad, value_and_grad=value_and_grad,
-                         alpha=max(evals[0], 0.0), beta=float(evals[-1]), f_star=f_star,
-                         x_star=x_star, name=name, extra={"X": X, "Y": Y})
+    p = ProblemOracle(X.shape[1], value, grad, value_and_grad=value_and_grad,
+                      alpha=max(evals[0], 0.0), beta=float(evals[-1]), f_star=f_star,
+                      x_star=x_star, name=name, extra={"X": X, "Y": Y})
+    p._least_squares = X, Y  # the data make_finite_sum stacks
+    return p
 
 
 def make_lasso(X, Y, lam):
@@ -282,7 +284,18 @@ class ResistingFeasibilityOracle:
 
 
 def make_finite_sum(components):
-    """Average of smooth component oracles, with sampling and per-component gradients."""
+    """Average of smooth component oracles, with sampling and per-component gradients.
+
+    When every component comes from make_least_squares with the same row
+    count k and a C-contiguous X, the sum copies their (X, Y) into one stack
+    when it is built. value, subgradient and value_and_grad at a contiguous
+    1-D point then take one batched pass over the stack, bitwise equal to
+    averaging the components' own results, and call no component: a
+    component's value or subgradient replaced on its oracle is not seen
+    there, nor its arrays changed after the sum is built. Other components,
+    and other points such as (S, d) rows, call each component in turn;
+    component_gradient and stochastic_gradient always call one component.
+    """
     if not components:
         raise InvalidProblem("need at least one component")
     dim = components[0].dim
@@ -305,10 +318,63 @@ def make_finite_sum(components):
     def stochastic_gradient(x, rng):
         return components[int(rng.integers(n))].subgradient(x)
 
-    return ProblemOracle(dim, value, grad, alpha=alpha, beta=beta,
+    value_and_grad = None
+    stack = _stack_least_squares(components)
+    if stack is not None:
+        value, grad, value_and_grad = _stacked_oracles(*stack, value, grad)
+    return ProblemOracle(dim, value, grad, value_and_grad=value_and_grad, alpha=alpha, beta=beta,
                          component_gradient=component_gradient,
                          stochastic_gradient=stochastic_gradient,
                          n_components=n, name="finite-sum", extra={"beta_component": beta_comp})
+
+
+def _stack_least_squares(components):
+    """(Xs, Ys) of shapes (n, k, d) and (n, k) from make_least_squares
+    components that share k and have C-contiguous X, else None."""
+    data = [getattr(c, "_least_squares", None) for c in components]
+    if any(xy is None or not xy[0].flags.c_contiguous for xy in data):
+        return None
+    if len({X.shape for X, _ in data}) != 1:
+        return None
+    return np.stack([X for X, _ in data]), np.stack([Y for _, Y in data])
+
+
+def _stacked_oracles(Xs, Ys, value, grad):
+    """The stacked finite sum's value, grad and value_and_grad; value and grad
+    are the per-component ones, for points that the stack does not take.
+
+    Row i of the batched matmul (n, k, d) @ (d,) is X_i.dot(x) bit for bit,
+    and the batched (1, k) @ (k, 1) products are r.dot(r), when x is
+    contiguous; a plain (n k, d) dot, einsum or np.add.reduce rounds
+    differently. Values and gradients are summed one after another, in the
+    components' order, as the per-component sums do.
+    """
+    n, k = Ys.shape
+
+    def stacked(x):
+        return getattr(x, "ndim", None) == 1 and x.flags.c_contiguous
+
+    def total_value(R):  # R: the (n, k) residuals
+        rr = np.matmul(R[:, None, :], R[:, :, None])[:, 0, 0]
+        return sum((0.5 * rr / k).tolist()) / n
+
+    def total_grad(R):
+        return sum(np.matmul(R[:, None, :], Xs)[:, 0, :] / k) / n
+
+    def stacked_value(x):
+        return total_value(np.matmul(Xs, x) - Ys) if stacked(x) else value(x)
+
+    def stacked_grad(x):
+        return total_grad(np.matmul(Xs, x) - Ys) if stacked(x) else grad(x)
+
+    def value_and_grad(x):
+        if not stacked(x):
+            g = grad(x)
+            return value(x), g
+        R = np.matmul(Xs, x) - Ys
+        return total_value(R), total_grad(R)
+
+    return stacked_value, stacked_grad, value_and_grad
 
 
 def make_svm_hinge(X, Y, lam):

@@ -24,13 +24,15 @@ Cases:
          point's bytes and "custom.<key>" each custom column; a case that
          raises keeps only "raises", the hash of the exception class name
          (plus that name as "error"). Also: run_sgd and run_smpgd at seeds
-         1-2 (seed 0 is the loop case), run_asgd at seeds 0-2 and run_svrg
-         with both epoch plans on a strongly convex d = 5 finite sum (whose
-         "evals" count is kept), and run_psd/run_psd_strong on the d = 5
-         worst-case nonsmooth instance. Loops that return more than a trace:
-         run_am on check 14's two-block quadratic; cg_solve stopping early
-         at three tolerances on a d = 40 quadratic ("directions" hashes the
-         search directions); run_svrg stopping at a target gap. Budget edges:
+         1-2 (seed 0 is the loop case) and at seed 0 on a finite sum of four
+         3-row least-squares components (<function>/multi-row), run_asgd at
+         seeds 0-2 and run_svrg with both epoch plans on a strongly convex
+         d = 5 finite sum (whose "evals" count is kept), and
+         run_psd/run_psd_strong on the d = 5 worst-case nonsmooth instance.
+         Loops that return more than a trace: run_am on check 14's two-block
+         quadratic; cg_solve stopping early at three tolerances on a d = 40
+         quadratic ("directions" hashes the search directions); run_svrg
+         stopping at a target gap. Budget edges:
          run_solver's cg on A = I at budget 6, where CG is exact after one
          step and stays put; run_svrg started at x* with a target gap, so
          one epoch runs; run_am with 0 sweeps; cg_solve with N = 0; and the
@@ -157,6 +159,15 @@ def _strongly_convex_finite_sum():
     return fs
 
 
+def _multi_row_finite_sum():
+    """A seeded d = 5 average of four least-squares components of three rows each."""
+    from convexkit import problems
+    rng = np.random.Generator(np.random.Philox(2028))
+    X = rng.standard_normal((4, 3, TRACE_D))
+    Y = rng.standard_normal((4, 3))
+    return problems.make_finite_sum([problems.make_least_squares(x, y) for x, y in zip(X, Y)])
+
+
 def _trace_hashes(run):
     """The hashes of the trace that run() returns, or of the exception it raises.
 
@@ -241,6 +252,12 @@ def _trace_cases():
         yield ("trace/loop/stochastic.run_smpgd/seed-%d" % seed,
                lambda seed=seed: stochastic.run_smpgd(
                    fs, None, mirror.euclidean_geometry(TRACE_D), 0.05, x0, LOOP_N, seed))
+    multi = _multi_row_finite_sum()
+    yield ("trace/loop/stochastic.run_sgd/multi-row",
+           lambda: stochastic.run_sgd(multi, 0.05, x0, LOOP_N, 0))
+    yield ("trace/loop/stochastic.run_smpgd/multi-row",
+           lambda: stochastic.run_smpgd(multi, None, mirror.euclidean_geometry(TRACE_D), 0.05,
+                                        x0, LOOP_N, 0))
     sc = _strongly_convex_finite_sum()
     for seed in (0, 1, 2):
         yield ("trace/loop/stochastic.run_asgd/seed-%d" % seed,

@@ -160,6 +160,140 @@ def test_finite_sum_mean_semantics():
     assert any(np.allclose(g, c.subgradient(x)) for c in comps)
 
 
+def _summed_value(comps, x):
+    """The finite sum's value as the per-component expression gives it."""
+    return sum([c.value(x) for c in comps]) / len(comps)
+
+
+def _summed_grad(comps, x):
+    return sum(c.subgradient(x) for c in comps) / len(comps)
+
+
+def _summed(comps, x):
+    g = _summed_grad(comps, x)
+    return _summed_value(comps, x), g
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _least_squares_parts(seed, n, k, d, log_scale):
+    rng = make_rng(seed)
+    X = rng.normal(size=(n, k, d)) * 10.0 ** log_scale
+    Y = rng.normal(size=(n, k)) * 10.0 ** log_scale
+    return [problems.make_least_squares(X[i], Y[i]) for i in range(n)], rng.normal(size=d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 12), k=st.integers(1, 8),
+       d=st.integers(1, 12), log_scale=st.floats(-3.0, 3.0))
+def test_stacked_least_squares_sum_is_bitwise_the_per_component_sum(seed, n, k, d, log_scale):
+    comps, x = _least_squares_parts(seed, n, k, d, log_scale)
+    fs = problems.make_finite_sum(comps)
+    v, g = _summed(comps, x)
+    fv, fg = fs.value_and_grad(x)
+    assert fs.value(x) == v and fv == v
+    assert _same_bits(fs.subgradient(x), g) and _same_bits(fg, g)
+
+
+def _counted(comps):
+    """Wrap each component's value and subgradient with a shared call counter."""
+    calls = [0]
+
+    def counting(f):
+        def wrapped(x):
+            calls[0] += 1
+            return f(x)
+        return wrapped
+
+    for c in comps:
+        c.value, c.subgradient = counting(c.value), counting(c.subgradient)
+    return calls
+
+
+def test_stacked_least_squares_sum_calls_no_component():
+    comps, x = _least_squares_parts(5, 8, 3, 5, 0.0)
+    fs = problems.make_finite_sum(comps)
+    calls = _counted(comps)
+    v, g = _summed(comps, x)
+    assert calls[0] == 2 * len(comps)
+    calls[0] = 0
+    assert fs.value(x) == v and _same_bits(fs.subgradient(x), g)
+    assert fs.value_and_grad(x)[0] == v
+    assert calls[0] == 0
+    fs.component_gradient(2, x)
+    fs.stochastic_gradient(x, make_rng(0))
+    assert calls[0] == 2  # these stay per component
+
+
+def _mixed_sums():
+    """Finite sums that call each component in turn: unequal row counts, a
+    quadratic among least squares, and X that is not C-contiguous."""
+    rng = make_rng(11)
+    d = 4
+    ls = lambda k: problems.make_least_squares(rng.normal(size=(k, d)), rng.normal(size=k))
+    quad = problems.make_quadratic(np.diag([1.0, 2.0, 3.0, 4.0]), rng.normal(size=d))
+    strided = rng.normal(size=(3, 2 * d))[:, ::2]
+    return {"unequal-rows": [ls(2), ls(3), ls(2)],
+            "quadratic-mixed-in": [ls(2), quad, ls(2)],
+            "fortran-order": [problems.make_least_squares(np.asfortranarray(
+                rng.normal(size=(3, d))), rng.normal(size=3)) for _ in range(3)],
+            "strided": [problems.make_least_squares(strided, rng.normal(size=3)), ls(3)]}
+
+
+@pytest.mark.parametrize("kind", sorted(_mixed_sums()))
+def test_finite_sums_that_do_not_stack_call_their_components(kind):
+    comps = _mixed_sums()[kind]
+    fs = problems.make_finite_sum(comps)
+    x = make_rng(12).normal(size=fs.dim)
+    calls = _counted(comps)
+    v, g = _summed(comps, x)
+    calls[0] = 0
+    fv, fg = fs.value_and_grad(x)
+    assert fs.value(x) == v and fv == v
+    assert _same_bits(fs.subgradient(x), g) and _same_bits(fg, g)
+    assert calls[0] == 4 * len(comps)
+
+
+def test_lasso_smooth_parts_stack():
+    rng = make_rng(13)
+    comps = [problems.make_lasso(rng.normal(size=(2, 3)), rng.normal(size=2), 0.1).extra["smooth"]
+             for _ in range(4)]
+    fs = problems.make_finite_sum(comps)
+    x = rng.normal(size=3)
+    v, g = _summed(comps, x)
+    calls = _counted(comps)
+    assert fs.value(x) == v and _same_bits(fs.subgradient(x), g)
+    assert calls[0] == 0
+
+
+def _outcome(f, x):
+    """f(x)'s bits, or the class of the exception it raises."""
+    try:
+        out = f(x)
+    except Exception as exc:
+        return type(exc)
+    parts = [np.asarray(o, dtype=float) for o in (out if isinstance(out, tuple) else (out,))]
+    return [(a.shape, a.tobytes()) for a in parts]
+
+
+@pytest.mark.parametrize("n, k, d, S", [(3, 2, 4, 4), (3, 4, 4, 4), (3, 1, 1, 1), (3, 2, 4, 6),
+                                        (2, 3, 3, 3)])
+def test_stacked_sum_leaves_row_matrices_and_views_to_the_components(n, k, d, S):
+    comps, x = _least_squares_parts(14, n, k, d, 0.0)
+    fs = problems.make_finite_sum(comps)
+    rows = make_rng(15).normal(size=(S, d))
+    value = lambda z: _summed_value(comps, z)
+    grad = lambda z: _summed_grad(comps, z)
+    points = [rows, rows.T.copy(), rows[0], x[::-1], np.repeat(x, 2)[::2]]
+    for z in points:  # (S, d), (d, S), a row of it, and 1-D views that are not contiguous
+        assert _outcome(fs.value, z) == _outcome(value, z)
+        assert _outcome(fs.subgradient, z) == _outcome(grad, z)
+        assert _outcome(fs.value_and_grad, z) == _outcome(lambda z: _summed(comps, z), z)
+
+
 def test_svm_hinge_subgradient_inequality():
     rng = make_rng(5)
     X = rng.normal(size=(15, 3))
