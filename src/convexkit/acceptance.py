@@ -533,14 +533,14 @@ def crit_18_continuous_time():
 
 
 # (id, check, seconds): a check's raw cost alone in one process at one BLAS
-# thread (2-vCPU KVM guest), or 0.0 under a second. verify hands the checks out
-# longest first, and the tests mark those that cost anything slow.
+# thread (2-vCPU KVM guest), or 0.0 under half a second. verify hands the checks
+# out longest first, and the tests mark those that cost anything slow.
 CRITERIA = [
     ("01-gd-rate", crit_01_gd_rate, 0.0),
     ("02-smooth-lower-bound", crit_02_smooth_lower_bound, 0.0),
     ("03-acceleration", crit_03_acceleration, 0.0),
     ("04-cg", crit_04_cg, 0.0),
-    ("05-subgradient", crit_05_subgradient, 6.7),
+    ("05-subgradient", crit_05_subgradient, 4.6),
     ("06-functional-constraints", crit_06_functional_constraints, 0.0),
     ("07-ellipsoid", crit_07_ellipsoid, 0.0),
     ("08-feasibility-lower-bound", crit_08_feasibility_lower_bound, 0.0),
@@ -551,8 +551,8 @@ CRITERIA = [
     ("13-sinkhorn", crit_13_sinkhorn, 0.0),
     ("14-am-ram", crit_14_am_ram, 0.0),
     ("15-smpgd-svrg", crit_15_smpgd_svrg, 0.0),
-    ("16-clt", crit_16_clt, 7.9),
-    ("17-ipm", crit_17_ipm, 1.5),
+    ("16-clt", crit_16_clt, 6.0),
+    ("17-ipm", crit_17_ipm, 0.8),
     ("18-continuous-time", crit_18_continuous_time, 0.0),
 ]
 

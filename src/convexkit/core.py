@@ -89,6 +89,10 @@ class Simplex(namedtuple("Simplex", "")):
     what = "the simplex"
 
 
+class Design(namedtuple("Design", "loss X Y")):
+    """The data of a data-fit problem: f(theta) is the named loss of z = X theta and Y."""
+
+
 class ProblemOracle:
     """Bundle of value/subgradient oracles, optional capabilities, and declared constants.
 
@@ -96,7 +100,11 @@ class ProblemOracle:
     share one pass over its data passes a fused function that returns
     bitwise the same pair. Without one it calls subgradient, then value.
     Capabilities (all optional): prox(y, h), loo(p), block_argmin(i, x),
-    stochastic_gradient(x, rng), component_gradient(i, x).
+    stochastic_gradient(x, rng).
+    Data (all optional, None when not given): quadratic, the (A, b) of
+    f(x) = 1/2 <x, Ax> - <b, x>, which cg solves; design, the Design(loss,
+    X, Y) of a data-fit problem; components, the oracles f is the average
+    of, which SVRG samples one at a time.
     Constants: alpha (strong convexity, >= 0), beta (smoothness, may be inf),
     L (Lipschitz, may be inf), f_star / x_star when known.
     domain: the set the problem is posed on, and f_star and x_star are
@@ -105,8 +113,8 @@ class ProblemOracle:
     """
 
     def __init__(self, dim, value, subgradient=None, *, value_and_grad=None, prox=None,
-                 loo=None, block_argmin=None, stochastic_gradient=None,
-                 component_gradient=None, n_components=None, n_blocks=None,
+                 loo=None, block_argmin=None, stochastic_gradient=None, n_blocks=None,
+                 quadratic=None, design=None, components=None,
                  alpha=0.0, beta=math.inf, L=math.inf, f_star=None, x_star=None,
                  domain=None, name="problem", extra=None):
         if dim < 1:
@@ -125,9 +133,10 @@ class ProblemOracle:
         self.loo = loo
         self.block_argmin = block_argmin
         self.stochastic_gradient = stochastic_gradient
-        self.component_gradient = component_gradient
-        self.n_components = n_components
         self.n_blocks = n_blocks
+        self.quadratic = quadratic
+        self.design = design
+        self.components = components
         self.alpha = float(alpha)
         self.beta = float(beta)
         self.L = float(L)
@@ -516,11 +525,6 @@ def _solver_registry():
     gd_rate = lambda beta: lambda p, N, R: beta(p) * R ** 2 / (2.0 * N)  # at step 1/beta
     agd_rate = lambda beta: lambda p, N, R: 2.0 * beta(p) * R ** 2 / (N * N)
 
-    def run_cg(p, x0, N, h, seed):
-        if "A" not in p.extra or "b" not in p.extra:
-            raise CapabilityError("problem %r lacks the quadratic (A,b) data needed by cg" % p.name)
-        return krylov.cg_solve(p.extra["A"], p.extra["b"], x0, N, f_star=p.f_star)[0]
-
     table = [
         Solver(("gd",), ("subgradient",), in_rd, lambda p, N: inverse(p.beta),
                lambda p, x0, N, h, seed: gradient.run_gd(p, h, x0, N), gd_rate(own)),
@@ -552,7 +556,9 @@ def _solver_registry():
         Solver(("sgd",), ("stochastic_gradient",), in_rd, lambda p, N: inverse(2 * p.beta),
                lambda p, x0, N, h, seed: stochastic.run_sgd(p, h, x0, N, seed), None),
         # AGD's iterate is in the Krylov space that CG minimizes over
-        Solver(("cg",), (), in_rd, None, run_cg, agd_rate(own)),
+        Solver(("cg",), ("quadratic",), in_rd, None,
+               lambda p, x0, N, h, seed: krylov.cg_solve(*p.quadratic, x0, N, f_star=p.f_star)[0],
+               agd_rate(own)),
     ]
     return {name: row for row in table for name in row.names}
 

@@ -5,7 +5,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import Ball, InvalidProblem, ProblemOracle, as_vector, composite_value, make_rng
+from .core import (Ball, Design, InvalidProblem, ProblemOracle, as_vector, composite_value,
+                   make_rng)
 
 
 def _logsumexp(z):
@@ -51,8 +52,8 @@ def make_quadratic(A, b):
         return last[1].dot(y + h * b)
 
     return ProblemOracle(b.size, value, grad, value_and_grad=value_and_grad, prox=prox,
-                         alpha=alpha, beta=beta, f_star=f_star, x_star=x_star, name="quadratic",
-                         extra={"A": A, "b": b})
+                         quadratic=(A, b), alpha=alpha, beta=beta, f_star=f_star, x_star=x_star,
+                         name="quadratic")
 
 
 def _quadratic_oracles(A, b):
@@ -76,73 +77,74 @@ def _quadratic_oracles(A, b):
     return value, grad, value_and_grad
 
 
-def make_logistic(X, Y):
-    """Average logistic negative log-likelihood over rows of X with 0/1 labels."""
+def _fit_data(X, Y):
+    """X and Y as float arrays, checked: X is n x d with n, d >= 1, Y holds one
+    entry per row, and both are finite."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    if X.ndim != 2 or Y.shape != (X.shape[0],):
-        raise InvalidProblem("X must be n x d with one label per row")
+    if X.ndim != 2 or min(X.shape) < 1 or Y.shape != X.shape[:1]:
+        raise InvalidProblem("X must be n x d with n, d >= 1 and Y one entry per row")
+    if not (np.isfinite(X).all() and np.isfinite(Y).all()):
+        raise InvalidProblem("X and Y must be finite")
+    return X, Y
+
+
+def _fit_oracles(X, value, grad):
+    """value, subgradient and value_and_grad of a loss of z = X theta, stated
+    once as value(z, theta) and grad(z, theta); value_and_grad shares one z."""
+    def value_and_grad(theta):
+        z = X.dot(theta)
+        return value(z, theta), grad(z, theta)
+
+    return (lambda theta: value(X.dot(theta), theta), lambda theta: grad(X.dot(theta), theta),
+            value_and_grad)
+
+
+def make_logistic(X, Y):
+    """Average logistic negative log-likelihood over rows of X with 0/1 labels."""
+    X, Y = _fit_data(X, Y)
     if not np.all((Y == 0) | (Y == 1)):
         raise InvalidProblem("labels must be 0/1")
     n = X.shape[0]
     beta = float(np.linalg.eigvalsh(X.T @ X / (4.0 * n))[-1])
 
-    def value(theta):
-        z = X.dot(theta)
-        return float(np.mean(np.logaddexp(0.0, z) - Y * z))
-
-    def grad(theta):
-        z = X.dot(theta)
+    def loss_grad(z, theta):
         s = 1.0 / (1.0 + np.exp(-z))
         return X.T.dot(s - Y) / n
 
-    def value_and_grad(theta):
-        z = X.dot(theta)
-        s = 1.0 / (1.0 + np.exp(-z))
-        return float(np.mean(np.logaddexp(0.0, z) - Y * z)), X.T.dot(s - Y) / n
-
-    return ProblemOracle(X.shape[1], value, grad, value_and_grad=value_and_grad, beta=beta,
-                         name="logistic", extra={"X": X, "Y": Y})
+    value, grad, value_and_grad = _fit_oracles(
+        X, lambda z, theta: float(np.mean(np.logaddexp(0.0, z) - Y * z)), loss_grad)
+    return ProblemOracle(X.shape[1], value, grad, value_and_grad=value_and_grad,
+                         design=Design("logistic", X, Y), beta=beta, name="logistic")
 
 
 def make_least_squares(X, Y, name="least-squares"):
     """f(theta) = (1/2n) ||Y - X theta||^2."""
-    X = np.asarray(X, dtype=float)
-    Y = as_vector(Y)
-    if X.ndim != 2 or Y.size != X.shape[0]:
-        raise InvalidProblem("X must be n x d with one response per row")
+    X, Y = _fit_data(X, Y)
     n = X.shape[0]
     H = X.T @ X / n
     evals = np.linalg.eigvalsh(H)
 
-    def value(theta):
-        r = X.dot(theta) - Y
+    def loss(z, theta):
+        r = z - Y
         return 0.5 * float(r.dot(r)) / n
 
-    def grad(theta):
-        return X.T.dot(X.dot(theta) - Y) / n
-
-    def value_and_grad(theta):
-        r = X.dot(theta) - Y
-        return 0.5 * float(r.dot(r)) / n, X.T.dot(r) / n
-
+    value, grad, value_and_grad = _fit_oracles(X, loss, lambda z, theta: X.T.dot(z - Y) / n)
     x_star = f_star = None
     if evals[0] > 1e-12 * max(1.0, evals[-1]):
         x_star = np.linalg.solve(H, X.T @ Y / n)
         f_star = value(x_star)
-    p = ProblemOracle(X.shape[1], value, grad, value_and_grad=value_and_grad,
-                      alpha=max(evals[0], 0.0), beta=float(evals[-1]), f_star=f_star,
-                      x_star=x_star, name=name, extra={"X": X, "Y": Y})
-    p._least_squares = X, Y  # the data make_finite_sum stacks
-    return p
+    return ProblemOracle(X.shape[1], value, grad, value_and_grad=value_and_grad,
+                         design=Design("least-squares", X, Y), alpha=max(evals[0], 0.0),
+                         beta=float(evals[-1]), f_star=f_star, x_star=x_star, name=name)
 
 
 def make_lasso(X, Y, lam):
     """Least squares plus lam*||theta||_1; composite with a prox-friendly part."""
     from .proximal import prox_l1
 
-    if lam < 0:
-        raise InvalidProblem("lam must be >= 0")
+    if not 0 <= lam < math.inf:
+        raise InvalidProblem("lam must be finite and >= 0")
     f = make_least_squares(X, Y, name="lasso-smooth")
     g = ProblemOracle(f.dim, lambda x: lam * float(np.add.reduce(np.abs(x), axis=None)),
                       prox=lambda y, h: prox_l1(y, lam * h))
@@ -160,11 +162,7 @@ def make_lasso(X, Y, lam):
 
 
 def make_softmax_smoothed(a_rows, b, lam, beta_smooth):
-    """Softmax smoothing of max_i (<a_i, x> - b_i) plus a quadratic regularizer.
-
-    The unsmoothed max objective is kept around (extra["unsmoothed_value"]) for
-    the sandwich inequality f <= f_beta <= f + log(m)/beta.
-    """
+    """Softmax smoothing of max_i (<a_i, x> - b_i) plus a quadratic regularizer."""
     A = np.asarray(a_rows, dtype=float)
     b = as_vector(b)
     if A.ndim != 2 or A.shape[0] != b.size or A.shape[0] == 0:
@@ -182,11 +180,7 @@ def make_softmax_smoothed(a_rows, b, lam, beta_smooth):
         w /= np.sum(w)
         return A.T @ w + lam * x
 
-    def unsmoothed(x):
-        return float(np.max(A @ x - b)) + 0.5 * lam * float(x @ x)
-
-    return ProblemOracle(A.shape[1], value, grad, alpha=lam, beta=smooth_const,
-                         name="softmax", extra={"unsmoothed_value": unsmoothed})
+    return ProblemOracle(A.shape[1], value, grad, alpha=lam, beta=smooth_const, name="softmax")
 
 
 def make_worst_case_smooth(beta, d):
@@ -206,9 +200,9 @@ def make_worst_case_smooth(beta, d):
     x_star = 1.0 - np.arange(1, d + 1) / (d + 1.0)
     f_star = -(beta / 8.0) * (1.0 - 1.0 / (d + 1.0))
     value, grad, value_and_grad = _quadratic_oracles(A, b)
-    return ProblemOracle(d, value, grad, value_and_grad=value_and_grad, alpha=0.0,
-                         beta=float(beta), f_star=f_star, x_star=x_star,
-                         name="worst-case-smooth", extra={"A": A, "b": b})
+    return ProblemOracle(d, value, grad, value_and_grad=value_and_grad, quadratic=(A, b),
+                         alpha=0.0, beta=float(beta), f_star=f_star, x_star=x_star,
+                         name="worst-case-smooth")
 
 
 def make_worst_case_nonsmooth(N, L, R):
@@ -284,17 +278,18 @@ class ResistingFeasibilityOracle:
 
 
 def make_finite_sum(components):
-    """Average of smooth component oracles, with sampling and per-component gradients.
+    """Average of smooth component oracles, kept as its components, with sampling.
 
-    When every component comes from make_least_squares with the same row
-    count k and a C-contiguous X, the sum copies their (X, Y) into one stack
-    when it is built. value, subgradient and value_and_grad at a contiguous
-    1-D point then take one batched pass over the stack, bitwise equal to
-    averaging the components' own results, and call no component: a
-    component's value or subgradient replaced on its oracle is not seen
-    there, nor its arrays changed after the sum is built. Other components,
-    and other points such as (S, d) rows, call each component in turn;
-    component_gradient and stochastic_gradient always call one component.
+    When every component has a least-squares design (make_least_squares
+    gives one) with the same row count k and a C-contiguous X, the sum
+    copies their (X, Y) into one stack when it is built. value, subgradient
+    and value_and_grad at a contiguous 1-D point then take one batched pass
+    over the stack, bitwise equal to averaging the components' own results,
+    and call no component: a component's value or subgradient replaced on
+    its oracle is not seen there, nor its arrays changed after the sum is
+    built. Other components, and other points such as (S, d) rows, call each
+    component in turn; stochastic_gradient, like SVRG, calls one component
+    at a time.
     """
     if not components:
         raise InvalidProblem("need at least one component")
@@ -304,7 +299,6 @@ def make_finite_sum(components):
     n = len(components)
     alpha = float(np.mean([c.alpha for c in components]))
     beta = float(np.mean([c.beta for c in components]))
-    beta_comp = float(max(c.beta for c in components))
 
     def value(x):
         return sum([c.value(x) for c in components]) / n
@@ -312,31 +306,26 @@ def make_finite_sum(components):
     def grad(x):
         return sum(c.subgradient(x) for c in components) / n
 
-    def component_gradient(i, x):
-        return components[i].subgradient(x)
-
     def stochastic_gradient(x, rng):
         return components[int(rng.integers(n))].subgradient(x)
 
     value_and_grad = None
-    stack = _stack_least_squares(components)
+    stack = _stack_designs(components)
     if stack is not None:
         value, grad, value_and_grad = _stacked_oracles(*stack, value, grad)
-    return ProblemOracle(dim, value, grad, value_and_grad=value_and_grad, alpha=alpha, beta=beta,
-                         component_gradient=component_gradient,
-                         stochastic_gradient=stochastic_gradient,
-                         n_components=n, name="finite-sum", extra={"beta_component": beta_comp})
+    return ProblemOracle(dim, value, grad, value_and_grad=value_and_grad,
+                         stochastic_gradient=stochastic_gradient, components=components,
+                         alpha=alpha, beta=beta, name="finite-sum")
 
 
-def _stack_least_squares(components):
-    """(Xs, Ys) of shapes (n, k, d) and (n, k) from make_least_squares
-    components that share k and have C-contiguous X, else None."""
-    data = [getattr(c, "_least_squares", None) for c in components]
-    if any(xy is None or not xy[0].flags.c_contiguous for xy in data):
+def _stack_designs(components):
+    """(Xs, Ys) of shapes (n, k, d) and (n, k) from least-squares components
+    that share k and have C-contiguous X, else None."""
+    data = [c.design for c in components]
+    if not all(xy is not None and xy.loss == "least-squares" and xy.X.flags.c_contiguous
+               and xy.X.shape == data[0].X.shape for xy in data):
         return None
-    if len({X.shape for X, _ in data}) != 1:
-        return None
-    return np.stack([X for X, _ in data]), np.stack([Y for _, Y in data])
+    return np.stack([xy.X for xy in data]), np.stack([xy.Y for xy in data])
 
 
 def _stacked_oracles(Xs, Ys, value, grad):
@@ -380,33 +369,30 @@ def _stacked_oracles(Xs, Ys, value, grad):
 def make_svm_hinge(X, Y, lam):
     """Soft-margin SVM: mean hinge loss plus (lam/2)||theta||^2 with labels in {-1, 1}, on
     the ball of radius max_i ||X_i|| / lam that holds every minimizer (10 if lam = 0)."""
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if X.ndim != 2 or Y.shape != (X.shape[0],) or not np.all(np.abs(Y) == 1):
-        raise InvalidProblem("need n x d data with labels in {-1, +1}")
-    if lam < 0:
-        raise InvalidProblem("lam must be >= 0")
+    X, Y = _fit_data(X, Y)
+    if not np.all(np.abs(Y) == 1):
+        raise InvalidProblem("labels must be -1 or +1")
+    if not 0 <= lam < math.inf:
+        raise InvalidProblem("lam must be finite and >= 0")
     n = X.shape[0]
     row_norm = float(np.max(np.linalg.norm(X, axis=1)))
     # any minimizer satisfies ||theta*|| <= max_i ||X_i|| / lam (gradient balance)
     ball_radius = row_norm / lam if lam > 0 else 10.0
     L = row_norm + lam * ball_radius
 
-    def value(theta):
-        return float(np.add.reduce(np.maximum(0.0, 1.0 - Y * X.dot(theta))) / n) + 0.5 * lam * float(theta.dot(theta))
+    def loss(z, theta):
+        hinge = float(np.add.reduce(np.maximum(0.0, 1.0 - Y * z)) / n)
+        return hinge + 0.5 * lam * float(theta.dot(theta))
 
-    def subgrad(theta):
-        margin = Y * X.dot(theta)
-        active = margin < 1.0  # at the kink 0 is a valid subgradient
-        return -X.T.dot(Y * active) / n + lam * theta
+    def loss_grad(z, theta):
+        # at the kink (margin Y z = 1) 0 is a valid subgradient; the minus stays
+        # outside the product, as X.T.dot(-v) gives some zeros the other sign
+        return -X.T.dot(Y * (Y * z < 1.0)) / n + lam * theta
 
-    def value_and_grad(theta):
-        margin = Y * X.dot(theta)
-        value = float(np.add.reduce(np.maximum(0.0, 1.0 - margin)) / n) + 0.5 * lam * float(theta.dot(theta))
-        return value, -X.T.dot(Y * (margin < 1.0)) / n + lam * theta
-
-    return ProblemOracle(X.shape[1], value, subgrad, value_and_grad=value_and_grad, alpha=lam,
-                         L=L, domain=Ball(ball_radius), name="svm-hinge", extra={"X": X, "Y": Y})
+    value, subgrad, value_and_grad = _fit_oracles(X, loss, loss_grad)
+    return ProblemOracle(X.shape[1], value, subgrad, value_and_grad=value_and_grad,
+                         design=Design("hinge", X, Y), alpha=lam, L=L, domain=Ball(ball_radius),
+                         name="svm-hinge")
 
 
 def make_experts_instance(T, d, seed=0):

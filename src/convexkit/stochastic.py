@@ -137,8 +137,8 @@ def clt_check(A, theta_star, gamma, n, trials, seed=0, noise_scale=1.0):
 
 def svrg_estimator(problem, i, x, anchor, anchor_grad):
     """SVRG gradient estimator: grad f_i(x) - grad f_i(anchor) + grad f(anchor)."""
-    cg = problem.require("component_gradient")
-    return cg(i, x) - cg(i, anchor) + anchor_grad
+    f_i = problem.require("components")[i]
+    return f_i.subgradient(x) - f_i.subgradient(anchor) + anchor_grad
 
 
 def svrg_epoch_length(problem, g, h):
@@ -155,7 +155,7 @@ def run_svrg(problem, g=None, h=None, x0=None, epochs=20, epoch_plan="constant",
              seed=0, target_gap=None):
     """SVRG over a finite-sum problem; returns (trace, gradient evaluation count).
 
-    One epoch: compute the anchor's full gradient (n_components evaluations),
+    One epoch: compute the anchor's full gradient (one evaluation per component),
     run N_t inner steps with the variance-reduced estimator (counted as one
     fresh component evaluation each; the anchor's component gradients are
     treated as cached from the full-gradient pass), then move the anchor to
@@ -165,10 +165,10 @@ def run_svrg(problem, g=None, h=None, x0=None, epochs=20, epoch_plan="constant",
     anchor is within target_gap of f*; at least one epoch runs. The running
     count is the custom column "evals".
     """
-    cg = problem.require("component_gradient")
-    n_comp = problem.n_components
+    components = problem.require("components")
+    n_comp = len(components)
     if h is None:
-        h = 1.0 / (8.0 * problem.extra.get("beta_component", problem.beta))
+        h = 1.0 / (8.0 * max(c.beta for c in components))
     lam = smpgd_lambda(problem.alpha, 0.0 if g is None else g.alpha, h)
     total = composite_value(problem, g)
     N_0 = svrg_epoch_length(problem, g, h) if epoch_plan == "constant" else 2
@@ -184,7 +184,7 @@ def run_svrg(problem, g=None, h=None, x0=None, epochs=20, epoch_plan="constant",
             W = 1.0
             for _ in range(N_t):
                 i = int(rng.integers(n_comp))
-                v = cg(i, x) - cg(i, anchor) + full
+                v = components[i].subgradient(x) - components[i].subgradient(anchor) + full
                 evals += 1
                 x = x - h * v
                 if g is not None:

@@ -49,11 +49,11 @@ Cases:
   parse/*  parse_problem_file on seeded files of every kind, written once with
          "%.17g" tokens and once with "%+.16e" tokens (parse/<kind>/<format>).
          The data mixes magnitudes from 1e-8 to 1e8 with -0, 0 and a
-         subnormal; integer fields are written in the same format. Each
-         array in the problem's extra (and in a nested problem's extra, as
-         "smooth.X") is hashed through its bytes, as are the radius of a
-         declared ball, alpha, beta and f* (the bytes of "None" when f* is
-         unknown).
+         subnormal; integer fields are written in the same format. The
+         quadratic's A and b and the design's X and Y (lasso's smooth part's
+         too, as "smooth.X") are hashed through their bytes, under the keys
+         "extra.A" and so on, as are the radius of a declared ball, alpha,
+         beta and f* (the bytes of "None" when f* is unknown).
   clt/*  clt_check at n = 300 steps and 64 trials on I, diag(1, 4), a
          non-diagonal 2 x 2 A with theta* != 0 and noise_scale 2, and a 3 x 3
          A. "cov" hashes the empirical covariance's bytes, "rel" the relative
@@ -154,8 +154,8 @@ def _strongly_convex_finite_sum():
     comps = [problems.make_quadratic(np.outer(r, r) + 0.5 * np.eye(d), t)
              for r, t in zip(rows, targets)]
     fs = problems.make_finite_sum(comps)
-    fs.x_star = np.linalg.solve(sum(c.extra["A"] for c in comps),
-                                sum(c.extra["b"] for c in comps))
+    fs.x_star = np.linalg.solve(sum(c.quadratic[0] for c in comps),
+                                sum(c.quadratic[1] for c in comps))
     return fs
 
 
@@ -197,7 +197,7 @@ def _loops(probs):
                            proximal, stochastic)
     q, fs = probs["quadratic"], probs["finite-sum"]
     f, g = probs["lasso"].extra["smooth"], probs["lasso"].extra["reg"]
-    A, b = q.extra["A"], q.extra["b"]
+    A, b = q.quadratic
     d, N = TRACE_D, LOOP_N
     x0 = np.linspace(-1.0, 1.0, d)
     ball = 1.5 * max(float(np.linalg.norm(x0)), float(np.linalg.norm(q.x_star)))
@@ -343,7 +343,7 @@ def _edge_cases():
     yield "trace/loop/altmin.run_am/sweeps-0", lambda: altmin.run_am(am, np.array([1.0, -2.0]), 0)
     q = _trace_problems()["quadratic"]
     yield "trace/loop/krylov.cg_solve/N-0", lambda: krylov.cg_solve(
-        q.extra["A"], q.extra["b"], np.linspace(-1.0, 1.0, TRACE_D), 0)[0]
+        *q.quadratic, np.linspace(-1.0, 1.0, TRACE_D), 0)[0]
 
     def cg_identity():
         trace, directions = krylov.cg_solve(np.eye(3), b, np.zeros(3), 6)
@@ -460,15 +460,19 @@ def _parse_files():
     }
 
 
-def _extra_hashes(extra, prefix=""):
+def _data_hashes(p, prefix=""):
+    """The bytes' hash of each array p keeps, under the key it had when extra held
+    them: a quadratic's "extra.A" and "extra.b", a design's "extra.X" and
+    "extra.Y", and a part's under its extra key, as "extra.smooth.X"."""
     from convexkit.core import ProblemOracle
-    out = {}
-    for key in sorted(extra):
-        value = extra[key]
+    arrays = dict(zip("Ab", p.quadratic or ()))
+    if p.design is not None:
+        arrays.update(X=p.design.X, Y=p.design.Y)
+    out = {"extra." + prefix + key: _sha([np.asarray(value, dtype=float).tobytes()])
+           for key, value in arrays.items()}
+    for key, value in p.extra.items():
         if isinstance(value, ProblemOracle):
-            out.update(_extra_hashes(value.extra, prefix + key + "."))
-        elif isinstance(value, (np.ndarray, float, int)):
-            out["extra." + prefix + key] = _sha([np.asarray(value, dtype=float).tobytes()])
+            out.update(_data_hashes(value, prefix + key + "."))
     return out
 
 
@@ -479,7 +483,7 @@ def _parse_case(path, kind, fields, fmt):
         for key, numbers in fields:
             fh.write("%s %s\n" % (key, " ".join(fmt % v for v in np.asarray(numbers, float))))
     p = cli.parse_problem_file(path)
-    out = _extra_hashes(p.extra)
+    out = _data_hashes(p)
     if p.domain is not None:
         out["domain.radius"] = _sha([np.float64(p.domain.radius).tobytes()])
     out["constants"] = _sha([p.alpha, p.beta, b"None" if p.f_star is None else p.f_star])

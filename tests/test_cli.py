@@ -286,6 +286,15 @@ def test_run_unknown_algo_with_step_is_named_unknown(quad_file):
     assert code == 2 and "unknown algorithm 'zzz'" in err
 
 
+def test_run_cg_on_a_least_squares_file_exit_3(tmp_path):
+    # cg asks for the quadratic's (A, b) through require, like every other registry row
+    p = tmp_path / "ls.prob"
+    p.write_text("kind least-squares\nrows 3\ndim 2\nX 1 0 0 1 1 1\nY 1 2 3\n")
+    code, out, err = _run(["run", "--problem", str(p), "--algo", "cg", "--iters", "3"])
+    assert (code, out) == (3, "")
+    assert err == "capability error: problem 'least-squares' lacks the quadratic oracle\n"
+
+
 @pytest.mark.parametrize("text, field", [
     ("kind worst-case-smooth\nbeta 1\ndim 1e9\n", "dim"),
     ("kind worst-case-nonsmooth\nsteps 1e15\nL 1\nR 1\n", "steps"),
@@ -861,7 +870,7 @@ def test_parse_memory_is_a_few_bytes_per_text_byte(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(q.extra["X"], X)
+    assert np.array_equal(q.design.X, X)
     # the line, its value text and the array; one str and one float per
     # number took about 6 bytes per byte of text
     assert peak < 3 * size, (peak, size)
@@ -948,5 +957,5 @@ def test_parse_memory_stays_under_the_file_size(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(q.extra["X"], np.tile(block, (rows // 10, 1)))
+    assert np.array_equal(q.design.X, np.tile(block, (rows // 10, 1)))
     assert peak < size, (peak, size)

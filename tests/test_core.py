@@ -368,7 +368,7 @@ def test_run_solver_needs_the_declared_domain(algo, domain):
                             (Simplex(), "Simplex()")):
         p = ProblemOracle(2, q.value, q.gradient, prox=q.prox, beta=q.beta, L=1.0,
                           domain=declared, stochastic_gradient=lambda x, rng: q.gradient(x),
-                          extra=q.extra)
+                          quadratic=q.quadratic)
         if declared == domain or domain is None and not isinstance(declared, Simplex):
             assert len(run_solver(p, algo, 3)) == 4
             continue

@@ -60,7 +60,7 @@ def test_value_and_grad_is_value_and_gradient_bytewise(kind, seed, x):
 def test_fused_gradient_matches_finite_differences(kind, seed, x):
     p = _problem(kind, seed)
     if kind == "svm":  # the hinge has kinks at margin 1; stay clear of them
-        X, Y = p.extra["X"], p.extra["Y"]
+        _, X, Y = p.design
         assume(np.min(np.abs(Y * (X @ x) - 1.0)) > 1e-4)
     if kind == "worst-case-nonsmooth":  # the max has kinks where two coordinates tie
         top = np.sort(x)
@@ -129,7 +129,7 @@ def _counted(p):
 
 def _with_stochastic_gradient(q):
     """q with a noisy gradient that calls none of q's other oracles."""
-    A, b = q.extra["A"], q.extra["b"]
+    A, b = q.quadratic
     q.stochastic_gradient = lambda x, rng: A @ x - b + 0.1 * rng.standard_normal(x.shape)
     return q
 
@@ -210,8 +210,8 @@ class CountingMatrix(np.ndarray):
 
 def test_cg_one_matrix_product_per_iteration():
     q = _problem("quadratic", 11)
-    A = q.extra["A"].view(CountingMatrix)
+    A, b = q.quadratic
     CountingMatrix.products = 0
-    trace, _ = krylov.cg_solve(A, q.extra["b"], np.zeros(D), D - 1, f_star=q.f_star)
+    trace, _ = krylov.cg_solve(A.view(CountingMatrix), b, np.zeros(D), D - 1, f_star=q.f_star)
     assert len(trace) == D
     assert CountingMatrix.products == D  # the starting residual, then one A @ p each

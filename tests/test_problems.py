@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexkit import frankwolfe, problems
+from convexkit import frankwolfe, problems, stochastic
 from convexkit.core import InvalidProblem, ProblemOracle, finite_diff_gradient, make_rng
 
 
@@ -103,7 +104,7 @@ def test_softmax_smoothing_error_bound():
     p = problems.make_softmax_smoothed(rows, b, lam, beta_smooth=1.0)
     x = rng.normal(size=2)
     smooth = p.value(x)
-    hard = p.extra["unsmoothed_value"](x)
+    hard = float(np.max(rows @ x - b)) + 0.5 * lam * float(x @ x)  # the unsmoothed max
     assert 0.0 <= smooth - hard <= lam * math.log(5) + 1e-12
 
 
@@ -153,8 +154,7 @@ def test_finite_sum_mean_semantics():
     assert abs(fs.value(x) - np.mean([c.value(x) for c in comps])) < 1e-12
     assert np.allclose(fs.subgradient(x),
                        np.mean([c.subgradient(x) for c in comps], axis=0))
-    assert fs.n_components == 3
-    assert fs.extra["beta_component"] == max(c.beta for c in comps)
+    assert fs.components is comps
     # stochastic gradient draws a single component
     g = fs.stochastic_gradient(x, make_rng(0))
     assert any(np.allclose(g, c.subgradient(x)) for c in comps)
@@ -179,7 +179,7 @@ def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-def _least_squares_parts(seed, n, k, d, log_scale):
+def _stackable_parts(seed, n, k, d, log_scale):
     rng = make_rng(seed)
     X = rng.normal(size=(n, k, d)) * 10.0 ** log_scale
     Y = rng.normal(size=(n, k)) * 10.0 ** log_scale
@@ -190,7 +190,7 @@ def _least_squares_parts(seed, n, k, d, log_scale):
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 12), k=st.integers(1, 8),
        d=st.integers(1, 12), log_scale=st.floats(-3.0, 3.0))
 def test_stacked_least_squares_sum_is_bitwise_the_per_component_sum(seed, n, k, d, log_scale):
-    comps, x = _least_squares_parts(seed, n, k, d, log_scale)
+    comps, x = _stackable_parts(seed, n, k, d, log_scale)
     fs = problems.make_finite_sum(comps)
     v, g = _summed(comps, x)
     fv, fg = fs.value_and_grad(x)
@@ -214,7 +214,7 @@ def _counted(comps):
 
 
 def test_stacked_least_squares_sum_calls_no_component():
-    comps, x = _least_squares_parts(5, 8, 3, 5, 0.0)
+    comps, x = _stackable_parts(5, 8, 3, 5, 0.0)
     fs = problems.make_finite_sum(comps)
     calls = _counted(comps)
     v, g = _summed(comps, x)
@@ -223,9 +223,9 @@ def test_stacked_least_squares_sum_calls_no_component():
     assert fs.value(x) == v and _same_bits(fs.subgradient(x), g)
     assert fs.value_and_grad(x)[0] == v
     assert calls[0] == 0
-    fs.component_gradient(2, x)
+    stochastic.svrg_estimator(fs, 2, x, x, g)
     fs.stochastic_gradient(x, make_rng(0))
-    assert calls[0] == 2  # these stay per component
+    assert calls[0] == 3  # these stay per component
 
 
 def _mixed_sums():
@@ -282,7 +282,7 @@ def _outcome(f, x):
 @pytest.mark.parametrize("n, k, d, S", [(3, 2, 4, 4), (3, 4, 4, 4), (3, 1, 1, 1), (3, 2, 4, 6),
                                         (2, 3, 3, 3)])
 def test_stacked_sum_leaves_row_matrices_and_views_to_the_components(n, k, d, S):
-    comps, x = _least_squares_parts(14, n, k, d, 0.0)
+    comps, x = _stackable_parts(14, n, k, d, 0.0)
     fs = problems.make_finite_sum(comps)
     rows = make_rng(15).normal(size=(S, d))
     value = lambda z: _summed_value(comps, z)
@@ -292,6 +292,130 @@ def test_stacked_sum_leaves_row_matrices_and_views_to_the_components(n, k, d, S)
         assert _outcome(fs.value, z) == _outcome(value, z)
         assert _outcome(fs.subgradient, z) == _outcome(grad, z)
         assert _outcome(fs.value_and_grad, z) == _outcome(lambda z: _summed(comps, z), z)
+
+
+def _reference_oracles(kind, X, Y, lam):
+    """value, subgradient and value_and_grad as make_least_squares, make_logistic
+    and make_svm_hinge wrote them as three closures each, before each stated
+    its loss once; the derived oracles must return these bits."""
+    n = X.shape[0]
+    if kind == "least-squares":
+        def value(theta):
+            r = X.dot(theta) - Y
+            return 0.5 * float(r.dot(r)) / n
+
+        def grad(theta):
+            return X.T.dot(X.dot(theta) - Y) / n
+
+        def value_and_grad(theta):
+            r = X.dot(theta) - Y
+            return 0.5 * float(r.dot(r)) / n, X.T.dot(r) / n
+    elif kind == "logistic":
+        def value(theta):
+            z = X.dot(theta)
+            return float(np.mean(np.logaddexp(0.0, z) - Y * z))
+
+        def grad(theta):
+            z = X.dot(theta)
+            s = 1.0 / (1.0 + np.exp(-z))
+            return X.T.dot(s - Y) / n
+
+        def value_and_grad(theta):
+            z = X.dot(theta)
+            s = 1.0 / (1.0 + np.exp(-z))
+            return float(np.mean(np.logaddexp(0.0, z) - Y * z)), X.T.dot(s - Y) / n
+    else:
+        def value(theta):
+            return (float(np.add.reduce(np.maximum(0.0, 1.0 - Y * X.dot(theta))) / n)
+                    + 0.5 * lam * float(theta.dot(theta)))
+
+        def grad(theta):
+            margin = Y * X.dot(theta)
+            active = margin < 1.0
+            return -X.T.dot(Y * active) / n + lam * theta
+
+        def value_and_grad(theta):
+            margin = Y * X.dot(theta)
+            value = (float(np.add.reduce(np.maximum(0.0, 1.0 - margin)) / n)
+                     + 0.5 * lam * float(theta.dot(theta)))
+            return value, -X.T.dot(Y * (margin < 1.0)) / n + lam * theta
+    return value, grad, value_and_grad
+
+
+def _spread(rng, shape):
+    """Entries of magnitude 1e-8 to 1e8 of either sign, with -0, 0 and 5e-324."""
+    v = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+    v.flat[:3] = (-0.0, 0.0, 5e-324)[:v.size]
+    return v
+
+
+def _reference_cases(seed):
+    """(name, problem, reference oracles) on seeded data of spread magnitudes."""
+    rng = make_rng(seed)
+    n, d = int(rng.integers(1, 9)), int(rng.integers(1, 7))
+    X, Y = _spread(rng, (n, d)), _spread(rng, n)
+    labels, signs = (Y > 0).astype(float), np.where(Y > 0, 1.0, -1.0)
+    yield "least-squares", problems.make_least_squares(X, Y), _reference_oracles(
+        "least-squares", X, Y, 0.0)
+    yield "logistic", problems.make_logistic(X, labels), _reference_oracles(
+        "logistic", X, labels, 0.0)
+    for lam in (0.0, 0.1, 3.0):
+        yield ("svm-%g" % lam, problems.make_svm_hinge(X, signs, lam),
+               _reference_oracles("svm", X, signs, lam))
+        value, grad, _ = _reference_oracles("least-squares", X, Y, 0.0)
+        l1 = lambda x, lam=lam: lam * float(np.add.reduce(np.abs(x), axis=None))
+        sub = lambda x, lam=lam, grad=grad: grad(x) + lam * np.sign(x)
+        yield ("lasso-%g" % lam, problems.make_lasso(X, Y, lam),
+               (lambda x, value=value, l1=l1: value(x) + l1(x), sub,
+                lambda x, value=value, l1=l1, sub=sub: (value(x) + l1(x), sub(x))))
+    Xs, Ys = _spread(rng, (4, n, d)), _spread(rng, (4, n))
+    parts = [_reference_oracles("least-squares", Xs[i], Ys[i], 0.0) for i in range(4)]
+    value = lambda x: sum([v(x) for v, _, _ in parts]) / 4
+    grad = lambda x: sum(g(x) for _, g, _ in parts) / 4
+    yield ("finite-sum", problems.make_finite_sum(
+        [problems.make_least_squares(Xs[i], Ys[i]) for i in range(4)]),
+           (value, grad, lambda x: (value(x), grad(x))))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_derived_oracles_are_bitwise_the_reference_closures(seed):
+    rng = make_rng(100 + seed)
+    for name, p, (value, grad, value_and_grad) in _reference_cases(seed):
+        for theta in [_spread(rng, p.dim) for _ in range(6)] + [np.zeros(p.dim), -np.zeros(p.dim)]:
+            with np.errstate(over="ignore"):  # logistic's exp(-z) at z ~ -1e17
+                got = [p.value(theta), p.subgradient(theta), *p.value_and_grad(theta)]
+                want = [value(theta), grad(theta), *value_and_grad(theta)]
+            assert type(got[0]) is float and type(got[2]) is float, name
+            assert all(_same_bits(a, b) for a, b in zip(got, want)), (name, theta)
+
+
+BAD_FIT_DATA = {  # case -> the change to good data, and the refusal it meets
+    "zero-rows": (lambda X, Y, lam: (X[:0], Y[:0], lam), "X must be n x d with n, d >= 1"),
+    "nan-in-X": (lambda X, Y, lam: (np.where(X == X[1, 2], math.nan, X), Y, lam),
+                 "X and Y must be finite"),
+    "inf-in-X": (lambda X, Y, lam: (np.where(X == X[0, 0], -math.inf, X), Y, lam),
+                 "X and Y must be finite"),
+    "nan-lam": (lambda X, Y, lam: (X, Y, math.nan), "lam must be finite and >= 0"),
+}
+FIT_CONSTRUCTORS = {
+    "least-squares": lambda X, Y, lam: problems.make_least_squares(X, Y),
+    "logistic": lambda X, Y, lam: problems.make_logistic(X, (Y > 0).astype(float)),
+    "lasso": problems.make_lasso,
+    "svm": lambda X, Y, lam: problems.make_svm_hinge(X, np.where(Y > 0, 1.0, -1.0), lam),
+}
+
+
+@pytest.mark.parametrize("kind, case", [
+    (kind, case) for case in BAD_FIT_DATA for kind in FIT_CONSTRUCTORS
+    if case != "nan-lam" or kind in ("lasso", "svm")])
+def test_data_fit_constructors_refuse_bad_data(kind, case):
+    # zero rows: logistic raised LinAlgError, svm numpy's ValueError; a NaN or inf
+    # in X: least squares and logistic declared nan constants; lam = nan passed lam < 0
+    rng = make_rng(21)
+    change, message = BAD_FIT_DATA[case]
+    X, Y, lam = change(rng.normal(size=(4, 3)), rng.normal(size=4), 0.1)
+    with pytest.raises(InvalidProblem, match=re.escape(message)):
+        FIT_CONSTRUCTORS[kind](X, Y, lam)
 
 
 def test_svm_hinge_subgradient_inequality():

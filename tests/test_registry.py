@@ -36,8 +36,10 @@ def _frozen(*arrays):
 
 
 def _freeze(problem):
-    """Make every array the problem keeps read-only, nested problems' included."""
-    for value in [problem.x_star, *problem.extra.values()]:
+    """Make every array the problem keeps read-only: x_star, the quadratic's and
+    the design's, and those of the problems it holds (lasso's parts, components)."""
+    for value in [problem.x_star, *(problem.quadratic or ()), *(problem.design or ()),
+                  *problem.extra.values(), *(problem.components or ())]:
         if isinstance(value, np.ndarray):
             value.setflags(write=False)
         elif isinstance(value, ProblemOracle):

@@ -128,15 +128,15 @@ def test_svrg_converges_and_counts_evals():
         comps.append(problems.make_quadratic(np.outer(a, a) + np.eye(3),
                                              rng.normal(size=3)))
     fs = problems.make_finite_sum(comps)
-    H = sum(c.extra["A"] for c in comps) / len(comps)
-    b = sum(c.extra["b"] for c in comps) / len(comps)
+    H = sum(c.quadratic[0] for c in comps) / len(comps)
+    b = sum(c.quadratic[1] for c in comps) / len(comps)
     fs.x_star = np.linalg.solve(H, b)
     fs.f_star = fs.value(fs.x_star)
     tr, evals = stochastic.run_svrg(fs, x0=np.zeros(3), epochs=40, seed=0)
     assert tr.gaps()[-1] < 1e-10
     assert evals == tr.custom("evals")[-1]
     # every epoch pays the full-gradient pass plus its inner steps
-    assert evals >= 40 * fs.n_components
+    assert evals >= 40 * len(fs.components)
 
 
 def test_svrg_doubling_plan():
@@ -144,8 +144,8 @@ def test_svrg_doubling_plan():
     comps = [problems.make_quadratic(np.eye(2) * (1 + i), rng.normal(size=2))
              for i in range(3)]
     fs = problems.make_finite_sum(comps)
-    H = sum(c.extra["A"] for c in comps) / len(comps)
-    b = sum(c.extra["b"] for c in comps) / len(comps)
+    H = sum(c.quadratic[0] for c in comps) / len(comps)
+    b = sum(c.quadratic[1] for c in comps) / len(comps)
     fs.x_star = np.linalg.solve(H, b)
     fs.f_star = fs.value(fs.x_star)
     tr, _ = stochastic.run_svrg(fs, x0=np.zeros(2), epochs=8,
@@ -167,8 +167,8 @@ def _finite_sum(seed):
         a = rng.normal(size=3)
         comps.append(problems.make_quadratic(np.outer(a, a) + np.eye(3), rng.normal(size=3)))
     fs = problems.make_finite_sum(comps)
-    H = sum(c.extra["A"] for c in comps) / len(comps)
-    b = sum(c.extra["b"] for c in comps) / len(comps)
+    H = sum(c.quadratic[0] for c in comps) / len(comps)
+    b = sum(c.quadratic[1] for c in comps) / len(comps)
     fs.x_star = np.linalg.solve(H, b)
     fs.f_star = fs.value(fs.x_star)
     return fs
@@ -284,6 +284,15 @@ def test_batch_divergence_guard_names_the_seed():
     q = _noisy_quadratic(0.1, seed=15)
     with pytest.raises(DivergenceError, match="seed"):
         stochastic.run_sgd(q, 5.0, np.ones(3), 200, seed=range(4))
+
+
+def test_svrg_default_step_is_from_the_largest_component_beta():
+    fs = _finite_sum(17)
+    beta_max = max(c.beta for c in fs.components)
+    assert beta_max > fs.beta  # fs.beta is the mean, which the step must not use
+    default, _ = stochastic.run_svrg(fs, x0=np.zeros(3), epochs=3, seed=0)
+    given, _ = stochastic.run_svrg(fs, h=1.0 / (8.0 * beta_max), x0=np.zeros(3), epochs=3, seed=0)
+    assert default.to_csv() == given.to_csv()
 
 
 def test_svrg_with_l1_prox_reaches_the_composite_minimizer():
