@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from . import altmin, frankwolfe, gradient, ipm, krylov, mirror, nonsmooth, problems, stochastic
+from . import altmin, frankwolfe, gradient, ipm, krylov, mirror, nonsmooth, problems, proximal, stochastic
 from .core import ProblemOracle, Simplex, fit_rate, guarantee, make_rng, run_solver
 
 
@@ -178,26 +178,16 @@ def crit_09_frank_wolfe():
                        lambda x: x - c3, beta=1.0, f_star=0.0, x_star=c3)
     fhat = ProblemOracle(3, lambda z: f3.value(A @ z), lambda z: A.T @ f3.subgradient(A @ z),
                          beta=float(np.linalg.norm(A, 2) ** 2), f_star=0.0)
-    loo3 = lambda p: frankwolfe.loo_box(p, -1.0, 1.0)
-    loo_hat = lambda p: Ainv @ loo3(Ainv.T @ p)
-    x0 = loo3(np.ones(3))
-    steps = 40
-    xs = [x0.copy()]
-    zs = [Ainv @ x0]
-    x, z = x0.copy(), Ainv @ x0
-    for n in range(steps):
-        h = 2.0 / (n + 2.0)
-        x = (1 - h) * x + h * loo3(f3.subgradient(x))
-        z = (1 - h) * z + h * loo_hat(fhat.subgradient(z))
-        xs.append(x.copy())
-        zs.append(z.copy())
-    for xn, zn in zip(xs, zs):
+    loo_hat = lambda p: Ainv @ loo(Ainv.T @ p)
+    x0 = loo(np.ones(3))
+    for n in range(41):
+        xn = frankwolfe.run_fw(f3, loo, x0, n)[0].final_point
+        zn = frankwolfe.run_fw(fhat, loo_hat, Ainv @ x0, n)[0].final_point
         assert np.linalg.norm(Ainv @ xn - zn) <= 1e-9
     # approximate Caratheodory at the center of the square
     target = np.array([0.0, 0.0])
-    loo2 = lambda p: frankwolfe.loo_box(p, -1.0, 1.0)
     diameter = 2.0 * math.sqrt(2.0)
-    verts, weights, err = frankwolfe.approx_caratheodory(target, loo2, 0.25, diameter)
+    verts, weights, err = frankwolfe.approx_caratheodory(target, loo, 0.25, diameter)
     assert err <= 0.25 * diameter
     recon = sum(w * v for v, w in zip(verts, weights))
     assert abs(sum(weights) - 1.0) <= 1e-9
@@ -223,13 +213,9 @@ def crit_10_proximal():
         lhs = np.linalg.norm(q.prox(y1, h) - q.prox(y2, h))
         assert lhs <= factor * np.linalg.norm(y1 - y2) + 1e-9
     # PPM on a PL (strongly convex) quadratic: per-step gap ratio <= (1+alpha h)^-2
-    x = rng.normal(size=6)
-    gap = q.value(x) - q.f_star
-    for _ in range(20):
-        x = q.prox(x, h)
-        new_gap = q.value(x) - q.f_star
+    gaps = proximal.run_ppm(q, h, rng.normal(size=6), 20).gaps().tolist()
+    for gap, new_gap in zip(gaps, gaps[1:]):
         assert new_gap <= gap / (1.0 + q.alpha * h) ** 2 + 1e-8, (new_gap, gap)
-        gap = new_gap
 
 
 def crit_11_mirror():
@@ -421,15 +407,9 @@ def crit_15_smpgd_svrg():
     assert tr.gaps()[-1] <= eps
     budget = 40.0 * (n + kappa) * math.log(delta0 / eps)
     assert evals <= budget, (evals, budget)
-    # head-to-head against GD's evaluation counter
-    h_gd = 1.0 / fs.beta
-    x = x0.copy()
-    gd_iters = 0
-    while fs.value(x) - fs.f_star > eps:
-        x = x - h_gd * fs.subgradient(x)
-        gd_iters += 1
-        assert gd_iters < 10 ** 6
-    assert evals < gd_iters * n, (evals, gd_iters * n)
+    # head-to-head: GD, at n evaluations a step, is still above eps after SVRG's evals
+    gaps = gradient.run_gd(fs, 1.0 / fs.beta, x0, evals // n).gaps()
+    assert np.all(gaps > eps), (evals, float(gaps.min()))
 
 
 def crit_16_clt():

@@ -191,7 +191,7 @@ def run_ellipsoid(objective, separation, center, radius, N):
     state = EllipsoidState.ball(center, radius)
     best, best_val = None, math.inf
     for n in range(N + 1):
-        sep = separation(state.x) if separation is not None else None
+        sep = separation(state.x)
         if sep is None:
             if objective is None:
                 return state.x.copy(), state

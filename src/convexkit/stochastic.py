@@ -184,7 +184,7 @@ def run_svrg(problem, g=None, h=None, x0=None, epochs=20, epoch_plan="constant",
             W = 1.0
             for _ in range(N_t):
                 i = int(rng.integers(n_comp))
-                v = components[i].subgradient(x) - components[i].subgradient(anchor) + full
+                v = svrg_estimator(problem, i, x, anchor, full)
                 evals += 1
                 x = x - h * v
                 if g is not None:

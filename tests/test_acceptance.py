@@ -5,7 +5,8 @@ import threading
 
 import pytest
 
-from convexkit import acceptance, stochastic
+from convexkit import acceptance, frankwolfe, proximal, stochastic
+from convexkit.core import norm, record
 
 _SLOW = {cid for cid, _, seconds in acceptance.CRITERIA if seconds > 0}
 
@@ -42,3 +43,34 @@ def test_clt_instances_run_in_the_calling_thread(monkeypatch):
     acceptance.crit_16_clt()
     assert calls == [(41, True), (42, True)]
     assert started == []
+
+
+def _failed_statement(check):
+    with pytest.raises(AssertionError) as info:
+        check()
+    return str(info.traceback[-1].statement)
+
+
+def test_proximal_check_runs_the_shipped_ppm(monkeypatch):
+    run_ppm = proximal.run_ppm
+    monkeypatch.setattr(proximal, "run_ppm", lambda q, h, x0, N: run_ppm(q, h / 2.0, x0, N))
+    assert "new_gap <= gap" in _failed_statement(acceptance.crit_10_proximal)
+
+
+def test_frank_wolfe_check_runs_the_shipped_fw(monkeypatch):
+    def short_step_fw(problem, loo, x0, N):
+        """FW with h = min(1, gap / (beta ||s - x||^2)), which is not affine invariant."""
+        def iterates(x):
+            while True:
+                v, g = problem.value_and_grad(x)
+                s = loo(g)
+                gap = float((x - s).dot(g))
+                yield x, v, norm(g), {"fw_gap": gap}
+                d = s - x
+                dd = float(d.dot(d))
+                x = x + (min(1.0, gap / (problem.beta * dd)) if dd > 0 else 0.0) * d
+
+        return record(iterates, x0, N, problem.f_star), []
+
+    monkeypatch.setattr(frankwolfe, "run_fw", short_step_fw)
+    assert "Ainv @ xn - zn" in _failed_statement(acceptance.crit_09_frank_wolfe)
