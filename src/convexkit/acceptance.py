@@ -1,8 +1,9 @@
 """Acceptance suite: end-to-end rate and certificate checks with fixed seeds.
 
-Each criterion is a zero-argument callable raising AssertionError on failure.
-The registry maps criterion ids to (function, cost in seconds); the CLI
-`verify` command and the test suite both run from here.
+Each check is one or more parts, zero-argument callables that raise
+AssertionError on failure. CRITERIA lists each part with its check's id and
+its cost in seconds; the CLI `verify` command and the test suite both run
+from here.
 """
 
 import math
@@ -77,21 +78,29 @@ def crit_04_cg():
             assert ratio <= bound + 1e-12, (kappa, N, ratio, bound)
 
 
-def crit_05_subgradient():
-    """Averaged PSD gap <= LR/sqrt(N); the lower-bound instance keeps >= 0.05 LR/sqrt(N)."""
+def crit_05_worst_case():
+    """On the lower-bound instance the averaged PSD gap lies in [0.05, 1] LR/sqrt(N)."""
     for N in (100, 10000):
         w = problems.make_worst_case_nonsmooth(N, 2.0, 1.0)
         gap = run_solver(w, "psd", N).gaps()[-1]  # step R/sqrt(N) on the ball of radius R
         bound = guarantee("psd", w, N, w.domain.radius)
         assert gap <= bound, (N, gap, bound)
         assert gap >= 0.05 * bound, (N, gap, 0.05 * bound)
-    # SVM instance: reference optimum from a long strongly convex subgradient run
+
+
+def _svm_05():
+    """Check 05's SVM instance and the projection onto its ball."""
     rng = make_rng(21)
     X = rng.normal(size=(40, 5))
     Y = np.sign(rng.normal(size=40))
     svm = problems.make_svm_hinge(X, Y, 0.5)
-    proj = lambda z: nonsmooth.project_ball(z, np.zeros(5), svm.domain.radius)
-    x_ref, _ = nonsmooth.run_psd_strong(svm, proj, np.zeros(5), 200000)
+    return svm, lambda z: nonsmooth.project_ball(z, np.zeros(5), svm.domain.radius)
+
+
+def crit_05_svm():
+    """Averaged PSD gap <= LR/sqrt(N) on an SVM, against a long strongly convex run's optimum."""
+    svm, proj = _svm_05()
+    x_ref, _ = nonsmooth.run_psd_strong(svm, proj, np.zeros(5), 200000, keep="last")
     f_ref = svm.value(x_ref)
     ref_err = 2.0 * svm.L ** 2 / (svm.alpha * 200001)
     R = float(np.linalg.norm(x_ref))
@@ -412,12 +421,15 @@ def crit_15_smpgd_svrg():
     assert np.all(gaps > eps), (evals, float(gaps.min()))
 
 
-def crit_16_clt():
-    """Averaged-SGD CLT covariance matches A^-1; general decay via the exponent fit."""
-    for A, seed in ((np.eye(2), 41), (np.diag([1.0, 4.0]), 42)):
-        rel = stochastic.clt_check(A, np.zeros(2), 0.75, 20000, 4000, seed=seed)[2]
-        assert rel <= 0.15, (np.diag(A), rel)
-    # non-quadratic strongly convex instance: E||theta_n - theta*||^2 = O(n^-gamma)
+def crit_16_clt(A, seed):
+    """Averaged-SGD CLT: the covariance of sqrt(n)(theta_bar - theta*) matches A^-1."""
+    rel = stochastic.clt_check(A, np.zeros(2), 0.75, 20000, 4000, seed=seed)[2]
+    assert rel <= 0.15, (np.diag(A), rel)
+
+
+def crit_16_asgd_decay():
+    """SGD's E||theta_n - theta*||^2 = O(n^-gamma) on a non-quadratic strongly
+    convex instance, by the fitted exponent."""
     gamma = 0.75
     d = 2
 
@@ -512,38 +524,50 @@ def crit_18_continuous_time():
     assert np.any(np.diff(tr.values()) > 0)
 
 
-# (id, check, seconds): a check's raw cost alone in one process at one BLAS
-# thread (2-vCPU KVM guest), or 0.0 under half a second. verify hands the checks
-# out longest first, and the tests mark those that cost anything slow.
+# (id, part, seconds): a check is its rows, its parts, in order. seconds is a
+# part's raw cost alone in a fresh process at one BLAS thread, the median of
+# three runs taken in one sitting on a 2-vCPU KVM guest (its speed drifts, so
+# only the ratios carry over). verify hands the parts out longest first, and
+# the tests mark slow a check whose parts cost half a second or more together.
 CRITERIA = [
-    ("01-gd-rate", crit_01_gd_rate, 0.0),
+    ("01-gd-rate", crit_01_gd_rate, 0.02),
     ("02-smooth-lower-bound", crit_02_smooth_lower_bound, 0.0),
-    ("03-acceleration", crit_03_acceleration, 0.0),
-    ("04-cg", crit_04_cg, 0.0),
-    ("05-subgradient", crit_05_subgradient, 4.6),
+    ("03-acceleration", crit_03_acceleration, 0.09),
+    ("04-cg", crit_04_cg, 0.01),
+    ("05-subgradient", crit_05_worst_case, 0.83),
+    ("05-subgradient", crit_05_svm, 3.5),
     ("06-functional-constraints", crit_06_functional_constraints, 0.0),
-    ("07-ellipsoid", crit_07_ellipsoid, 0.0),
+    ("07-ellipsoid", crit_07_ellipsoid, 0.2),
     ("08-feasibility-lower-bound", crit_08_feasibility_lower_bound, 0.0),
-    ("09-frank-wolfe", crit_09_frank_wolfe, 0.0),
-    ("10-proximal", crit_10_proximal, 0.0),
-    ("11-mirror-mw", crit_11_mirror, 0.0),
-    ("12-pinsker-bregman", crit_12_pinsker_bregman, 0.0),
-    ("13-sinkhorn", crit_13_sinkhorn, 0.0),
-    ("14-am-ram", crit_14_am_ram, 0.0),
-    ("15-smpgd-svrg", crit_15_smpgd_svrg, 0.0),
-    ("16-clt", crit_16_clt, 6.0),
-    ("17-ipm", crit_17_ipm, 0.8),
-    ("18-continuous-time", crit_18_continuous_time, 0.0),
+    ("09-frank-wolfe", crit_09_frank_wolfe, 0.07),
+    ("10-proximal", crit_10_proximal, 0.02),
+    ("11-mirror-mw", crit_11_mirror, 0.36),
+    ("12-pinsker-bregman", crit_12_pinsker_bregman, 0.1),
+    ("13-sinkhorn", crit_13_sinkhorn, 0.03),
+    ("14-am-ram", crit_14_am_ram, 0.11),
+    ("15-smpgd-svrg", crit_15_smpgd_svrg, 0.36),
+    ("16-clt", lambda: crit_16_clt(np.eye(2), 41), 3.8),
+    ("16-clt", lambda: crit_16_clt(np.diag([1.0, 4.0]), 42), 4.0),
+    ("16-clt", crit_16_asgd_decay, 0.25),
+    ("17-ipm", crit_17_ipm, 1.5),
+    ("18-continuous-time", crit_18_continuous_time, 0.09),
 ]
 
 
 def criterion_ids():
-    return [cid for cid, _, _ in CRITERIA]
+    return list(dict.fromkeys(cid for cid, _, _ in CRITERIA))
 
 
-def run_criterion(cid):
-    for c, fn, _ in CRITERIA:
-        if c == cid:
-            fn()
-            return
-    raise KeyError(cid)
+def criterion_parts(cid):
+    """The (part, seconds) rows of check cid, in order; KeyError for an unknown id."""
+    parts = [(part, seconds) for c, part, seconds in CRITERIA if c == cid]
+    if not parts:
+        raise KeyError(cid)
+    return parts
+
+
+def run_criterion(cid, part=None):
+    """Run check cid's parts in order, or only the one numbered part."""
+    parts = criterion_parts(cid)
+    for run, _ in parts if part is None else [parts[part]]:
+        run()

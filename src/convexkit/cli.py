@@ -14,11 +14,12 @@ CSV to stdout; summaries go to stderr. Flags are long-form only. --iters
 (MAX_ITERS) and worst-case problem files (MAX_CHAIN_DIM, MAX_NONSMOOTH_STEPS)
 are size-capped: past a cap, exit 2 before anything is allocated.
 
-`verify` runs its checks in up to two worker interpreters with one BLAS
-thread each, longest check first; on one CPU, for one check, or under a
-wrapped acceptance.run_criterion, it runs them in this process. Either way
-it prints one PASS or FAIL line per check in check order and exits 1 if any
-failed, a check that raises or whose worker dies included.
+`verify` runs the parts of its checks in up to two worker interpreters with
+one BLAS thread each, longest part first; on one CPU, for one part, or under
+a wrapped acceptance.run_criterion, it runs the checks in this process.
+Either way it prints one PASS or FAIL line per check in check order and
+exits 1 if any failed, a check with a part that raises or whose worker dies
+included.
 """
 
 import argparse
@@ -323,10 +324,11 @@ def cmd_rates(args):
 
 _RUN_CRITERION = acceptance.run_criterion
 
-# A verify worker: one check id per line on stdin, one JSON [failed, line] per
-# line on stdout. The working directory ("" on sys.path under -c) goes, so
-# convexkit comes from PYTHONPATH. fd 1 becomes stderr, so a check's own
-# output cannot reach the replies. SIGINT is ignored: the parent ends workers.
+# A verify worker: one "<check id> <part number>" per line on stdin, one JSON
+# [failed, line] per line on stdout. The working directory ("" on sys.path
+# under -c) goes, so convexkit comes from PYTHONPATH. fd 1 becomes stderr, so
+# a check's own output cannot reach the replies. SIGINT is ignored: the parent
+# ends workers.
 _WORKER_SOURCE = """
 import json, os, signal, sys
 if "" in sys.path:
@@ -336,16 +338,18 @@ replies = os.fdopen(os.dup(1), "w")
 os.dup2(2, 1)
 sys.stdout = sys.stderr
 from convexkit.cli import _check
-for cid in sys.stdin:
-    replies.write(json.dumps(_check(cid.strip())) + "\\n")
+for line in sys.stdin:
+    cid, part = line.split()
+    replies.write(json.dumps(_check(cid, int(part))) + "\\n")
     replies.flush()
 """
 
 
-def _check(cid):
-    """(failed, line): run check cid and format its PASS or FAIL line."""
+def _check(cid, *part):
+    """(failed, line): run check cid, or its one part numbered part, and
+    format the check's PASS or FAIL line."""
     try:
-        acceptance.run_criterion(cid)
+        acceptance.run_criterion(cid, *part)
     except AssertionError as exc:
         return True, "FAIL %s: %s" % (cid, exc)
     except Exception as exc:  # a ConvexkitError, or a fault in the check itself
@@ -363,14 +367,22 @@ def _cpu_count():
         return os.cpu_count() or 1
 
 
-def _check_in_workers(ids, count, report):
-    """Run the checks ids on count worker interpreters, longest first by the
-    costs in acceptance.CRITERIA.
+def _parts(ids):
+    """(check id, part number, seconds) of each part of the checks ids."""
+    return [(cid, i, seconds) for cid in ids
+            for i, (_, seconds) in enumerate(acceptance.criterion_parts(cid))]
 
-    Each worker runs at one BLAS thread and takes the next check as soon as
-    it is free; report(cid, (failed, line)) is called as each check ends. A
-    worker that dies mid-check fails that check, and a new worker takes its
-    place while checks remain. However this returns, no worker outlives it.
+
+def _check_in_workers(ids, count, report):
+    """Run the parts of the checks ids on count worker interpreters, longest
+    first by the costs in acceptance.CRITERIA.
+
+    Each worker runs at one BLAS thread and takes the next part as soon as it
+    is free. Once all parts of a check have replied, report(cid, (failed,
+    line)) is called with the first failing part's result in part order, or
+    the PASS. A worker that dies mid-part fails that part, and a new worker
+    takes its place while parts remain. However this returns, no worker
+    outlives it.
     """
     import json
     import selectors
@@ -379,18 +391,26 @@ def _check_in_workers(ids, count, report):
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, (root, os.environ.get("PYTHONPATH")))))
-    seconds = {cid: cost for cid, _, cost in acceptance.CRITERIA}
-    todo = sorted(ids, key=seconds.get, reverse=True)
-    procs, busy = [], {}  # busy: worker -> the check it runs
+    todo = sorted(_parts(ids), key=lambda part: part[2], reverse=True)
+    replies = {cid: [None] * len(acceptance.criterion_parts(cid)) for cid in ids}
+    procs, busy = [], {}  # busy: worker -> the (check id, part number) it runs
     sel = selectors.DefaultSelector()
+
+    def reply(part, result):  # (failed, line) of a part
+        cid, i = part
+        results = replies[cid]
+        results[i] = result
+        if None not in results:
+            report(cid, next((r for r in results if r[0]), results[0]))
 
     def hand_out(proc):
         if todo:
-            busy[proc] = cid = todo.pop(0)
+            cid, i, _ = todo.pop(0)
+            busy[proc] = cid, i
             try:
-                proc.stdin.write(cid + "\n")
+                proc.stdin.write("%s %d\n" % (cid, i))
                 proc.stdin.flush()
-            except OSError:  # the worker is gone; its end of file fails the check
+            except OSError:  # the worker is gone; its end of file fails the part
                 pass
 
     def start():
@@ -406,22 +426,22 @@ def _check_in_workers(ids, count, report):
         while busy:
             for key, _ in sel.select():
                 proc = key.data
-                reply = proc.stdout.readline()
-                if reply.endswith("\n"):
-                    report(busy.pop(proc), json.loads(reply))
+                line = proc.stdout.readline()
+                if line.endswith("\n"):
+                    reply(busy.pop(proc), json.loads(line))
                     hand_out(proc)
                     continue
                 sel.unregister(proc.stdout)  # end of file: the worker has died
                 if proc in busy:
                     proc.kill()  # a no-op unless it closed stdout and lives on
-                    cid = busy.pop(proc)
-                    report(cid, (True, "FAIL %s: the worker running it exited with code %d"
-                                 % (cid, proc.wait())))
+                    part = busy.pop(proc)
+                    reply(part, (True, "FAIL %s: the worker running it exited with code %d"
+                                 % (part[0], proc.wait())))
                     if todo:
                         start()
     finally:
         for proc in procs:
-            if proc in busy:  # mid-check, and its result is no longer wanted
+            if proc in busy:  # mid-part, and its result is no longer wanted
                 proc.kill()
             try:
                 proc.stdin.close()  # an idle worker exits at end of input
@@ -458,7 +478,7 @@ def cmd_verify(args):
             print(results[ids[printed]][1])
             printed += 1
 
-    count = min(2, len(ids), _cpu_count())
+    count = min(2, len(_parts(ids)), _cpu_count())
     # a wrapper put around run_criterion in this process (a tracer that times
     # each check, say) would not see the checks that workers run
     if count < 2 or not sys.executable or acceptance.run_criterion is not _RUN_CRITERION:

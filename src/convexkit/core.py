@@ -1,6 +1,7 @@
 """Shared numeric types: oracles, traces, the recording driver, rate fitting, solver dispatch."""
 
 import functools
+import itertools
 import math
 import numbers
 from collections import namedtuple
@@ -275,7 +276,7 @@ def check_divergence(value, x, scale):
         raise DivergenceError("iterate diverged (value %r)" % (value,))
 
 
-def record(iterates, x0, N, f_star, seed=None):
+def record(iterates, x0, N, f_star, seed=None, keep="all"):
     """Trace the first N+1 items of the generator iterates(x0 copy).
 
     Each item is (point, value, grad_norm, custom). No step is taken after
@@ -287,10 +288,28 @@ def record(iterates, x0, N, f_star, seed=None):
     Given a seed, iterates takes (x, rng) with rng = make_rng(seed). A
     sequence of S seeds is stepped as one batch (see _rows) into an S-seed
     trace, each row with its own divergence guard and scale.
+
+    keep="last" runs points only: iterates(x0 copy, points_only=True) may skip
+    the calls that only its records need and yield None for them. The trace
+    then holds no rows, only final_point, and only that point is guarded: a
+    non-finite one raises DivergenceError. It takes no seed.
     """
     if N < 0:
         raise InvalidInput("budget must be >= 0")
     x0 = as_vector(x0)
+    if keep == "last" and seed is None:
+        x = None
+        for x, _, _, _ in itertools.islice(iterates(x0.copy(), points_only=True), N + 1):
+            pass
+        if x is None:
+            raise NumericalError("the solver yielded no iterate")
+        if not np.isfinite(x).all():
+            raise DivergenceError("the final iterate is not finite")
+        trace = IterateTrace(f_star, rows=0)
+        trace.final_point = x
+        return trace
+    if keep != "all":
+        raise InvalidInput("keep must be \"all\", or \"last\" without a seed, not %r" % (keep,))
     if seed is None or np.ndim(seed) == 0:
         items = iterates(x0.copy()) if seed is None else iterates(x0.copy(), make_rng(seed))
         trace = IterateTrace(f_star, rows=N + 1)

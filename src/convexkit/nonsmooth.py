@@ -65,25 +65,33 @@ def run_psd(problem, projector, h, x0, N):
     return record(iterates, x0, N, problem.f_star)
 
 
-def run_psd_strong(problem, projector, x0, N):
+def run_psd_strong(problem, projector, x0, N, keep="all"):
     """Subgradient method for alpha-strongly convex f: h_n = 2/(alpha(n+1)),
-    weighted averaging with weights (n+1). Returns (averaged point, trace)."""
+    weighted averaging with weights (n+1). Returns (averaged point, trace).
+
+    keep="last" (see core.record) steps on problem.subgradient alone, N calls,
+    and returns the same point with a trace of no rows.
+    """
     if problem.alpha <= 0:
         raise InvalidInput("needs a strongly convex problem")
     alpha = problem.alpha
 
-    def iterates(x):
+    def iterates(x, points_only=False):
         avg = x
         wsum = 1.0
         for n in itertools.count():
-            raw, p = problem.value_and_grad(x)
-            yield avg, problem.value(avg), norm(p), {"raw": raw}
+            if points_only:  # value_and_grad's p, bitwise, by ProblemOracle's contract
+                yield avg, None, None, None
+                p = problem.subgradient(x)
+            else:
+                raw, p = problem.value_and_grad(x)
+                yield avg, problem.value(avg), norm(p), {"raw": raw}
             x = projector(x - (2.0 / (alpha * (n + 1))) * p)
             w = n + 2.0
             wsum += w
             avg = avg + (w / wsum) * (x - avg)
 
-    trace = record(iterates, x0, N, problem.f_star)
+    trace = record(iterates, x0, N, problem.f_star, keep=keep)
     return trace.final_point, trace
 
 

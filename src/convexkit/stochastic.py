@@ -105,14 +105,32 @@ def clt_check(A, theta_star, gamma, n, trials, seed=0, noise_scale=1.0):
     Each step is theta -= (h (theta - X)) A^T, computed in place in
     preallocated buffers: the scaling by h comes before the product, as the
     expression reads, because for a non-diagonal A the other order rounds
-    differently. The products take contiguous copies of C^T and A^T.
+    differently. The products take contiguous copies of C^T and A^T, and
+    theta* is added from a (trials, d) copy: added as a broadcast d-vector,
+    numpy runs its inner loop once per row.
+
+    InvalidInput unless n >= 1, trials >= 1, 1/2 < gamma < 1, noise_scale is
+    positive and finite, and A is a finite, symmetric, positive definite
+    d x d matrix, d the size of theta*.
     """
     A = np.asarray(A, dtype=float)
     theta_star = as_vector(theta_star)
     d = theta_star.size
+    if n < 1 or trials < 1:
+        raise InvalidInput("need n >= 1 and trials >= 1, not %r and %r" % (n, trials))
+    if not (0.5 < gamma < 1.0 and 0.0 < noise_scale < math.inf):
+        raise InvalidInput("need 1/2 < gamma < 1 and a positive finite noise_scale, not %r "
+                           "and %r" % (gamma, noise_scale))
+    if A.shape != (d, d) or not np.isfinite(A).all() or not np.array_equal(A, A.T):
+        raise InvalidInput("A must be a finite symmetric %d x %d matrix, as theta* has %d "
+                           "entries" % (d, d, d))
+    try:
+        C = np.linalg.cholesky(np.linalg.inv(A)) * noise_scale
+    except np.linalg.LinAlgError as exc:
+        raise InvalidInput("A must be positive definite") from exc
     rng = make_rng(seed)
-    C = np.linalg.cholesky(np.linalg.inv(A)) * noise_scale
     CT, AT = np.ascontiguousarray(C.T), np.ascontiguousarray(A.T)
+    shift = np.tile(theta_star, (trials, 1))
     theta = np.zeros((trials, d))
     total = np.zeros((trials, d))
     Z = np.empty((trials, d))  # the step's normals
@@ -122,7 +140,7 @@ def clt_check(A, theta_star, gamma, n, trials, seed=0, noise_scale=1.0):
         total += theta
         rng.standard_normal(out=Z)
         np.matmul(Z, CT, out=X)
-        X += theta_star
+        X += shift
         np.subtract(theta, X, out=D)
         D *= (k + 1.0) ** (-gamma)
         np.matmul(D, AT, out=X)

@@ -40,7 +40,9 @@ Cases:
          which returns no trace, on check 07's triangle LP and, in
          feasibility-only mode, from two infeasible centers: "best" hashes
          the point it returns and "state" the final ellipsoid (these keep
-         their trace/loop/ names).
+         their trace/loop/ names). The points-only (keep="last")
+         run_psd_strong on check 05's SVM at N = 2,000: "final_point", whose
+         hash the recorded run's final point set.
   solve/*  run_psd_functional on check 06's instance and on a two-constraint
          variant, from feasible and infeasible starts ("x" hashes the point,
          "iterations" is the count); sinkhorn on check 13's first two
@@ -386,9 +388,17 @@ def _ellipsoid_case(objective, center, radius, N):
             "state": _sha([state.x.tobytes(), state.Sigma.tobytes()])}
 
 
+def _points_only_case():
+    from convexkit import acceptance, nonsmooth
+    svm, proj = acceptance._svm_05()
+    x, _ = nonsmooth.run_psd_strong(svm, proj, np.zeros(5), 2000, keep="last")
+    return {"final_point": _sha([x.tobytes()])}
+
+
 def _solve_cases():
     """name -> a zero-argument function returning the case's hashes."""
     return {
+        "trace/svm-check-05/nonsmooth.run_psd_strong/points-only": _points_only_case,
         "trace/loop/nonsmooth.run_ellipsoid/triangle-lp":
             lambda: _ellipsoid_case(_triangle_lp()[0], [0.3, 0.3], 2.0, 2000),
         "trace/loop/nonsmooth.run_ellipsoid/feasibility-1.5-1.5":

@@ -5,10 +5,11 @@ import threading
 
 import pytest
 
-from convexkit import acceptance, frankwolfe, proximal, stochastic
+from convexkit import acceptance, cli, frankwolfe, nonsmooth, proximal, stochastic
 from convexkit.core import norm, record
 
-_SLOW = {cid for cid, _, seconds in acceptance.CRITERIA if seconds > 0}
+_SLOW = {cid for cid in acceptance.criterion_ids()
+         if sum(seconds for _, seconds in acceptance.criterion_parts(cid)) >= 0.5}
 
 
 @pytest.mark.parametrize(
@@ -40,7 +41,7 @@ def test_clt_instances_run_in_the_calling_thread(monkeypatch):
 
     monkeypatch.setattr(stochastic, "clt_check", clt_check)
     monkeypatch.setattr(threading.Thread, "start", record_start)
-    acceptance.crit_16_clt()
+    acceptance.run_criterion("16-clt")
     assert calls == [(41, True), (42, True)]
     assert started == []
 
@@ -74,3 +75,11 @@ def test_frank_wolfe_check_runs_the_shipped_fw(monkeypatch):
 
     monkeypatch.setattr(frankwolfe, "run_fw", short_step_fw)
     assert "Ainv @ xn - zn" in _failed_statement(acceptance.crit_09_frank_wolfe)
+
+
+def test_subgradient_check_runs_the_shipped_psd_strong(monkeypatch):
+    # the reference solve stops at its start point, 0: the SVM part has no step R/sqrt(N)
+    monkeypatch.setattr(nonsmooth, "run_psd_strong",
+                        lambda problem, projector, x0, N, keep="all": (x0, None))
+    assert cli._check("05-subgradient") == (
+        True, "FAIL 05-subgradient: InvalidInput: step must be positive and finite, not 0.0")

@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import itertools
 import math
@@ -387,16 +388,29 @@ def test_verify_only_filter(capsys):
 
 LOWER_BOUNDS = ["02-smooth-lower-bound", "08-feasibility-lower-bound"]  # both under 0.1 s
 
-# Put in front of the worker program: the checks in FAULTY run `fault` instead.
+def with_faults(criteria, fault, faulty):
+    """criteria with fault(cid, number) in place of each part of a check whose
+    id is in faulty, and of each part whose (id, number) pair is."""
+    rows = []
+    for cid, part, seconds in criteria:
+        number = sum(c == cid for c, _, _ in rows)
+        if cid in faulty or (cid, number) in faulty:
+            part = lambda cid=cid, number=number: fault(cid, number)
+        rows.append((cid, part, seconds))
+    return rows
+
+
+# Put in front of the worker program, with fault's body, with_faults and its
+# faulty list filled in: those checks and parts then run fault(cid, number).
 FAULTY_WORKER = """
 import os, signal, time
 from convexkit import acceptance
 
-def fault():
+def fault(cid, number):
     %s
 
-acceptance.CRITERIA = [(cid, fault if cid in %r else fn, slow)
-                       for cid, fn, slow in acceptance.CRITERIA]
+%s
+acceptance.CRITERIA = with_faults(acceptance.CRITERIA, fault, %r)
 """
 
 
@@ -415,7 +429,8 @@ def workers(monkeypatch):
 
 
 def faulty_workers(monkeypatch, body, faulty):
-    monkeypatch.setattr(cli, "_WORKER_SOURCE", FAULTY_WORKER % (body, faulty) + cli._WORKER_SOURCE)
+    source = FAULTY_WORKER % (body, inspect.getsource(with_faults), faulty)
+    monkeypatch.setattr(cli, "_WORKER_SOURCE", source + cli._WORKER_SOURCE)
 
 
 def assert_none_left(started):
@@ -478,6 +493,61 @@ def test_verify_fails_the_check_of_a_dead_worker(workers, monkeypatch, capsys):
         "FAIL 06-functional-constraints", "FAIL 08-feasibility-lower-bound", "PASS 09-frank-wolfe"]
     assert lines[0].endswith("exited with code -%d" % signal.SIGKILL)
     assert len(workers) == 3
+    assert_none_left(workers)
+
+
+def test_verify_fails_a_check_with_its_first_failing_part(workers, monkeypatch, capsys):
+    # longest first, part 1 fails at once and part 0 later; the line is part 0's
+    def fault(cid, number):
+        time.sleep(0.5 * (number == 0))
+        raise AssertionError("part %d" % number)
+
+    monkeypatch.setattr(acceptance, "CRITERIA",
+                        with_faults(acceptance.CRITERIA, fault, ["05-subgradient"]))
+    faulty_workers(monkeypatch, "time.sleep(0.5 * (number == 0)); "
+                   "raise AssertionError('part %d' % number)", ["05-subgradient"])
+    expected = ["PASS 02-smooth-lower-bound", "FAIL 05-subgradient: part 0",
+                "PASS 13-sinkhorn", "PASS 15-smpgd-svrg"]
+    for cpus in (2, 1):
+        monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
+        assert cli.main(["verify", "--only=-s"]) == 1
+        assert capsys.readouterr().out.splitlines() == expected
+    assert len(workers) == 2
+    assert_none_left(workers)
+
+
+def test_verify_fails_a_check_with_a_later_part_that_fails(workers, monkeypatch, capsys):
+    def fault(cid, number):
+        if number == 1:
+            raise AssertionError("part 1")
+
+    monkeypatch.setattr(acceptance, "CRITERIA",
+                        with_faults(acceptance.CRITERIA, fault, ["05-subgradient"]))
+    faulty_workers(monkeypatch, "if number == 1: raise AssertionError('part 1')",
+                   ["05-subgradient"])
+    for cpus in (2, 1):
+        monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
+        assert cli.main(["verify", "--only=05-"]) == 1
+        assert capsys.readouterr().out.splitlines() == ["FAIL 05-subgradient: part 1"]
+    assert len(workers) == 2
+    assert_none_left(workers)
+
+
+def test_verify_fails_the_check_of_a_worker_killed_mid_part(workers, monkeypatch, capsys):
+    faulty_workers(monkeypatch, "if number == 1: os.kill(os.getpid(), signal.SIGKILL)",
+                   ["05-subgradient"])
+    assert cli.main(["verify", "--only=05-"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL 05-subgradient: the worker running it exited with code -%d" % signal.SIGKILL]
+    assert len(workers) == 2
+    assert_none_left(workers)
+
+
+def test_verify_runs_the_parts_of_one_check_on_two_workers(workers, monkeypatch, capsys):
+    faulty_workers(monkeypatch, "pass", [("16-clt", 0), ("16-clt", 1)])
+    assert cli.main(["verify", "--only", "clt"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["PASS 16-clt"]
+    assert len(workers) == 2
     assert_none_left(workers)
 
 

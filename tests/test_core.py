@@ -203,6 +203,37 @@ def test_record_ends_early_when_the_generator_returns():
             record(bad_then_return(item), [0.0], 10, None)
 
 
+def test_points_only_record_keeps_no_rows_and_guards_the_final_point():
+    steps = []
+
+    def halving(x, points_only):
+        assert points_only
+        while True:
+            yield x, None, None, None
+            steps.append(1)
+            x = x / 2.0
+
+    tr = record(halving, [4.0, 0.0], 3, f_star=0.0, keep="last")
+    assert len(tr) == 0 and len(steps) == 3  # no step after point N
+    assert np.array_equal(tr.final_point, [0.5, 0.0])
+
+    def non_finite(x, points_only):  # only the final point is guarded
+        yield x, None, None, None
+        yield x * math.inf, None, None, None
+        yield x, None, None, None
+        yield x * math.nan, None, None, None
+
+    assert np.array_equal(record(non_finite, [1.0], 2, None, keep="last").final_point, [1.0])
+    for N in (1, 3):
+        with pytest.raises(DivergenceError, match="final iterate"):
+            record(non_finite, [1.0], N, None, keep="last")
+    with pytest.raises(NumericalError, match="yielded no iterate"):
+        record(lambda x, points_only: iter(()), [1.0], 3, None, keep="last")
+    for seed, keep in ((1, "last"), (None, "first")):
+        with pytest.raises(InvalidInput, match="keep"):
+            record(halving, [1.0], 3, None, seed=seed, keep=keep)
+
+
 def test_batch_record_ends_early_when_the_generator_returns():
     def three(x, rng):
         for n in range(3):

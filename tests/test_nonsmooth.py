@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexkit import nonsmooth, problems
-from convexkit.core import (InfeasibleOrBudget, InvalidSeparator,
+from convexkit import acceptance, nonsmooth, problems
+from convexkit.core import (DivergenceError, InfeasibleOrBudget, InvalidSeparator,
                             NoFeasiblePoint, ProblemOracle, make_rng)
 
 vec3 = st.lists(st.floats(min_value=-10, max_value=10), min_size=3, max_size=3)
@@ -93,6 +93,27 @@ def test_psd_strong_rate():
     L = max(np.linalg.norm(q.subgradient(np.array([5.0, 0.0]))),
             np.linalg.norm(q.subgradient(np.array([0.0, 5.0])))) + 2
     assert q.value(x) - q.f_star <= 2 * L * L / (q.alpha * 4001)
+
+
+@pytest.mark.parametrize("case", ["check-05-svm", "quadratic"])
+def test_psd_strong_points_only_is_the_recorded_final_point(case):
+    if case == "check-05-svm":
+        problem, proj = acceptance._svm_05()
+        x0 = np.zeros(5)
+    else:
+        problem = problems.make_quadratic(np.diag([2.0, 3.0]), np.array([1.0, -1.0]))
+        proj = lambda z: nonsmooth.project_ball(z, np.zeros(2), 5.0)
+        x0 = np.array([3.0, -4.0])
+    x, tr = nonsmooth.run_psd_strong(problem, proj, x0, 2000)
+    y, empty = nonsmooth.run_psd_strong(problem, proj, x0, 2000, keep="last")
+    assert len(tr) == 2001 and len(empty) == 0
+    assert y.tobytes() == x.tobytes() == tr.final_point.tobytes()
+
+
+def test_psd_strong_points_only_raises_on_a_non_finite_final_point():
+    q = ProblemOracle(2, lambda x: 0.0, lambda x: np.full(2, math.nan), alpha=1.0)
+    with pytest.raises(DivergenceError):
+        nonsmooth.run_psd_strong(q, lambda z: z, np.zeros(2), 5, keep="last")
 
 
 def test_psd_functional_infeasible_budget():

@@ -152,6 +152,9 @@ LOOPS = {
     "agd": (lambda q: gradient.run_agd(q, _x0(), N), (1, 0, 1, 0)),
     "psd": (lambda q: nonsmooth.run_psd(q, _ball, 0.1, _x0(), N), (1, 1, 0, 0)),
     "psd_strong": (lambda q: nonsmooth.run_psd_strong(q, _ball, _x0(), N)[1], (1, 1, 0, 0)),
+    # points only: one subgradient a step, nothing for the records
+    "psd_strong-points-only": (
+        lambda q: nonsmooth.run_psd_strong(q, _ball, _x0(), N, keep="last")[1], (0, 0, 1, 0)),
     "pgd": (lambda q: proximal.run_pgd(q, None, 0.1, _x0(), N), (1, 0, 0, 0)),
     "apgd": (lambda q: proximal.run_apgd(q, None, _x0(), N), (0, 1, 1, 0)),
     "ppm": (lambda q: proximal.run_ppm(q, 1.0, _x0(), N), (1, 0, 0, 0)),

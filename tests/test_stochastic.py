@@ -95,6 +95,31 @@ def test_clt_check_identity_small():
     assert rel < 0.35  # loose at this small budget; tight case in acceptance
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("A, theta_star, n, trials, gamma, noise_scale", [
+    (np.eye(2), np.zeros(2), 0, 8, 0.75, 1.0),  # was rel = nan under a RuntimeWarning
+    (np.eye(2), np.zeros(2), 10, 0, 0.75, 1.0),
+    (np.eye(2), np.zeros(2), -1, 8, 0.75, 1.0),
+    ([[1.0, math.nan], [math.nan, 1.0]], np.zeros(2), 10, 8, 0.75, 1.0),  # was rel = nan
+    ([[1.0, 0.0], [0.0, math.inf]], np.zeros(2), 10, 8, 0.75, 1.0),
+    ([[2.0, 0.5], [0.0, 1.0]], np.zeros(2), 10, 8, 0.75, 1.0),  # ran on its lower triangle
+    (np.eye(3), np.zeros(2), 10, 8, 0.75, 1.0),  # ended in numpy's matmul ValueError
+    (np.eye(2), np.zeros(3), 10, 8, 0.75, 1.0),
+    (np.ones(2), np.zeros(2), 10, 8, 0.75, 1.0),
+    ([[1.0, 2.0], [2.0, 1.0]], np.zeros(2), 10, 8, 0.75, 1.0),  # not positive definite
+    (np.zeros((2, 2)), np.zeros(2), 10, 8, 0.75, 1.0),
+    (np.eye(2), np.zeros(2), 10, 8, 0.75, 0.0),  # was rel = nan under a RuntimeWarning
+    (np.eye(2), np.zeros(2), 10, 8, 0.75, math.nan),  # was rel = nan
+    (np.eye(2), np.zeros(2), 10, 8, 1.0, 1.0),  # run_asgd's range, (1/2, 1)
+    (np.eye(2), np.zeros(2), 10, 8, 0.5, 1.0),
+], ids=["n-0", "trials-0", "n-negative", "A-nan", "A-inf", "A-asymmetric", "A-3x3",
+        "theta-3", "A-vector", "A-indefinite", "A-singular", "noise-0", "noise-nan",
+        "gamma-1", "gamma-half"])
+def test_clt_check_refuses_what_it_cannot_run(A, theta_star, n, trials, gamma, noise_scale):
+    with pytest.raises(InvalidInput):
+        stochastic.clt_check(A, theta_star, gamma, n, trials, seed=1, noise_scale=noise_scale)
+
+
 def test_svrg_estimator_unbiased_and_anchored():
     rng = make_rng(6)
     comps = [problems.make_quadratic(np.diag([1.0 + i, 2.0]), rng.normal(size=2))

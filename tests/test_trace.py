@@ -169,9 +169,10 @@ def test_batch_rows_and_seed_views():
 
 
 def test_record_trace_memory_is_columns_not_dicts():
-    # the rows of check 05's reference solve: 200,001 at d = 5, each with a
-    # grad norm and a "raw" value; a dict and a custom dict per row held about
-    # 96 MB. Three float columns are 24 bytes a row (4.8 MB); an iteration
+    # the rows of a recorded run_psd_strong as long as check 05's reference
+    # solve (which runs points only and keeps no rows): 200,001 at d = 5, each
+    # with a grad norm and a "raw" value; a dict and a custom dict per row held
+    # about 96 MB. Three float columns are 24 bytes a row (4.8 MB); an iteration
     # column and two presence flags beside them made 34 (6.8 MB). The
     # generator takes no step, so the test times only the trace.
     point = np.ones(5)
