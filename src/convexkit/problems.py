@@ -9,11 +9,6 @@ from .core import (Ball, Design, InvalidProblem, ProblemOracle, as_vector, compo
                    make_rng)
 
 
-def _logsumexp(z):
-    m = np.max(z)
-    return m + math.log(np.sum(np.exp(z - m)))
-
-
 SYMMETRY_BLOCK = 1 << 16  # numbers per block of rows in make_quadratic's symmetry test
 
 
@@ -57,24 +52,17 @@ def make_quadratic(A, b):
 
 
 def _quadratic_oracles(A, b):
-    """make_quadratic's value, gradient and value_and_grad, shared with the chain quadratic."""
-    def value(x):
-        if getattr(x, "ndim", 1) == 2:  # an (S, d) row matrix
-            return 0.5 * np.einsum("ij,ij->i", x, x @ A.T) - x @ b
-        return 0.5 * float(A.dot(x).dot(x)) - float(b.dot(x))
+    """make_quadratic's value, gradient and value_and_grad, shared with the chain
+    quadratic, from the one product A x (x A^T for an (S, d) row matrix)."""
+    def product(x):
+        return x @ A.T if getattr(x, "ndim", 1) == 2 else A.dot(x)
 
-    def grad(x):
-        if getattr(x, "ndim", 1) == 2:
-            return x @ A.T - b
-        return A.dot(x) - b
+    def value(z, x):
+        if z.ndim == 2:  # z = x A^T of an (S, d) row matrix x
+            return 0.5 * np.einsum("ij,ij->i", x, z) - x @ b
+        return 0.5 * float(z.dot(x)) - float(b.dot(x))
 
-    def value_and_grad(x):  # value and grad's expressions, sharing A @ x
-        if getattr(x, "ndim", 1) == 2:
-            return value(x), grad(x)
-        Ax = A.dot(x)
-        return 0.5 * float(Ax.dot(x)) - float(b.dot(x)), Ax - b
-
-    return value, grad, value_and_grad
+    return _fit_oracles(product, value, lambda z, x: z - b)
 
 
 def _fit_data(X, Y):
@@ -89,15 +77,15 @@ def _fit_data(X, Y):
     return X, Y
 
 
-def _fit_oracles(X, value, grad):
-    """value, subgradient and value_and_grad of a loss of z = X theta, stated
-    once as value(z, theta) and grad(z, theta); value_and_grad shares one z."""
-    def value_and_grad(theta):
-        z = X.dot(theta)
-        return value(z, theta), grad(z, theta)
+def _fit_oracles(product, value, grad):
+    """value, subgradient and value_and_grad of a function of z = product(x),
+    its one pass over the data, stated once as value(z, x) and grad(z, x);
+    value_and_grad shares one z."""
+    def value_and_grad(x):
+        z = product(x)
+        return value(z, x), grad(z, x)
 
-    return (lambda theta: value(X.dot(theta), theta), lambda theta: grad(X.dot(theta), theta),
-            value_and_grad)
+    return lambda x: value(product(x), x), lambda x: grad(product(x), x), value_and_grad
 
 
 def make_logistic(X, Y):
@@ -113,7 +101,7 @@ def make_logistic(X, Y):
         return X.T.dot(s - Y) / n
 
     value, grad, value_and_grad = _fit_oracles(
-        X, lambda z, theta: float(np.mean(np.logaddexp(0.0, z) - Y * z)), loss_grad)
+        X.dot, lambda z, theta: float(np.mean(np.logaddexp(0.0, z) - Y * z)), loss_grad)
     return ProblemOracle(X.shape[1], value, grad, value_and_grad=value_and_grad,
                          design=Design("logistic", X, Y), beta=beta, name="logistic")
 
@@ -129,7 +117,7 @@ def make_least_squares(X, Y, name="least-squares"):
         r = z - Y
         return 0.5 * float(r.dot(r)) / n
 
-    value, grad, value_and_grad = _fit_oracles(X, loss, lambda z, theta: X.T.dot(z - Y) / n)
+    value, grad, value_and_grad = _fit_oracles(X.dot, loss, lambda z, theta: X.T.dot(z - Y) / n)
     x_star = f_star = None
     if evals[0] > 1e-12 * max(1.0, evals[-1]):
         x_star = np.linalg.solve(H, X.T @ Y / n)
@@ -171,16 +159,18 @@ def make_softmax_smoothed(a_rows, b, lam, beta_smooth):
         raise InvalidProblem("need beta_smooth > 0, lam >= 0")
     smooth_const = beta_smooth * float(np.linalg.eigvalsh(A.T @ A)[-1]) + lam
 
-    def value(x):
-        return _logsumexp(beta_smooth * (A @ x - b)) / beta_smooth + 0.5 * lam * float(x @ x)
+    def value(z, x):  # log-sum-exp, shifted by the max
+        m = float(np.max(z))
+        return (m + math.log(np.sum(np.exp(z - m)))) / beta_smooth + 0.5 * lam * float(x @ x)
 
-    def grad(x):
-        z = beta_smooth * (A @ x - b)
+    def grad(z, x):
         w = np.exp(z - np.max(z))
         w /= np.sum(w)
         return A.T @ w + lam * x
 
-    return ProblemOracle(A.shape[1], value, grad, alpha=lam, beta=smooth_const, name="softmax")
+    value, grad, value_and_grad = _fit_oracles(lambda x: beta_smooth * (A @ x - b), value, grad)
+    return ProblemOracle(A.shape[1], value, grad, value_and_grad=value_and_grad, alpha=lam,
+                         beta=smooth_const, name="softmax")
 
 
 def make_worst_case_smooth(beta, d):
@@ -220,24 +210,19 @@ def make_worst_case_nonsmooth(N, L, R):
     f_star = -gamma * gamma / (2 * alpha * d)
     x_star = np.full(d, -gamma / (alpha * d))
 
-    def value(x):
-        return gamma * float(np.max(x)) + 0.5 * alpha * float(x.dot(x))
+    def value(i, x):  # x[i] is the max (nan, if x holds one)
+        return gamma * float(x[i]) + 0.5 * alpha * float(x.dot(x))
 
-    def subgrad(x):
-        i = int(np.argmax(x))  # np.argmax already returns the smallest maximizer
+    def subgrad(i, x):
         e = np.zeros(d)
         e[i] = gamma
         return alpha * x + e
 
-    def value_and_grad(x):  # one argmax: x[i] is the max (nan, if x holds one)
-        i = int(np.argmax(x))
-        e = np.zeros(d)
-        e[i] = gamma
-        return gamma * float(x[i]) + 0.5 * alpha * float(x.dot(x)), alpha * x + e
-
-    return ProblemOracle(d, value, subgrad, alpha=alpha, L=float(L),
-                         f_star=f_star, x_star=x_star, domain=Ball(R), name="worst-case-nonsmooth",
-                         value_and_grad=value_and_grad)
+    # np.argmax returns the smallest maximizer
+    value, subgrad, value_and_grad = _fit_oracles(lambda x: int(np.argmax(x)), value, subgrad)
+    return ProblemOracle(d, value, subgrad, value_and_grad=value_and_grad, alpha=alpha,
+                         L=float(L), f_star=f_star, x_star=x_star, domain=Ball(R),
+                         name="worst-case-nonsmooth")
 
 
 class ResistingFeasibilityOracle:
@@ -389,7 +374,7 @@ def make_svm_hinge(X, Y, lam):
         # outside the product, as X.T.dot(-v) gives some zeros the other sign
         return -X.T.dot(Y * (Y * z < 1.0)) / n + lam * theta
 
-    value, subgrad, value_and_grad = _fit_oracles(X, loss, loss_grad)
+    value, subgrad, value_and_grad = _fit_oracles(X.dot, loss, loss_grad)
     return ProblemOracle(X.shape[1], value, subgrad, value_and_grad=value_and_grad,
                          design=Design("hinge", X, Y), alpha=lam, L=L, domain=Ball(ball_radius),
                          name="svm-hinge")

@@ -17,7 +17,7 @@ def prox_l1(y, lam):
     return np.sign(y) * np.maximum(np.abs(y) - lam, 0.0)
 
 
-def _agd_strong(value, grad, x0, alpha, beta, tol, max_iter):
+def _agd_strong(grad, x0, alpha, beta, tol, max_iter):
     """Constant-momentum AGD for an alpha-strongly convex beta-smooth function."""
     kappa = beta / alpha
     theta = (math.sqrt(kappa) - 1.0) / (math.sqrt(kappa) + 1.0)
@@ -48,15 +48,11 @@ def prox_generic(problem, y, h):
         alpha = problem.alpha + 1.0 / h
         beta = problem.beta + 1.0 / h
 
-        def val(x):
-            d = x - y
-            return problem.value(x) + 0.5 * float(d.dot(d)) / h
-
         def grad(x):
             return problem.subgradient(x) + (x - y) / h
 
         budget = 100 * int(math.ceil(math.sqrt(1.0 + problem.beta * h))) + 100
-        return _agd_strong(val, grad, y.copy(), alpha, beta, tol, budget)
+        return _agd_strong(grad, y.copy(), alpha, beta, tol, budget)
     if y.size != 1:
         raise NumericalError("non-smooth prox supported in 1-D only")
     # bracketed ternary search; the prox point is within h*L of y, expand until covered

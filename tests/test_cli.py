@@ -287,6 +287,18 @@ def test_run_unknown_algo_with_step_is_named_unknown(quad_file):
     assert code == 2 and "unknown algorithm 'zzz'" in err
 
 
+def test_run_cg_past_convergence_exits_0(tmp_path):
+    # kappa = 10, d = 3: <p, Ap> underflowed to 0 at step 33, and --iters 40 exited 1
+    # with "error: NotPositiveDefinite: <p, Ap> = 0 <= 0"
+    p = tmp_path / "q3.prob"
+    p.write_text("kind quadratic\ndim 3\nA 3.3 -0.779 3.5 -0.779 7.63 1.6 3.5 1.6 7.55\n"
+                 "b 0.56 -0.64 0.55\n")
+    code, out, _ = _run(["run", "--problem", str(p), "--algo", "cg", "--iters", "40"])
+    rows = out.splitlines()[1:]
+    assert code == 0 and len(rows) == 41
+    assert len({row.split(",", 1)[1] for row in rows[33:]}) == 1  # CG stays put
+
+
 def test_run_cg_on_a_least_squares_file_exit_3(tmp_path):
     # cg asks for the quadratic's (A, b) through require, like every other registry row
     p = tmp_path / "ls.prob"

@@ -69,6 +69,22 @@ def test_cg_rejects_indefinite():
         krylov.cg_solve(A, np.array([1.0, 1.0]), np.zeros(2), 2)
 
 
+@pytest.mark.parametrize("seed", [7, 9, 33])
+def test_cg_stays_put_once_p_ap_underflows(seed):
+    # past convergence r keeps shrinking; <p, Ap> underflowed to 0 at steps 282, 145
+    # and 269 (||r||^2 = 5e-324 or 1e-323) and raised NotPositiveDefinite
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 30))
+    M = rng.normal(size=(d, d))
+    A, b = M @ M.T / d + 0.1 * np.eye(d), rng.normal(size=d)
+    tr, dirs = krylov.cg_solve(A, b, None, 1000)
+    assert len(tr) == 1001 and len(dirs) < 300
+    still = len(dirs)  # the row that the last step reached
+    assert set(tr.values()[still:]) == {tr.values()[still]}
+    assert 0 < tr.grad_norms()[-1] < 1e-150
+    assert np.linalg.norm(A @ tr.final_point - b) < 1e-12
+
+
 def test_chebyshev_three_term_identity():
     # T_n(cos t) = cos(n t)
     for t in np.linspace(0.0, math.pi, 17):

@@ -36,11 +36,13 @@ def _problem(kind, seed):
         return problems.make_worst_case_smooth(1.0 + seed % 5, D)
     if kind == "worst-case-nonsmooth":
         return problems.make_worst_case_nonsmooth(D - 1, 1.0 + seed % 5, 1.0)
+    if kind == "softmax":
+        return problems.make_softmax_smoothed(X, Y, 0.1, 1.0 + seed % 5)
     raise ValueError(kind)
 
 
 KINDS = ["quadratic", "least-squares", "logistic", "lasso", "lasso-smooth", "svm",
-         "worst-case-smooth", "worst-case-nonsmooth"]
+         "worst-case-smooth", "worst-case-nonsmooth", "softmax"]
 points = st.lists(st.floats(-2.0, 2.0), min_size=D, max_size=D).map(np.array)
 seeds = st.integers(0, 2 ** 16)
 

@@ -342,6 +342,71 @@ def _reference_oracles(kind, X, Y, lam):
     return value, grad, value_and_grad
 
 
+def _reference_quadratic(A, b):
+    """_quadratic_oracles as it wrote three closures, before it derived them
+    from the one product A x; the derived oracles must return these bits."""
+    def value(x):
+        if getattr(x, "ndim", 1) == 2:  # an (S, d) row matrix
+            return 0.5 * np.einsum("ij,ij->i", x, x @ A.T) - x @ b
+        return 0.5 * float(A.dot(x).dot(x)) - float(b.dot(x))
+
+    def grad(x):
+        if getattr(x, "ndim", 1) == 2:
+            return x @ A.T - b
+        return A.dot(x) - b
+
+    def value_and_grad(x):  # value and grad's expressions, sharing A @ x
+        if getattr(x, "ndim", 1) == 2:
+            return value(x), grad(x)
+        Ax = A.dot(x)
+        return 0.5 * float(Ax.dot(x)) - float(b.dot(x)), Ax - b
+
+    return value, grad, value_and_grad
+
+
+def _reference_worst_case_max(d, gamma, alpha):
+    """make_worst_case_nonsmooth's three closures, whose value took np.max."""
+    def value(x):
+        return gamma * float(np.max(x)) + 0.5 * alpha * float(x.dot(x))
+
+    def subgrad(x):
+        i = int(np.argmax(x))  # np.argmax already returns the smallest maximizer
+        e = np.zeros(d)
+        e[i] = gamma
+        return alpha * x + e
+
+    def value_and_grad(x):  # one argmax: x[i] is the max (nan, if x holds one)
+        i = int(np.argmax(x))
+        e = np.zeros(d)
+        e[i] = gamma
+        return gamma * float(x[i]) + 0.5 * alpha * float(x.dot(x)), alpha * x + e
+
+    return value, subgrad, value_and_grad
+
+
+def _reference_softmax(A, b, lam, beta_smooth):
+    """make_softmax_smoothed's value and grad, which formed beta (A x - b) each,
+    and ProblemOracle's default value_and_grad, which called both."""
+    def logsumexp(z):
+        m = np.max(z)
+        return m + math.log(np.sum(np.exp(z - m)))
+
+    def value(x):
+        return logsumexp(beta_smooth * (A @ x - b)) / beta_smooth + 0.5 * lam * float(x @ x)
+
+    def grad(x):
+        z = beta_smooth * (A @ x - b)
+        w = np.exp(z - np.max(z))
+        w /= np.sum(w)
+        return A.T @ w + lam * x
+
+    def value_and_grad(x):
+        g = grad(x)
+        return value(x), g
+
+    return value, grad, value_and_grad
+
+
 def _spread(rng, shape):
     """Entries of magnitude 1e-8 to 1e8 of either sign, with -0, 0 and 5e-324."""
     v = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
@@ -375,18 +440,63 @@ def _reference_cases(seed):
     yield ("finite-sum", problems.make_finite_sum(
         [problems.make_least_squares(Xs[i], Ys[i]) for i in range(4)]),
            (value, grad, lambda x: (value(x), grad(x))))
+    G = _spread(rng, (d, d))
+    A, b = G @ G.T, _spread(rng, d)
+    yield "quadratic", problems.make_quadratic(A, b), _reference_quadratic(A, b)
+    chain = problems.make_worst_case_smooth(10.0 ** rng.uniform(-8, 8), d)
+    yield "worst-case-smooth", chain, _reference_quadratic(*chain.quadratic)
+    L, R = (10.0 ** rng.uniform(-8, 8, 2)).tolist()
+    top = problems.make_worst_case_nonsmooth(d - 1, L, R)
+    yield "worst-case-nonsmooth", top, _reference_worst_case_max(d, L / 4.0, top.alpha)
+    for lam in (0.0, 0.1, 3.0):
+        beta_smooth = 10.0 ** rng.uniform(-3, 3)
+        yield ("softmax-%g" % lam, problems.make_softmax_smoothed(X, Y, lam, beta_smooth),
+               _reference_softmax(X, Y, lam, beta_smooth))
+
+
+def _assert_same_oracle_bits(p, refs, x, name):
+    value, grad, value_and_grad = refs
+    with np.errstate(over="ignore"):  # logistic's exp(-z) at z ~ -1e17
+        got = [p.value(x), p.subgradient(x), *p.value_and_grad(x)]
+        want = [value(x), grad(x), *value_and_grad(x)]
+    if x.ndim == 1:
+        assert type(got[0]) is float and type(got[2]) is float, name
+    assert all(_same_bits(a, b) for a, b in zip(got, want)), (name, x)
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_derived_oracles_are_bitwise_the_reference_closures(seed):
     rng = make_rng(100 + seed)
-    for name, p, (value, grad, value_and_grad) in _reference_cases(seed):
+    for name, p, refs in _reference_cases(seed):
         for theta in [_spread(rng, p.dim) for _ in range(6)] + [np.zeros(p.dim), -np.zeros(p.dim)]:
-            with np.errstate(over="ignore"):  # logistic's exp(-z) at z ~ -1e17
-                got = [p.value(theta), p.subgradient(theta), *p.value_and_grad(theta)]
-                want = [value(theta), grad(theta), *value_and_grad(theta)]
-            assert type(got[0]) is float and type(got[2]) is float, name
-            assert all(_same_bits(a, b) for a, b in zip(got, want)), (name, theta)
+            _assert_same_oracle_bits(p, refs, theta, name)
+
+
+def _max_edge_points(rng, d):
+    """Points where the max is tied, a signed zero, NaN or infinite."""
+    x = _spread(rng, d)
+    tied, both_zeros, nans, infs = x.copy(), x.copy(), x.copy(), x.copy()
+    tied[-1] = np.max(x)
+    both_zeros[:2] = (-0.0, 0.0)[:d]
+    nans[rng.integers(d)] = math.nan
+    infs[rng.integers(d)], infs[rng.integers(d)] = math.inf, -math.inf
+    return [np.full(d, x[-1]), tied, both_zeros, both_zeros[::-1].copy(), -np.zeros(d),
+            np.where(rng.random(d) < 0.5, -0.0, 0.0), nans, np.full(d, math.nan), infs,
+            np.full(d, math.inf), np.full(d, -math.inf)]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_quadratic_rows_and_the_max_at_its_edges_are_bitwise_the_reference_closures(seed):
+    rng = make_rng(200 + seed)
+    for name, p, refs in _reference_cases(seed):
+        if name in ("quadratic", "worst-case-smooth"):  # S == d included
+            points = [_spread(rng, (S, p.dim)) for S in (1, 3, p.dim)] + [-np.zeros((2, p.dim))]
+        elif name == "worst-case-nonsmooth":
+            points = _max_edge_points(rng, p.dim)
+        else:
+            continue
+        for x in points:
+            _assert_same_oracle_bits(p, refs, x, name)
 
 
 BAD_FIT_DATA = {  # case -> the change to good data, and the refusal it meets

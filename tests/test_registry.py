@@ -161,6 +161,35 @@ def test_every_name_refuses_or_meets_its_rate(algo, kind):
             assert gap <= bound + SLACK, (algo, kind, N, gap, bound)
 
 
+RATED_ON_R_D = ["agd", "apgd", "cg", "fista", "gd", "ista", "pgd", "ppm"]
+
+
+def _rotated_quadratic(d, kappa, seed):
+    """(problem, ||x*||, f*): spectrum from beta / kappa to beta in a random
+    rotation, b = A x* for a drawn x*, and f* = -1/2 <b, x*> computed here."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    beta = 10.0 ** rng.uniform(-1.0, 1.0)
+    spectrum = beta * kappa ** -np.append(rng.uniform(0.0, 1.0, d - 1), 1.0 if d > 1 else 0.0)
+    A = Q @ np.diag(spectrum) @ Q.T
+    A = 0.5 * (A + A.T)
+    x_star = rng.standard_normal(d)
+    A, b = _frozen(A, A @ x_star)
+    return (_freeze(problems.make_quadratic(A, b)), float(np.linalg.norm(x_star)),
+            -0.5 * float(b @ x_star))
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(1, 30), log_kappa=st.floats(0.0, 4.0), N=st.sampled_from([1, 5, 40, 300]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_every_rated_name_meets_its_rate_over_rotated_quadratics(d, log_kappa, N, seed):
+    p, R, f_star = _rotated_quadratic(d, 10.0 ** log_kappa, seed)
+    assert [name for name in solver_names() if guarantee(name, p, N, R) is not None] == RATED_ON_R_D
+    for algo in RATED_ON_R_D:
+        gap = run_solver(p, algo, N).values()[-1] - f_star
+        assert gap <= guarantee(algo, p, N, R) + SLACK, (algo, d, N, gap)
+
+
 def test_the_rates_are_checked_where_the_paper_proves_them():
     # every method that takes a problem file, and md on the simplex, is held to a rate somewhere
     checked = {algo for algo in solver_names() for p, R, _ in _cases().values()
