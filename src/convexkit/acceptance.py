@@ -154,15 +154,24 @@ def crit_07_ellipsoid():
 
 
 def crit_08_feasibility_lower_bound():
-    """The ellipsoid feasibility solver pays >= d floor(log2(R/(2 eps))) queries."""
+    """The ellipsoid feasibility solver pays >= d floor(log2(R/(2 eps))) queries:
+    the resisting oracle answers each of one fewer infeasible, and its answers
+    still leave a box that holds an eps-ball."""
     d, R, eps = 4, 1.0, 2.0 ** -10
-    oracle = problems.ResistingFeasibilityOracle(R, d)
-    state = nonsmooth.EllipsoidState.ball(np.zeros(d), R * math.sqrt(d))
-    while oracle.ball_radius() > eps:
-        p = oracle.query(state.x)
-        state = nonsmooth.ellipsoid_update(state, p)
     needed = d * math.floor(math.log2(R / (2 * eps)))
-    assert oracle.n >= needed, (oracle.n, needed)
+    oracle = problems.ResistingFeasibilityOracle(R, d)
+    answers = []
+
+    def separation(x):
+        answers.append((x.copy(), oracle.query(x)))
+        return answers[-1][1]
+
+    found, _ = nonsmooth.run_ellipsoid(None, separation, np.zeros(d), R * math.sqrt(d), needed - 2)
+    assert found is None and len(answers) == needed - 1, (found, len(answers), needed)
+    radius = 0.5 * float(np.min(oracle.hi - oracle.lo))
+    assert radius > eps and radius >= oracle.ball_radius(), (radius, oracle.ball_radius())
+    for x, sep in answers:  # the box lies in each answered halfspace <sep, z - x> <= 0
+        assert float(np.maximum(sep * oracle.lo, sep * oracle.hi).sum()) <= float(sep @ x), x
 
 
 def crit_09_frank_wolfe():

@@ -17,13 +17,15 @@ def cg_solve(A, b, x0=None, N=None, tol=0.0, f_star=None):
     """Conjugate gradient on f(x) = 1/2 <x,Ax> - <b,x>.
 
     Returns (trace, directions). For tol > 0 the trace ends at the first
-    ||r|| <= tol * ||b||; otherwise it has N+1 records. CG stays put at an
-    exact solution (r = 0), and once <p, Ap> underflows to 0 at a subnormal
-    ||r||^2, as it does past convergence on a positive definite A; a zero
-    <p, Ap> at a larger ||r||^2 raises. The trace has a gap column only when
-    f_star is given. Directions p_0..p_k are kept for the orthogonality
-    tests. One A @ p per iteration: the value is -1/2 <x, b + r> from the
-    residual r = b - Ax that CG keeps (its recurrence, not a fresh A @ x).
+    ||r|| <= tol * ||b||; otherwise it has N+1 records. CG stays put once
+    ||r||^2 is 0 or subnormal, as it gets past convergence on a positive
+    definite A: there <p, Ap> and the recurrences have lost their precision,
+    and a step may read <p, Ap> <= 0 or let r grow until the run diverges.
+    A <p, Ap> <= 0 at a normal ||r||^2 raises. The trace has a gap column
+    only when f_star is given. Directions p_0..p_k are kept for the
+    orthogonality tests. One A @ p per iteration: the value is -1/2 <x, b + r>
+    from the residual r = b - Ax that CG keeps (its recurrence, not a fresh
+    A @ x).
     """
     A = np.asanyarray(A, dtype=float)
     b = as_vector(b)
@@ -37,18 +39,14 @@ def cg_solve(A, b, x0=None, N=None, tol=0.0, f_star=None):
         r = b - A @ x
         p = r.copy()
         rr = float(r @ r)
-        stuck = False
         while True:
             yield x, _residual_value(x, b, r), math.sqrt(rr), {}
             if tol > 0 and math.sqrt(rr) <= tol * bnorm:
                 return
-            if rr == 0.0 or stuck:
+            if rr < sys.float_info.min:
                 continue
             Ap = A @ p
             pAp = float(p @ Ap)
-            stuck = pAp == 0.0 and rr < sys.float_info.min
-            if stuck:
-                continue
             if pAp <= 0:
                 raise NotPositiveDefinite("<p, Ap> = %g <= 0" % pAp)
             directions.append(p.copy())

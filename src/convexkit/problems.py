@@ -272,9 +272,14 @@ def make_finite_sum(components):
     over the stack, bitwise equal to averaging the components' own results,
     and call no component: a component's value or subgradient replaced on
     its oracle is not seen there, nor its arrays changed after the sum is
-    built. Other components, and other points such as (S, d) rows, call each
-    component in turn; stochastic_gradient, like SVRG, calls one component
-    at a time.
+    built. Row i of the batched matmul (n, k, d) @ (d,) is X_i.dot(x) bit
+    for bit, and the batched (1, k) @ (k, 1) products are r.dot(r), when x
+    is contiguous; a plain (n k, d) dot, einsum or np.add.reduce rounds
+    differently. Values and gradients are summed one after another, in the
+    components' order, as the per-component sums are. Other components, and
+    other points such as (S, d) rows, call each component in turn, value
+    before subgradient in value_and_grad; stochastic_gradient, like SVRG,
+    calls one component at a time.
     """
     if not components:
         raise InvalidProblem("need at least one component")
@@ -284,20 +289,28 @@ def make_finite_sum(components):
     n = len(components)
     alpha = float(np.mean([c.alpha for c in components]))
     beta = float(np.mean([c.beta for c in components]))
+    Xs, Ys = _stack_designs(components)
 
-    def value(x):
-        return sum([c.value(x) for c in components]) / n
+    def residuals(x):  # the (n, k) residuals of the stack, or None off it
+        if Xs is not None and getattr(x, "ndim", None) == 1 and x.flags.c_contiguous:
+            return np.matmul(Xs, x) - Ys
+        return None
 
-    def grad(x):
-        return sum(c.subgradient(x) for c in components) / n
+    def value(R, x):
+        if R is None:
+            return sum([c.value(x) for c in components]) / n
+        rr = np.matmul(R[:, None, :], R[:, :, None])[:, 0, 0]
+        return sum((0.5 * rr / R.shape[1]).tolist()) / n
+
+    def grad(R, x):
+        if R is None:
+            return sum(c.subgradient(x) for c in components) / n
+        return sum(np.matmul(R[:, None, :], Xs)[:, 0, :] / R.shape[1]) / n
 
     def stochastic_gradient(x, rng):
         return components[int(rng.integers(n))].subgradient(x)
 
-    value_and_grad = None
-    stack = _stack_designs(components)
-    if stack is not None:
-        value, grad, value_and_grad = _stacked_oracles(*stack, value, grad)
+    value, grad, value_and_grad = _fit_oracles(residuals, value, grad)
     return ProblemOracle(dim, value, grad, value_and_grad=value_and_grad,
                          stochastic_gradient=stochastic_gradient, components=components,
                          alpha=alpha, beta=beta, name="finite-sum")
@@ -305,50 +318,12 @@ def make_finite_sum(components):
 
 def _stack_designs(components):
     """(Xs, Ys) of shapes (n, k, d) and (n, k) from least-squares components
-    that share k and have C-contiguous X, else None."""
+    that share k and have C-contiguous X, else (None, None)."""
     data = [c.design for c in components]
     if not all(xy is not None and xy.loss == "least-squares" and xy.X.flags.c_contiguous
                and xy.X.shape == data[0].X.shape for xy in data):
-        return None
+        return None, None
     return np.stack([xy.X for xy in data]), np.stack([xy.Y for xy in data])
-
-
-def _stacked_oracles(Xs, Ys, value, grad):
-    """The stacked finite sum's value, grad and value_and_grad; value and grad
-    are the per-component ones, for points that the stack does not take.
-
-    Row i of the batched matmul (n, k, d) @ (d,) is X_i.dot(x) bit for bit,
-    and the batched (1, k) @ (k, 1) products are r.dot(r), when x is
-    contiguous; a plain (n k, d) dot, einsum or np.add.reduce rounds
-    differently. Values and gradients are summed one after another, in the
-    components' order, as the per-component sums do.
-    """
-    n, k = Ys.shape
-
-    def stacked(x):
-        return getattr(x, "ndim", None) == 1 and x.flags.c_contiguous
-
-    def total_value(R):  # R: the (n, k) residuals
-        rr = np.matmul(R[:, None, :], R[:, :, None])[:, 0, 0]
-        return sum((0.5 * rr / k).tolist()) / n
-
-    def total_grad(R):
-        return sum(np.matmul(R[:, None, :], Xs)[:, 0, :] / k) / n
-
-    def stacked_value(x):
-        return total_value(np.matmul(Xs, x) - Ys) if stacked(x) else value(x)
-
-    def stacked_grad(x):
-        return total_grad(np.matmul(Xs, x) - Ys) if stacked(x) else grad(x)
-
-    def value_and_grad(x):
-        if not stacked(x):
-            g = grad(x)
-            return value(x), g
-        R = np.matmul(Xs, x) - Ys
-        return total_value(R), total_grad(R)
-
-    return stacked_value, stacked_grad, value_and_grad
 
 
 def make_svm_hinge(X, Y, lam):

@@ -5,7 +5,7 @@ import threading
 
 import pytest
 
-from convexkit import acceptance, cli, frankwolfe, nonsmooth, proximal, stochastic
+from convexkit import acceptance, cli, frankwolfe, nonsmooth, problems, proximal, stochastic
 from convexkit.core import norm, record
 
 _SLOW = {cid for cid in acceptance.criterion_ids()
@@ -50,6 +50,13 @@ def _failed_statement(check):
     with pytest.raises(AssertionError) as info:
         check()
     return str(info.traceback[-1].statement)
+
+
+def test_feasibility_check_fails_on_answers_that_cut_off_the_box(monkeypatch):
+    query = problems.ResistingFeasibilityOracle.query
+    monkeypatch.setattr(problems.ResistingFeasibilityOracle, "query",
+                        lambda oracle, x: -query(oracle, x))
+    assert "sep @ x" in _failed_statement(acceptance.crit_08_feasibility_lower_bound)
 
 
 def test_proximal_check_runs_the_shipped_ppm(monkeypatch):

@@ -69,10 +69,11 @@ def test_cg_rejects_indefinite():
         krylov.cg_solve(A, np.array([1.0, 1.0]), np.zeros(2), 2)
 
 
-@pytest.mark.parametrize("seed", [7, 9, 33])
+@pytest.mark.parametrize("seed", [7, 9, 33, 131])
 def test_cg_stays_put_once_p_ap_underflows(seed):
     # past convergence r keeps shrinking; <p, Ap> underflowed to 0 at steps 282, 145
-    # and 269 (||r||^2 = 5e-324 or 1e-323) and raised NotPositiveDefinite
+    # and 269 (||r||^2 = 5e-324 or 1e-323) and raised NotPositiveDefinite; at seed
+    # 131 r grew back from a subnormal ||r||^2 at step 157 until DivergenceError
     rng = np.random.default_rng(seed)
     d = int(rng.integers(2, 30))
     M = rng.normal(size=(d, d))

@@ -12,6 +12,8 @@ own tests set, belongs in tests/ or nowhere.
   or perfbench/ passes it, by keyword or by position. Calls match by callee
   name, and by class name for __init__; a call with *args or **kwargs passes
   every parameter. ALLOWED lists the exceptions and why each is kept.
+- A private top-level def, class or constant: its name appears in src/ or
+  perfbench/ outside its own definition, so no helper outlives its caller.
 """
 
 import ast
@@ -102,6 +104,31 @@ def test_every_public_name_in_src_is_reached():
                     unreached.append("%s.%s" % (path.stem, node.name))
     assert not unreached, ("reached only by their own tests; call them, name them in "
                            "README.md's Layout table, or delete them: %s" % ", ".join(unreached))
+
+
+def _top_level_names(node):
+    """The names a top-level statement defines: a def's or class's, or an assignment's."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def test_every_private_name_in_src_is_referenced():
+    sources = _sources()
+    readers = [p.read_text(encoding="utf-8") for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    everywhere = _words("\n".join([*sources.values(), *readers]))
+    orphans = []
+    for path, text in sources.items():
+        lines = text.splitlines()
+        for node in ast.parse(text).body:
+            first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
+            own = _words("\n".join(lines[first - 1:node.end_lineno]))
+            orphans += ["%s.%s" % (path.stem, name) for name in _top_level_names(node)
+                        if name.startswith("_") and not name.startswith("__")
+                        and everywhere[name] == own[name]]
+    assert not orphans, ("private names that nothing outside their own definition "
+                         "references; use them or delete them: %s" % ", ".join(orphans))
 
 
 def test_every_public_method_in_src_is_reached():

@@ -15,7 +15,7 @@ import runpy
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from convexkit import core, problems
@@ -182,12 +182,49 @@ def _rotated_quadratic(d, kappa, seed):
 @settings(max_examples=200, deadline=None)
 @given(d=st.integers(1, 30), log_kappa=st.floats(0.0, 4.0), N=st.sampled_from([1, 5, 40, 300]),
        seed=st.integers(0, 2 ** 32 - 1))
+@example(d=17, log_kappa=2.844556871906929, N=300, seed=17)  # cg read <p, Ap> = -5e-324
 def test_every_rated_name_meets_its_rate_over_rotated_quadratics(d, log_kappa, N, seed):
     p, R, f_star = _rotated_quadratic(d, 10.0 ** log_kappa, seed)
     assert [name for name in solver_names() if guarantee(name, p, N, R) is not None] == RATED_ON_R_D
     for algo in RATED_ON_R_D:
         gap = run_solver(p, algo, N).values()[-1] - f_star
         assert gap <= guarantee(algo, p, N, R) + SLACK, (algo, d, N, gap)
+
+
+ACCEPTS_A_FINITE_SUM = ["agd", "apgd", "fista", "gd", "ista", "pgd"]  # cg needs A, ppm a prox
+
+
+def _least_squares_average(d, n, k, mixed, seed):
+    """(finite sum, ||x*||, f*): n full-rank least-squares components of k rows
+    each, the last of k + 1 rows if mixed, so that the sum does not stack;
+    columns scaled by 10^-1 to 10^1; x* from the normal equations, solved here."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    rows = [k] * (n - 1) + [k + 1 if mixed else k]
+    data = [_frozen(rng.standard_normal((r, d)) * 10.0 ** rng.uniform(-1.0, 1.0, d),
+                    rng.standard_normal(r)) for r in rows]
+    H = sum(X.T @ X / len(Y) for X, Y in data) / n
+    x_star = np.linalg.solve(H, sum(X.T @ Y / len(Y) for X, Y in data) / n)
+    f_star = sum(0.5 * float((X @ x_star - Y) @ (X @ x_star - Y)) / len(Y) for X, Y in data) / n
+    fs = problems.make_finite_sum([problems.make_least_squares(X, Y) for X, Y in data])
+    return _freeze(fs), float(np.linalg.norm(x_star)), f_star
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 6), n=st.integers(2, 6), extra_rows=st.integers(0, 3),
+       mixed=st.booleans(), N=st.sampled_from([1, 5, 40, 300]), seed=st.integers(0, 2 ** 32 - 1))
+def test_every_rated_name_meets_its_rate_over_least_squares_averages(d, n, extra_rows, mixed, N,
+                                                                     seed):
+    p, R, f_star = _least_squares_average(d, n, d + extra_rows, mixed, seed)
+    accepted = []
+    for algo in [name for name in solver_names() if guarantee(name, p, N, R) is not None]:
+        try:
+            trace = run_solver(p, algo, N)
+        except CapabilityError:
+            continue
+        accepted.append(algo)
+        gap = trace.values()[-1] - f_star
+        assert gap <= guarantee(algo, p, N, R) + SLACK, (algo, d, n, mixed, N, gap)
+    assert accepted == ACCEPTS_A_FINITE_SUM
 
 
 def test_the_rates_are_checked_where_the_paper_proves_them():
