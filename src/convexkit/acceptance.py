@@ -1,8 +1,8 @@
 """Acceptance suite: end-to-end rate and certificate checks with fixed seeds.
 
 Each check is one or more parts, zero-argument callables that raise
-AssertionError on failure. CRITERIA lists each part with its check's id and
-its cost in seconds; the CLI `verify` command and the test suite both run
+AssertionError on failure. CRITERIA maps each check's id to its parts, each
+with its cost in seconds; the CLI `verify` command and the test suite both run
 from here.
 """
 
@@ -533,50 +533,37 @@ def crit_18_continuous_time():
     assert np.any(np.diff(tr.values()) > 0)
 
 
-# (id, part, seconds): a check is its rows, its parts, in order. seconds is a
+# {id: [(part, seconds), ...]}: a check runs its parts in order. seconds is a
 # part's raw cost alone in a fresh process at one BLAS thread, the median of
 # three runs taken in one sitting on a 2-vCPU KVM guest (its speed drifts, so
 # only the ratios carry over). verify hands the parts out longest first, and
 # the tests mark slow a check whose parts cost half a second or more together.
-CRITERIA = [
-    ("01-gd-rate", crit_01_gd_rate, 0.02),
-    ("02-smooth-lower-bound", crit_02_smooth_lower_bound, 0.0),
-    ("03-acceleration", crit_03_acceleration, 0.09),
-    ("04-cg", crit_04_cg, 0.01),
-    ("05-subgradient", crit_05_worst_case, 0.83),
-    ("05-subgradient", crit_05_svm, 3.5),
-    ("06-functional-constraints", crit_06_functional_constraints, 0.0),
-    ("07-ellipsoid", crit_07_ellipsoid, 0.2),
-    ("08-feasibility-lower-bound", crit_08_feasibility_lower_bound, 0.0),
-    ("09-frank-wolfe", crit_09_frank_wolfe, 0.07),
-    ("10-proximal", crit_10_proximal, 0.02),
-    ("11-mirror-mw", crit_11_mirror, 0.36),
-    ("12-pinsker-bregman", crit_12_pinsker_bregman, 0.1),
-    ("13-sinkhorn", crit_13_sinkhorn, 0.03),
-    ("14-am-ram", crit_14_am_ram, 0.11),
-    ("15-smpgd-svrg", crit_15_smpgd_svrg, 0.36),
-    ("16-clt", lambda: crit_16_clt(np.eye(2), 41), 3.8),
-    ("16-clt", lambda: crit_16_clt(np.diag([1.0, 4.0]), 42), 4.0),
-    ("16-clt", crit_16_asgd_decay, 0.25),
-    ("17-ipm", crit_17_ipm, 1.5),
-    ("18-continuous-time", crit_18_continuous_time, 0.09),
-]
-
-
-def criterion_ids():
-    return list(dict.fromkeys(cid for cid, _, _ in CRITERIA))
-
-
-def criterion_parts(cid):
-    """The (part, seconds) rows of check cid, in order; KeyError for an unknown id."""
-    parts = [(part, seconds) for c, part, seconds in CRITERIA if c == cid]
-    if not parts:
-        raise KeyError(cid)
-    return parts
+CRITERIA = {
+    "01-gd-rate": [(crit_01_gd_rate, 0.02)],
+    "02-smooth-lower-bound": [(crit_02_smooth_lower_bound, 0.0)],
+    "03-acceleration": [(crit_03_acceleration, 0.09)],
+    "04-cg": [(crit_04_cg, 0.01)],
+    "05-subgradient": [(crit_05_worst_case, 0.83), (crit_05_svm, 3.5)],
+    "06-functional-constraints": [(crit_06_functional_constraints, 0.0)],
+    "07-ellipsoid": [(crit_07_ellipsoid, 0.2)],
+    "08-feasibility-lower-bound": [(crit_08_feasibility_lower_bound, 0.0)],
+    "09-frank-wolfe": [(crit_09_frank_wolfe, 0.07)],
+    "10-proximal": [(crit_10_proximal, 0.02)],
+    "11-mirror-mw": [(crit_11_mirror, 0.36)],
+    "12-pinsker-bregman": [(crit_12_pinsker_bregman, 0.1)],
+    "13-sinkhorn": [(crit_13_sinkhorn, 0.03)],
+    "14-am-ram": [(crit_14_am_ram, 0.11)],
+    "15-smpgd-svrg": [(crit_15_smpgd_svrg, 0.36)],
+    "16-clt": [(lambda: crit_16_clt(np.eye(2), 41), 3.8),
+               (lambda: crit_16_clt(np.diag([1.0, 4.0]), 42), 4.0),
+               (crit_16_asgd_decay, 0.25)],
+    "17-ipm": [(crit_17_ipm, 1.5)],
+    "18-continuous-time": [(crit_18_continuous_time, 0.09)],
+}
 
 
 def run_criterion(cid, part=None):
-    """Run check cid's parts in order, or only the one numbered part."""
-    parts = criterion_parts(cid)
+    """Run check cid's parts in order, or only the one numbered part; KeyError if no check cid."""
+    parts = CRITERIA[cid]
     for run, _ in parts if part is None else [parts[part]]:
         run()

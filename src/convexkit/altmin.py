@@ -1,6 +1,8 @@
 """Alternating minimization (cyclic and randomized), alternating Bregman
 projections, and Sinkhorn's algorithm for entropic optimal transport."""
 
+from collections import namedtuple
+
 import numpy as np
 
 from .core import InvalidInput, InvalidProblem, as_vector, make_rng, record
@@ -107,14 +109,8 @@ def _logsumexp_rows(M):
     return mx + np.log(np.sum(np.exp(M - mx[:, None]), axis=1))
 
 
-class SinkhornResult:
-    def __init__(self, f, g, plan, mu_err, nu_err, kl_mu):
-        self.f = f
-        self.g = g
-        self.plan = plan
-        self.mu_err = np.asarray(mu_err)
-        self.nu_err = np.asarray(nu_err)
-        self.kl_mu = np.asarray(kl_mu)
+class SinkhornResult(namedtuple("SinkhornResult", "f g plan mu_err nu_err kl_mu")):
+    """Final potentials and plan; per-iteration marginal errors and KL as arrays."""
 
 
 def _plan(inst, f, g):
@@ -151,7 +147,7 @@ def sinkhorn(instance, N, tol=None):
         if tol is not None and mu_err[-1] <= tol and nu_err[-1] <= tol:
             break
     plan = _plan(inst, f, g)
-    return SinkhornResult(f, g, plan, mu_err, nu_err, kl_mu)
+    return SinkhornResult(f, g, plan, np.asarray(mu_err), np.asarray(nu_err), np.asarray(kl_mu))
 
 
 def sinkhorn_half_step_marginal(instance, N):

@@ -370,7 +370,7 @@ def _cpu_count():
 def _parts(ids):
     """(check id, part number, seconds) of each part of the checks ids."""
     return [(cid, i, seconds) for cid in ids
-            for i, (_, seconds) in enumerate(acceptance.criterion_parts(cid))]
+            for i, (_, seconds) in enumerate(acceptance.CRITERIA[cid])]
 
 
 def _check_in_workers(ids, count, report):
@@ -392,7 +392,7 @@ def _check_in_workers(ids, count, report):
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, (root, os.environ.get("PYTHONPATH")))))
     todo = sorted(_parts(ids), key=lambda part: part[2], reverse=True)
-    replies = {cid: [None] * len(acceptance.criterion_parts(cid)) for cid in ids}
+    replies = {cid: [None] * len(acceptance.CRITERIA[cid]) for cid in ids}
     procs, busy = [], {}  # busy: worker -> the (check id, part number) it runs
     sel = selectors.DefaultSelector()
 
@@ -458,7 +458,7 @@ def _check_in_workers(ids, count, report):
 
 
 def cmd_verify(args):
-    ids = sorted(acceptance.criterion_ids())
+    ids = sorted(acceptance.CRITERIA)
     if args.only:
         ids = [cid for cid in ids if args.only in cid]
         if not ids:

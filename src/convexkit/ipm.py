@@ -1,6 +1,7 @@
 """Self-concordant barriers, Newton's method, and two-stage central path following."""
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -151,11 +152,8 @@ def damped_newton(f, x, target=1e-10, max_iter=500):
     raise CenteringFailed("damped Newton budget exhausted at decrement target %g" % target)
 
 
-class PathState:
-    def __init__(self, t, x, lam):
-        self.t = float(t)
-        self.x = np.asarray(x, dtype=float)
-        self.lam = float(lam)
+class PathState(namedtuple("PathState", "t x lam")):
+    """A point x on the central path at t, with its Newton decrement lam."""
 
     def certified_bound(self, nu):
         """Suboptimality certificate (1/t)(nu + (lam + sqrt(nu)) lam / (1 - lam))."""

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -10,14 +11,8 @@ from .core import DomainError, InvalidInput, as_vector, composite_value, norm, p
 ENTROPIC_FLOOR = 1e-300  # guard before logs; no effect at test scales
 
 
-class BregmanGeometry:
+class BregmanGeometry(namedtuple("BregmanGeometry", "phi grad grad_star in_domain")):
     """Mirror map phi with gradient, inverse gradient, domain test and divergence."""
-
-    def __init__(self, phi, grad, grad_star, in_domain):
-        self.phi = phi
-        self.grad = grad
-        self.grad_star = grad_star
-        self.in_domain = in_domain
 
     def divergence(self, x, y):
         x = as_vector(x)

@@ -171,6 +171,8 @@ def ellipsoid_volume_ratio(d):
 def ellipsoid_update(state, p):
     """Minimum-volume ellipsoid containing the half-ellipsoid cut by <p, z - x> <= 0."""
     p = as_vector(p)
+    if p.size != state.x.size:
+        raise InvalidInput("separator has %d entries, the centre %d" % (p.size, state.x.size))
     if float(p.dot(p)) == 0.0:
         raise InvalidSeparator("separator must be non-zero")
     d = p.size

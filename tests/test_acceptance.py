@@ -8,22 +8,25 @@ import pytest
 from convexkit import acceptance, cli, frankwolfe, nonsmooth, problems, proximal, stochastic
 from convexkit.core import norm, record
 
-_SLOW = {cid for cid in acceptance.criterion_ids()
-         if sum(seconds for _, seconds in acceptance.criterion_parts(cid)) >= 0.5}
+_SLOW = {cid for cid, parts in acceptance.CRITERIA.items()
+         if sum(seconds for _, seconds in parts) >= 0.5}
 
 
 @pytest.mark.parametrize(
     "cid",
     [pytest.param(cid, marks=pytest.mark.slow) if cid in _SLOW else cid
-     for cid in acceptance.criterion_ids()])
+     for cid in acceptance.CRITERIA])
 def test_criterion(cid):
     acceptance.run_criterion(cid)
 
 
 def test_ids_sorted_and_unique():
-    ids = acceptance.criterion_ids()
-    assert ids == sorted(ids)
-    assert len(ids) == len(set(ids)) == 18
+    # unique as the keys of a dict; each check has at least one part
+    ids = list(acceptance.CRITERIA)
+    assert ids == sorted(ids) and len(ids) == 18
+    assert all(acceptance.CRITERIA[cid] for cid in ids)
+    with pytest.raises(KeyError):
+        acceptance.run_criterion("19-unknown")
 
 
 def test_clt_instances_run_in_the_calling_thread(monkeypatch):

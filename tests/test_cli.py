@@ -403,13 +403,10 @@ LOWER_BOUNDS = ["02-smooth-lower-bound", "08-feasibility-lower-bound"]  # both u
 def with_faults(criteria, fault, faulty):
     """criteria with fault(cid, number) in place of each part of a check whose
     id is in faulty, and of each part whose (id, number) pair is."""
-    rows = []
-    for cid, part, seconds in criteria:
-        number = sum(c == cid for c, _, _ in rows)
-        if cid in faulty or (cid, number) in faulty:
-            part = lambda cid=cid, number=number: fault(cid, number)
-        rows.append((cid, part, seconds))
-    return rows
+    return {cid: [((lambda cid=cid, number=number: fault(cid, number))
+                   if cid in faulty or (cid, number) in faulty else part, seconds)
+                  for number, (part, seconds) in enumerate(parts)]
+            for cid, parts in criteria.items()}
 
 
 # Put in front of the worker program, with fault's body, with_faults and its
@@ -479,12 +476,11 @@ def test_verify_runs_in_process_under_a_wrapped_run_criterion(workers, monkeypat
 
 
 def test_verify_reports_an_unexpected_exception_and_goes_on(workers, monkeypatch, capsys):
-    def fault():
+    def fault(cid, number):
         raise ValueError("boom")
 
-    monkeypatch.setattr(acceptance, "CRITERIA", [
-        (cid, fault if cid == LOWER_BOUNDS[1] else fn, slow)
-        for cid, fn, slow in acceptance.CRITERIA])
+    monkeypatch.setattr(acceptance, "CRITERIA",
+                        with_faults(acceptance.CRITERIA, fault, [LOWER_BOUNDS[1]]))
     faulty_workers(monkeypatch, "raise ValueError('boom')", [LOWER_BOUNDS[1]])
     expected = ["PASS " + LOWER_BOUNDS[0], "FAIL %s: ValueError: boom" % LOWER_BOUNDS[1]]
     for cpus in (2, 1):
@@ -496,7 +492,12 @@ def test_verify_reports_an_unexpected_exception_and_goes_on(workers, monkeypatch
 
 
 def test_verify_fails_the_check_of_a_dead_worker(workers, monkeypatch, capsys):
-    # both first workers die, so a third one runs 09
+    # 06 and 08 cost more than 09 here, so the first two workers take them and
+    # die, and exactly one more runs 09, whichever death is read first
+    costs = {"06-functional-constraints": 1.0, "08-feasibility-lower-bound": 1.0}
+    monkeypatch.setattr(acceptance, "CRITERIA", {
+        cid: [(part, costs.get(cid, seconds)) for part, seconds in parts]
+        for cid, parts in acceptance.CRITERIA.items()})
     faulty_workers(monkeypatch, "os.kill(os.getpid(), signal.SIGKILL)",
                    ["06-functional-constraints", "08-feasibility-lower-bound"])
     assert cli.main(["verify", "--only=-f"]) == 1

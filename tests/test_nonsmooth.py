@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convexkit import acceptance, nonsmooth, problems
-from convexkit.core import (DivergenceError, InfeasibleOrBudget, InvalidSeparator,
-                            NoFeasiblePoint, ProblemOracle, make_rng)
+from convexkit.core import (DivergenceError, InfeasibleOrBudget, InvalidInput, InvalidSeparator,
+                            NoFeasiblePoint, ProblemOracle, make_rng, norm)
 
 vec3 = st.lists(st.floats(min_value=-10, max_value=10), min_size=3, max_size=3)
 
@@ -128,6 +128,33 @@ def test_psd_functional_infeasible_budget():
         nonsmooth.run_psd_functional(obj, [bad], proj, 0.1, np.zeros(2))
 
 
+def test_psd_functional_stops_at_a_zero_objective_subgradient():
+    # flat at 0 inside the unit ball; one step on x[1] <= 0 lands there
+    flat = ProblemOracle(2, lambda x: max(0.0, norm(x) - 1.0),
+                         lambda x: x / norm(x) if norm(x) > 1.0 else np.zeros(2),
+                         L=1.0, x_star=np.zeros(2))
+    half = ProblemOracle(2, lambda x: float(x[1]), lambda x: np.array([0.0, 1.0]), L=1.0)
+    x, n = nonsmooth.run_psd_functional(flat, [half], lambda z: z, 0.1, np.array([0.5, 2.0]))
+    assert n == 1 and x.tolist() == [0.5, 0.0]
+
+
+@pytest.mark.parametrize("f_star", [None, -10.0])
+def test_psd_functional_at_its_budget(f_star):
+    # min x1 + x2 over the unit disc, eps = 1/2: R = 1 and a budget of 8; the
+    # iterates end in a cycle through (-3/4, -3/4), the best eps-feasible one
+    c = np.ones(2)
+    obj = ProblemOracle(2, lambda x: float(c @ x), lambda x: c.copy(), L=math.sqrt(2.0),
+                        x_star=-c / math.sqrt(2.0), f_star=f_star)
+    disc = ProblemOracle(2, lambda x: float(x @ x) - 1.0, lambda x: 2 * x, L=4.0)
+    run = lambda: nonsmooth.run_psd_functional(obj, [disc], lambda z: z, 0.5, np.zeros(2))
+    if f_star is None:  # the best point seen
+        x, n = run()
+        assert n == 8 and x.tolist() == [-0.75, -0.75]
+    else:  # f_star is out of reach
+        with pytest.raises(InfeasibleOrBudget, match="within 8 iterations"):
+            run()
+
+
 def test_ellipsoid_frozen_first_update():
     state = nonsmooth.EllipsoidState.ball(np.zeros(2), 1.0)
     new = nonsmooth.ellipsoid_update(state, np.array([1.0, 0.0]))
@@ -147,6 +174,15 @@ def test_ellipsoid_rejects_zero_separator():
     state = nonsmooth.EllipsoidState.ball(np.zeros(2), 1.0)
     with pytest.raises(InvalidSeparator):
         nonsmooth.ellipsoid_update(state, np.zeros(2))
+
+
+@pytest.mark.parametrize("separation, center", [
+    (problems.ResistingFeasibilityOracle(1.0, 4).query, 0.0),  # a scalar origin is 1-D
+    (lambda x: np.ones(4), np.zeros(2)),
+], ids=["scalar-centre", "longer-separator"])
+def test_run_ellipsoid_rejects_a_separator_of_another_size(separation, center):
+    with pytest.raises(InvalidInput, match="separator has 4 entries"):
+        nonsmooth.run_ellipsoid(None, separation, center, 2.0, 34)
 
 
 def test_ellipsoid_contains_kept_halfspace_points():

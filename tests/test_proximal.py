@@ -41,6 +41,28 @@ def test_prox_generic_nonsmooth_1d():
     assert abs(got[0]) < 1e-6
 
 
+def test_ppm_and_envelope_without_a_prox_solve_for_it():
+    q = problems.make_quadratic(np.diag([1.0, 3.0]), np.array([0.5, -0.5]))
+    bare = ProblemOracle(2, q.value, q.subgradient, alpha=q.alpha, beta=q.beta,
+                         f_star=q.f_star, x_star=q.x_star)
+    assert bare.prox is None
+    x0 = np.array([1.0, 2.0])
+    exact, inner = proximal.run_ppm(q, 0.4, x0, 20), proximal.run_ppm(bare, 0.4, x0, 20)
+    assert np.allclose(inner.final_point, exact.final_point, rtol=0, atol=1e-10)
+    for y in (x0, np.array([-3.0, 0.5])):
+        assert proximal.moreau_envelope(bare, 0.4, y) == pytest.approx(
+            proximal.moreau_envelope(q, 0.4, y), rel=0, abs=1e-14)
+
+
+def test_ppm_records_values_alone_without_a_subgradient():
+    reg = problems.make_lasso(np.eye(2), np.zeros(2), 1.0).extra["reg"]  # ||x||_1
+    assert reg.subgradient is None
+    tr = proximal.run_ppm(reg, 0.5, np.array([2.0, -0.3]), 4)
+    assert tr.values() == pytest.approx([2.3, 1.5, 1.0, 0.5, 0.0], rel=0, abs=1e-15)
+    assert np.isnan(tr.grad_norms()).all()
+    assert tr.final_point.tolist() == [0.0, 0.0]
+
+
 def test_ppm_strongly_convex_contraction():
     q = problems.make_quadratic(np.diag([1.0, 4.0]), np.array([1.0, 1.0]))
     tr = proximal.run_ppm(q, 0.5, np.zeros(2), 30)

@@ -227,6 +227,31 @@ def test_every_rated_name_meets_its_rate_over_least_squares_averages(d, n, extra
     assert accepted == ACCEPTS_A_FINITE_SUM
 
 
+ACCEPTS_THE_CHAIN_QUADRATIC = ["agd", "apgd", "cg", "fista", "gd", "ista", "pgd"]
+ROUNDING = 1e-14  # times beta, against gaps and bounds of order beta / 8
+
+
+@settings(max_examples=200, deadline=None)
+@given(beta=st.floats(0.1, 10.0),
+       d_N=st.integers(1, 30).flatmap(lambda d: st.tuples(st.just(d), st.integers(0, d - 1))))
+def test_every_name_that_accepts_the_chain_quadratic_stays_in_its_span(beta, d_N):
+    # from the origin, N answers reach the first N coordinates alone, and no point
+    # there is closer than (beta/8)(1/(N+1) - 1/(d+1)) to f*
+    d, N = d_N
+    p = problems.make_worst_case_smooth(beta, d)
+    lower = (beta / 8.0) * (1.0 / (N + 1) - 1.0 / (d + 1))
+    accepted = []
+    for algo in solver_names():
+        try:
+            trace = run_solver(p, algo, N)
+        except CapabilityError:
+            continue
+        accepted.append(algo)
+        assert not trace.final_point[N:].any(), (algo, d, N)
+        assert trace.values()[-1] - p.f_star >= lower - ROUNDING * beta, (algo, d, N)
+    assert accepted == ACCEPTS_THE_CHAIN_QUADRATIC
+
+
 def test_the_rates_are_checked_where_the_paper_proves_them():
     # every method that takes a problem file, and md on the simplex, is held to a rate somewhere
     checked = {algo for algo in solver_names() for p, R, _ in _cases().values()
