@@ -5,8 +5,8 @@ import math
 
 import numpy as np
 
-from .core import (InvalidInput, NumericalError, ProblemOracle, as_vector, norm,
-                   record)
+from .core import InvalidInput, NumericalError, ProblemOracle, as_vector, norm, record
+from .proximal import _nesterov, run_pgd
 
 
 def default_dt(problem):
@@ -85,8 +85,6 @@ def simulate_agf(problem, t_end, dt=None, x0=None, mode="convex"):
 
 def run_gd(problem, h, x0, N):
     """x_{n+1} = x_n - h grad f(x_n): proximal gradient with no regularizer."""
-    from .proximal import run_pgd  # imported lazily: proximal imports this module
-
     return run_pgd(problem, None, h, x0, N, problem.f_star)
 
 
@@ -98,19 +96,11 @@ def gd_sharp_contraction_factor(alpha, beta):
     return (kappa - 1.0) / (kappa + 1.0), 2.0 / (alpha + beta)
 
 
-def agd_lambda_sequence(N):
-    lam = [0.0]
-    for _ in range(N + 1):
-        lam.append(0.5 * (1.0 + math.sqrt(1.0 + 4.0 * lam[-1] ** 2)))
-    return lam
-
-
 def run_agd(problem, x0, N):
     """Nesterov momentum: y_n = x_n + theta_n (x_n - x_{n-1}), gradient step
     from y_n: FISTA with no regularizer."""
     if not 0 < problem.beta < math.inf:
         raise InvalidInput("AGD needs a finite positive smoothness constant")
-    from .proximal import _nesterov  # imported lazily: proximal imports this module
 
     def at(x):
         v, g = problem.value_and_grad(x)

@@ -5,8 +5,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import (Ball, Design, InvalidProblem, ProblemOracle, as_vector, composite_value,
-                   make_rng)
+from .core import Ball, Design, InvalidProblem, ProblemOracle, as_vector, make_rng
+from .proximal import prox_l1
 
 
 SYMMETRY_BLOCK = 1 << 16  # numbers per block of rows in make_quadratic's symmetry test
@@ -128,24 +128,17 @@ def make_least_squares(X, Y, name="least-squares"):
 
 
 def make_lasso(X, Y, lam):
-    """Least squares plus lam*||theta||_1; composite with a prox-friendly part."""
-    from .proximal import prox_l1
-
+    """Least squares plus lam*||theta||_1; composite with a prox-friendly part. Its three
+    oracles share f's one pass, so a value alone also computes f's gradient."""
     if not 0 <= lam < math.inf:
         raise InvalidProblem("lam must be finite and >= 0")
     f = make_least_squares(X, Y, name="lasso-smooth")
     g = ProblemOracle(f.dim, lambda x: lam * float(np.add.reduce(np.abs(x), axis=None)),
                       prox=lambda y, h: prox_l1(y, lam * h))
-
-    def subgrad(x):
-        return f.subgradient(x) + lam * np.sign(x)
-
-    def value_and_grad(x):
-        v, grad = f.value_and_grad(x)
-        return v + g.value(x), grad + lam * np.sign(x)
-
+    value, subgrad, value_and_grad = _fit_oracles(
+        f.value_and_grad, lambda vg, x: vg[0] + g.value(x), lambda vg, x: vg[1] + lam * np.sign(x))
     # f + g is not smooth: beta stays inf, and f's is extra["smooth"].beta
-    return ProblemOracle(f.dim, composite_value(f, g), subgrad, value_and_grad=value_and_grad,
+    return ProblemOracle(f.dim, value, subgrad, value_and_grad=value_and_grad,
                          alpha=f.alpha, name="lasso", extra={"smooth": f, "reg": g})
 
 

@@ -6,7 +6,6 @@ import math
 import numpy as np
 
 from .core import InvalidInput, NumericalError, as_vector, composite_value, norm, plus_reg, record
-from .gradient import agd_lambda_sequence
 
 
 def prox_l1(y, lam):
@@ -115,6 +114,13 @@ def run_pgd(f, g, h, x0, N, f_star=None):
             x = g.prox(z, h) if g is not None else z
 
     return record(iterates, x0, N, f_star)
+
+
+def agd_lambda_sequence(N):
+    lam = [0.0]
+    for _ in range(N + 1):
+        lam.append(0.5 * (1.0 + math.sqrt(1.0 + 4.0 * lam[-1] ** 2)))
+    return lam
 
 
 def _nesterov(f, g, at, x0, N, f_star):

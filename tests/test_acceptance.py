@@ -3,9 +3,11 @@ advertises, at fixed seeds and stated tolerances."""
 
 import threading
 
+import numpy as np
 import pytest
 
-from convexkit import acceptance, cli, frankwolfe, nonsmooth, problems, proximal, stochastic
+from convexkit import (acceptance, cli, frankwolfe, gradient, mirror, nonsmooth, problems,
+                       proximal, stochastic)
 from convexkit.core import norm, record
 
 _SLOW = {cid for cid, parts in acceptance.CRITERIA.items()
@@ -55,36 +57,43 @@ def _failed_statement(check):
     return str(info.traceback[-1].statement)
 
 
-def test_feasibility_check_fails_on_answers_that_cut_off_the_box(monkeypatch):
-    query = problems.ResistingFeasibilityOracle.query
-    monkeypatch.setattr(problems.ResistingFeasibilityOracle, "query",
-                        lambda oracle, x: -query(oracle, x))
-    assert "sep @ x" in _failed_statement(acceptance.crit_08_feasibility_lower_bound)
+def _short_step_fw(problem, loo, x0, N):
+    """FW with h = min(1, gap / (beta ||s - x||^2)), which is not affine invariant."""
+    def iterates(x):
+        while True:
+            v, g = problem.value_and_grad(x)
+            s = loo(g)
+            gap = float((x - s).dot(g))
+            yield x, v, norm(g), {"fw_gap": gap}
+            d = s - x
+            dd = float(d.dot(d))
+            x = x + (min(1.0, gap / (problem.beta * dd)) if dd > 0 else 0.0) * d
+
+    return record(iterates, x0, N, problem.f_star), []
 
 
-def test_proximal_check_runs_the_shipped_ppm(monkeypatch):
-    run_ppm = proximal.run_ppm
-    monkeypatch.setattr(proximal, "run_ppm", lambda q, h, x0, N: run_ppm(q, h / 2.0, x0, N))
-    assert "new_gap <= gap" in _failed_statement(acceptance.crit_10_proximal)
+# check id, part, the owner and name of the library code that the part runs, the
+# defect (a function of the shipped code), and the statement that fails under it
+PLANTED = [
+    ("03-acceleration", 0, gradient, "run_agd",
+     lambda run_agd: lambda p, x0, N: gradient.run_gd(p, 1.0 / p.beta, x0, N),
+     "gaps[N] <= bound + 1e-12"),
+    ("08-feasibility-lower-bound", 0, problems.ResistingFeasibilityOracle, "query",
+     lambda query: lambda oracle, x: -query(oracle, x), "sep @ x"),  # cuts off the box
+    ("09-frank-wolfe", 0, frankwolfe, "run_fw", lambda run_fw: _short_step_fw, "Ainv @ xn - zn"),
+    ("10-proximal", 0, proximal, "run_ppm",
+     lambda run_ppm: lambda q, h, x0, N: run_ppm(q, h / 2.0, x0, N), "new_gap <= gap"),
+    ("12-pinsker-bregman", 0, mirror, "bregman_project_simplex",
+     lambda project: lambda x: np.full(len(x), 1.0 / len(x)), "slack >= -1e-9"),  # uniform
+]
 
 
-def test_frank_wolfe_check_runs_the_shipped_fw(monkeypatch):
-    def short_step_fw(problem, loo, x0, N):
-        """FW with h = min(1, gap / (beta ||s - x||^2)), which is not affine invariant."""
-        def iterates(x):
-            while True:
-                v, g = problem.value_and_grad(x)
-                s = loo(g)
-                gap = float((x - s).dot(g))
-                yield x, v, norm(g), {"fw_gap": gap}
-                d = s - x
-                dd = float(d.dot(d))
-                x = x + (min(1.0, gap / (problem.beta * dd)) if dd > 0 else 0.0) * d
-
-        return record(iterates, x0, N, problem.f_star), []
-
-    monkeypatch.setattr(frankwolfe, "run_fw", short_step_fw)
-    assert "Ainv @ xn - zn" in _failed_statement(acceptance.crit_09_frank_wolfe)
+@pytest.mark.parametrize("cid, part, owner, name, defect, statement", PLANTED,
+                         ids=["%s-part%d" % row[:2] for row in PLANTED])
+def test_a_check_fails_on_a_defect_in_the_code_it_runs(monkeypatch, cid, part, owner, name,
+                                                       defect, statement):
+    monkeypatch.setattr(owner, name, defect(getattr(owner, name)))
+    assert statement in _failed_statement(lambda: acceptance.run_criterion(cid, part))
 
 
 def test_subgradient_check_runs_the_shipped_psd_strong(monkeypatch):

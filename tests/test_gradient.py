@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from convexkit import gradient, problems
+from convexkit import gradient, problems, proximal
 from convexkit.core import DivergenceError, InvalidInput, make_rng
 
 
@@ -67,7 +67,7 @@ def test_gd_strongly_convex_contraction():
 
 
 def test_agd_lambda_sequence():
-    lam = gradient.agd_lambda_sequence(3)
+    lam = proximal.agd_lambda_sequence(3)
     assert lam[0] == 0.0 and lam[1] == 1.0
     for n in range(1, len(lam)):
         assert abs(lam[n] - 0.5 * (1 + math.sqrt(1 + 4 * lam[n - 1] ** 2))) < 1e-15

@@ -183,3 +183,20 @@ def test_every_default_in_src_is_set_by_a_caller():
     assert sorted(exempt) == sorted(ALLOWED), ("ALLOWED lists defaults that a caller sets, or "
                                                "that are gone: %s"
                                                % ", ".join(sorted(set(ALLOWED) - set(exempt))))
+
+
+
+def test_no_function_imports_from_the_package():
+    # modules import each other at their top, in one direction, so that a cycle
+    # fails when the package loads; the registry alone imports the solvers late,
+    # so that core stays at the bottom of the order
+    lazy = {}
+    for path, text in _sources().items():
+        for fn in ast.walk(ast.parse(text)):  # outer functions first: the innermost name wins
+            if isinstance(fn, ast.FunctionDef):
+                lazy.update(((path.stem, node.lineno), fn.name) for node in ast.walk(fn)
+                            if isinstance(node, ast.ImportFrom)
+                            and (node.level or node.module.split(".")[0] == "convexkit"))
+    found = ["%s.py:%d in %s" % (stem, line, name) for (stem, line), name in sorted(lazy.items())
+             if (stem, name) != ("core", "_solver_registry")]
+    assert not found, "imports from convexkit inside a function body: %s" % ", ".join(found)

@@ -191,13 +191,14 @@ def test_every_rated_name_meets_its_rate_over_rotated_quadratics(d, log_kappa, N
         assert gap <= guarantee(algo, p, N, R) + SLACK, (algo, d, N, gap)
 
 
-ACCEPTS_A_FINITE_SUM = ["agd", "apgd", "fista", "gd", "ista", "pgd"]  # cg needs A, ppm a prox
+ACCEPTS_LEAST_SQUARES = ["agd", "apgd", "fista", "gd", "ista", "pgd"]  # cg needs A, ppm a prox
 
 
 def _least_squares_average(d, n, k, mixed, seed):
-    """(finite sum, ||x*||, f*): n full-rank least-squares components of k rows
-    each, the last of k + 1 rows if mixed, so that the sum does not stack;
-    columns scaled by 10^-1 to 10^1; x* from the normal equations, solved here."""
+    """(problem, ||x*||, f*): the finite sum of n full-rank least-squares
+    components of k rows each, the last of k + 1 rows if mixed, so that the sum
+    does not stack, or the one component alone if n = 1; columns scaled by 10^-1
+    to 10^1; x* from the normal equations, solved here."""
     rng = np.random.Generator(np.random.Philox(seed))
     rows = [k] * (n - 1) + [k + 1 if mixed else k]
     data = [_frozen(rng.standard_normal((r, d)) * 10.0 ** rng.uniform(-1.0, 1.0, d),
@@ -205,12 +206,13 @@ def _least_squares_average(d, n, k, mixed, seed):
     H = sum(X.T @ X / len(Y) for X, Y in data) / n
     x_star = np.linalg.solve(H, sum(X.T @ Y / len(Y) for X, Y in data) / n)
     f_star = sum(0.5 * float((X @ x_star - Y) @ (X @ x_star - Y)) / len(Y) for X, Y in data) / n
-    fs = problems.make_finite_sum([problems.make_least_squares(X, Y) for X, Y in data])
-    return _freeze(fs), float(np.linalg.norm(x_star)), f_star
+    parts = [problems.make_least_squares(X, Y) for X, Y in data]
+    p = problems.make_finite_sum(parts) if n > 1 else parts[0]
+    return _freeze(p), float(np.linalg.norm(x_star)), f_star
 
 
-@settings(max_examples=40, deadline=None)
-@given(d=st.integers(1, 6), n=st.integers(2, 6), extra_rows=st.integers(0, 3),
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 6), n=st.integers(1, 6), extra_rows=st.integers(0, 3),
        mixed=st.booleans(), N=st.sampled_from([1, 5, 40, 300]), seed=st.integers(0, 2 ** 32 - 1))
 def test_every_rated_name_meets_its_rate_over_least_squares_averages(d, n, extra_rows, mixed, N,
                                                                      seed):
@@ -224,7 +226,7 @@ def test_every_rated_name_meets_its_rate_over_least_squares_averages(d, n, extra
         accepted.append(algo)
         gap = trace.values()[-1] - f_star
         assert gap <= guarantee(algo, p, N, R) + SLACK, (algo, d, n, mixed, N, gap)
-    assert accepted == ACCEPTS_A_FINITE_SUM
+    assert accepted == ACCEPTS_LEAST_SQUARES
 
 
 ACCEPTS_THE_CHAIN_QUADRATIC = ["agd", "apgd", "cg", "fista", "gd", "ista", "pgd"]
@@ -250,6 +252,47 @@ def test_every_name_that_accepts_the_chain_quadratic_stays_in_its_span(beta, d_N
         assert not trace.final_point[N:].any(), (algo, d, N)
         assert trace.values()[-1] - p.f_star >= lower - ROUNDING * beta, (algo, d, N)
     assert accepted == ACCEPTS_THE_CHAIN_QUADRATIC
+
+
+@settings(max_examples=60, deadline=None)
+@given(beta=st.floats(0.1, 10.0), d=st.integers(1, 30), N=st.sampled_from([1, 5, 40, 300]))
+def test_every_name_that_accepts_the_chain_quadratic_meets_its_rate(beta, d, N):
+    p = problems.make_worst_case_smooth(beta, d)
+    R = float(np.linalg.norm(p.x_star))
+    for algo in ACCEPTS_THE_CHAIN_QUADRATIC:
+        gap = run_solver(p, algo, N).values()[-1] - p.f_star
+        assert gap <= guarantee(algo, p, N, R) + SLACK, (algo, beta, d, N, gap)
+
+
+@settings(max_examples=150, deadline=None)
+@given(N_k=st.integers(0, 40).flatmap(lambda N: st.tuples(st.just(N), st.integers(0, N))),
+       L=st.floats(0.1, 10.0), R=st.floats(0.1, 10.0))
+def test_psd_on_the_nonsmooth_worst_case_stays_in_its_span_and_meets_its_rate(N_k, L, R):
+    # from the origin, k subgradients reach the first k coordinates alone; a point with
+    # a zero coordinate has max_i x_i >= 0, so f >= 0 = f* + L R / (8 sqrt(N+1))
+    N, k = N_k
+    p = problems.make_worst_case_nonsmooth(N, L, R)
+    trace = run_solver(p, "psd", k)
+    assert not trace.final_point[k:].any(), (N, k, L, R)
+    gap, lower = trace.values()[-1] - p.f_star, L * R / (8.0 * math.sqrt(N + 1))
+    assert gap >= lower * (1.0 - 1e-12), (N, k, L, R, gap, lower)
+    if k >= 1:
+        assert gap <= guarantee("psd", p, k, R) + SLACK, (N, k, L, R, gap)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(2, 12), mu=st.floats(0.01, 10.0), N=st.sampled_from([1, 5, 40, 300]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_md_meets_its_rate_on_the_average_over_simplex_quadratics(d, mu, N, seed):
+    # <c, x> + (mu/2)||x||^2, minimized on the simplex by the projection of -c/mu; L bounds
+    # the gradients' sup norm there
+    rng = np.random.Generator(np.random.Philox(seed))
+    c = rng.standard_normal(d) * 10.0 ** rng.uniform(-1.0, 1.0)
+    x = _project_simplex(-c / mu)
+    p = ProblemOracle(d, lambda z: float(c @ z) + 0.5 * mu * float(z @ z), lambda z: c + mu * z,
+                      alpha=mu, beta=mu, L=float(np.max(np.abs(c))) + mu, domain=Simplex())
+    gap = run_solver(p, "md", N).custom("avg_value")[-1] - (float(c @ x) + 0.5 * mu * float(x @ x))
+    assert gap <= guarantee("md", p, N) + SLACK, (d, mu, N, gap)
 
 
 def test_the_rates_are_checked_where_the_paper_proves_them():
