@@ -94,7 +94,8 @@ def _svm_05():
     X = rng.normal(size=(40, 5))
     Y = np.sign(rng.normal(size=40))
     svm = problems.make_svm_hinge(X, Y, 0.5)
-    return svm, lambda z: nonsmooth.project_ball(z, np.zeros(5), svm.domain.radius)
+    centre, radius = np.zeros(5), svm.domain.radius
+    return svm, lambda z: nonsmooth.project_ball(z, centre, radius)
 
 
 def crit_05_svm():

@@ -1,5 +1,6 @@
 """Shared numeric types: oracles, traces, the recording driver, rate fitting, solver dispatch."""
 
+import collections
 import functools
 import itertools
 import math
@@ -75,7 +76,9 @@ def as_vector(x):
         v = v.reshape(1)
     if v.ndim != 1 or v.size < 1:
         raise InvalidInput("expected a vector of dimension >= 1")
-    if not np.isfinite(v).all():
+    # v.v is finite only if every entry is, in one pass (np.vdot gives inf, not a
+    # warning, on overflow); np.isfinite decides when it is not, as in check_divergence
+    if not (math.isfinite(np.vdot(v, v)) or np.isfinite(v).all()):
         raise NumericalError("vector has non-finite entries")
     return v
 
@@ -180,21 +183,22 @@ class IterateTrace:
         self._seeds = () if seeds is None else (seeds,)
         self._n = 0
         self._value = self._column(rows)
-        self._opt = {}  # "grad_norm" or a custom key -> its column
+        # "grad_norm" or a custom key -> its column, made all NaN in value's shape when
+        # a row first gives it; the factory holds no self, so the trace has no cycle
+        self._opt = collections.defaultdict(functools.partial(np.full_like, self._value, math.nan))
 
     def _column(self, rows):
         return np.full((rows,) + self._seeds, math.nan)
 
-    def add(self, value, grad_norm=None, **custom):
+    def add(self, value, grad_norm, custom):
+        """Write the next row: its value, its grad_norm (None: no cell) and the
+        cells of the dict custom, which is read, not kept or changed."""
         n = self._n
         self._value[n] = value
         if grad_norm is not None:
-            custom["grad_norm"] = grad_norm
+            self._opt["grad_norm"][n] = grad_norm
         for key, v in custom.items():
-            col = self._opt.get(key)
-            if col is None:
-                col = self._opt[key] = self._column(len(self._value))
-            col[n] = v
+            self._opt[key][n] = v
         self._n = n + 1
 
     def __len__(self):
@@ -329,12 +333,13 @@ def record(iterates, x0, N, f_star, seed=None, keep="all"):
                 s = int(np.argmin(ok))
                 raise DivergenceError("iterate of seed %r diverged (value %r)"
                                       % (seeds[s], float(value[s])))
+    add = trace.add  # bound once: each row is one call of it and one of check
     with np.errstate(over="ignore", invalid="ignore"):  # the divergence guard reports these
         for n, (x, value, grad_norm, custom) in zip(range(N + 1), items):
             if n == 0:
                 scale = 1.0 + maximum(abs(value), 0.0 if f_star is None else abs(f_star))
             check(value, x, scale)
-            trace.add(value, grad_norm, **custom)
+            add(value, grad_norm, custom)
     if not len(trace):
         raise NumericalError("the solver yielded no iterate")
     trace.final_point = x
@@ -552,8 +557,8 @@ def _solver_registry():
         Solver(("psd",), ("subgradient",), (Ball,),
                lambda p, N: p.domain.radius / math.sqrt(max(N, 1)),
                lambda p, x0, N, h, seed: nonsmooth.run_psd(
-                   p, lambda z: nonsmooth.project_ball(z, np.zeros(p.dim), p.domain.radius),
-                   h, x0, N),
+                   p, functools.partial(nonsmooth.project_ball, c=np.zeros(p.dim),
+                                        r=p.domain.radius), h, x0, N),
                lambda p, N, R: p.L * R / math.sqrt(N)),  # R: its step's R / sqrt(N)
         Solver(("fw",), ("loo",), None, None,
                lambda p, x0, N, h, seed: frankwolfe.run_fw(p, p.loo, x0, N)[0], None),

@@ -321,7 +321,13 @@ def _stack_designs(components):
 
 def make_svm_hinge(X, Y, lam):
     """Soft-margin SVM: mean hinge loss plus (lam/2)||theta||^2 with labels in {-1, 1}, on
-    the ball of radius max_i ||X_i|| / lam that holds every minimizer (10 if lam = 0)."""
+    the ball of radius max_i ||X_i|| / lam that holds every minimizer (10 if lam = 0).
+
+    The oracles' product is the margins XY theta, from the label-signed design
+    XY (row i is Y_i X_i) built once. They are Y * (X theta) bit for bit, up to
+    the sign of a zero, as |Y_i| = 1 makes each summand an exact sign flip.
+    The problem keeps X in its design as well, so it holds one more n x d array.
+    """
     X, Y = _fit_data(X, Y)
     if not np.all(np.abs(Y) == 1):
         raise InvalidProblem("labels must be -1 or +1")
@@ -333,16 +339,18 @@ def make_svm_hinge(X, Y, lam):
     ball_radius = row_norm / lam if lam > 0 else 10.0
     L = row_norm + lam * ball_radius
 
-    def loss(z, theta):
-        hinge = float(np.add.reduce(np.maximum(0.0, 1.0 - Y * z)) / n)
+    XY = X * Y[:, None]
+
+    def loss(m, theta):
+        hinge = float(np.add.reduce(np.maximum(0.0, 1.0 - m)) / n)
         return hinge + 0.5 * lam * float(theta.dot(theta))
 
-    def loss_grad(z, theta):
-        # at the kink (margin Y z = 1) 0 is a valid subgradient; the minus stays
-        # outside the product, as X.T.dot(-v) gives some zeros the other sign
-        return -X.T.dot(Y * (Y * z < 1.0)) / n + lam * theta
+    def loss_grad(m, theta):
+        # at the kink (margin m = 1) 0 is a valid subgradient; the sign goes on
+        # the divisor, as XY.T.dot(-v) gives some zeros the other sign
+        return XY.T.dot(m < 1.0) / -n + lam * theta
 
-    value, subgrad, value_and_grad = _fit_oracles(X.dot, loss, loss_grad)
+    value, subgrad, value_and_grad = _fit_oracles(XY.dot, loss, loss_grad)
     return ProblemOracle(X.shape[1], value, subgrad, value_and_grad=value_and_grad,
                          design=Design("hinge", X, Y), alpha=lam, L=L, domain=Ball(ball_radius),
                          name="svm-hinge")

@@ -72,12 +72,31 @@ def _short_step_fw(problem, loo, x0, N):
     return record(iterates, x0, N, problem.f_star), []
 
 
+def _svm_fused_without_ridge(make_svm_hinge):
+    """make_svm_hinge whose fused value_and_grad drops the ridge term lam theta from the
+    gradient: its subgradient, and so the reference solve, stays the shipped one."""
+    def make(X, Y, lam):
+        svm = make_svm_hinge(X, Y, lam)
+        fused = svm.value_and_grad
+
+        def value_and_grad(x):
+            v, g = fused(x)
+            return v, g - lam * x
+
+        svm.value_and_grad = value_and_grad
+        return svm
+
+    return make
+
+
 # check id, part, the owner and name of the library code that the part runs, the
 # defect (a function of the shipped code), and the statement that fails under it
 PLANTED = [
     ("03-acceleration", 0, gradient, "run_agd",
      lambda run_agd: lambda p, x0, N: gradient.run_gd(p, 1.0 / p.beta, x0, N),
      "gaps[N] <= bound + 1e-12"),
+    ("05-subgradient", 1, problems, "make_svm_hinge", _svm_fused_without_ridge,
+     "gap <= bound + ref_err"),
     ("08-feasibility-lower-bound", 0, problems.ResistingFeasibilityOracle, "query",
      lambda query: lambda oracle, x: -query(oracle, x), "sep @ x"),  # cuts off the box
     ("09-frank-wolfe", 0, frankwolfe, "run_fw", lambda run_fw: _short_step_fw, "Ainv @ xn - zn"),
@@ -88,8 +107,11 @@ PLANTED = [
 ]
 
 
-@pytest.mark.parametrize("cid, part, owner, name, defect, statement", PLANTED,
-                         ids=["%s-part%d" % row[:2] for row in PLANTED])
+@pytest.mark.parametrize(
+    "cid, part, owner, name, defect, statement",
+    [pytest.param(*row, marks=pytest.mark.slow) if acceptance.CRITERIA[row[0]][row[1]][1] >= 0.5
+     else row for row in PLANTED],
+    ids=["%s-part%d" % row[:2] for row in PLANTED])
 def test_a_check_fails_on_a_defect_in_the_code_it_runs(monkeypatch, cid, part, owner, name,
                                                        defect, statement):
     monkeypatch.setattr(owner, name, defect(getattr(owner, name)))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexkit import problems
+from convexkit import core, problems
 from convexkit.core import (Ball, CapabilityError, DivergenceError, InsufficientData,
                             InvalidInput, InvalidProblem, IterateTrace, NumericalError,
                             ProblemOracle, Simplex, as_vector, check_divergence,
@@ -25,8 +25,8 @@ def test_as_vector_rejects_bad_input():
 
 def test_trace_csv_format():
     tr = IterateTrace(f_star=0.0, rows=2)
-    tr.add(1.0, grad_norm=0.5)
-    tr.add(0.1)
+    tr.add(1.0, 0.5, {})
+    tr.add(0.1, None, {})
     text = tr.to_csv()
     lines = text.strip().split("\n")
     assert lines[0] == "iter,value,gap,grad_norm,time_s"
@@ -36,19 +36,19 @@ def test_trace_csv_format():
 
 def test_trace_csv_17_digits_and_byte_stability():
     tr = IterateTrace(rows=1)
-    tr.add(1.0 / 3.0)
+    tr.add(1.0 / 3.0, None, {})
     assert format(1.0 / 3.0, ".17g") in tr.to_csv()
     tr2 = IterateTrace(rows=1)
-    tr2.add(1.0 / 3.0)
+    tr2.add(1.0 / 3.0, None, {})
     assert tr.to_csv() == tr2.to_csv()
 
 
 def test_trace_gap_needs_f_star():
     tr = IterateTrace(rows=1)
-    tr.add(1.0)
+    tr.add(1.0, None, {})
     assert tr.final_gap() is None
     tr = IterateTrace(f_star=2.0, rows=1)
-    tr.add(3.0)
+    tr.add(3.0, None, {})
     assert tr.final_gap() == 1.0
 
 
@@ -99,6 +99,54 @@ def test_check_divergence_accepts_a_point_whose_squares_overflow():
     x[-1] = math.nan
     with pytest.raises(DivergenceError):
         check_divergence(1.0, x, 1.0)
+
+
+def _as_vector_before(x):
+    """as_vector as it was before its one-pass finiteness test: np.isfinite on every input."""
+    v = np.asarray(x, dtype=float)
+    if v.ndim == 0:
+        v = v.reshape(1)
+    if v.ndim != 1 or v.size < 1:
+        raise InvalidInput("expected a vector of dimension >= 1")
+    if not np.isfinite(v).all():
+        raise NumericalError("vector has non-finite entries")
+    return v
+
+
+def _outcome(f, x):
+    """What f(x) gives: its type, dtype, shape, bytes and whether it is x, or its error."""
+    try:
+        v = f(x)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(v), v.dtype, v.shape, v.tobytes(), v is x
+
+
+class _Vector(np.ndarray):
+    pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(points())
+def test_as_vector_is_unchanged_on_float64_vectors(x):
+    # entries of 1e200 pass with no overflow warning, which the test settings make an error
+    assert _outcome(as_vector, x) == _outcome(_as_vector_before, x)
+    if np.isfinite(x).all():
+        assert as_vector(x) is x
+    else:
+        with pytest.raises(NumericalError, match="^vector has non-finite entries$"):
+            as_vector(x)
+
+
+@pytest.mark.parametrize("x", [
+    [1, 2], [1.0, math.nan], (math.inf,), 3, 2.5, np.float64(-0.0), np.array(7.0),
+    np.array(math.nan), [], np.zeros(0), np.zeros((2, 2)), np.zeros((1, 3)), [[1.0]],
+    np.arange(4), np.ones(3, dtype=np.float32), np.ones(3, dtype=">f8"),
+    np.array([1.0, -math.inf]).view(_Vector), np.ones(3).view(_Vector),
+    np.full(6, 1e200)[::2], np.full(3, 1e200)[::-1]],
+    ids=lambda x: type(x).__name__)
+def test_as_vector_on_other_inputs_is_unchanged(x):
+    assert _outcome(as_vector, x) == _outcome(_as_vector_before, x)
 
 
 def _bits(v):
@@ -178,6 +226,25 @@ def test_record_divergence_guard_is_relative_to_first_value():
 
     with pytest.raises(DivergenceError):
         record(nan_point, [0.0], 1, None)
+
+
+def test_record_calls_check_divergence_and_trace_add_as_bound_at_its_call(monkeypatch):
+    # perfbench counts both by patching core.check_divergence and IterateTrace.add,
+    # so record looks each up when it is called, and calls each once per row
+    calls = []
+    check, add = core.check_divergence, IterateTrace.add
+    shared = {"raw": 1.0}
+
+    def rows(x):
+        while True:
+            yield x, 2.0, 0.5, shared
+
+    monkeypatch.setattr(core, "check_divergence", lambda *a: calls.append("check") or check(*a))
+    monkeypatch.setattr(IterateTrace, "add", lambda *a: calls.append("add") or add(*a))
+    tr = record(rows, [1.0], 4, None)
+    assert calls == ["check", "add"] * 5
+    assert list(tr.custom("raw")) == [1.0] * 5 and list(tr.grad_norms()) == [0.5] * 5
+    assert shared == {"raw": 1.0}  # add reads the row's dict, and neither keeps nor changes it
 
 
 def test_record_ends_early_when_the_generator_returns():
@@ -301,7 +368,7 @@ def test_fit_rate_insufficient_data():
         fit_rate(n, 1.0 / (n + 1))
     tr = IterateTrace(rows=20)  # no f_star, so gaps() is None
     for _ in range(20):
-        tr.add(1.0)
+        tr.add(1.0, None, {})
     with pytest.raises(InsufficientData):
         fit_rate(tr.iters(), tr.gaps())
 

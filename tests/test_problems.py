@@ -472,6 +472,36 @@ def test_derived_oracles_are_bitwise_the_reference_closures(seed):
             _assert_same_oracle_bits(p, refs, theta, name)
 
 
+@st.composite
+def _hinge_cases(draw):
+    """(X, labels, theta, lam) with zero rows, signed-zero entries of theta, and rows
+    whose margin is exactly 1 (theta_0 a power of two, the row label * e_0 / theta_0)."""
+    n, d = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    entry = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 1.0, -1.0]))
+    X = np.array(draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=n,
+                               max_size=n)))
+    labels = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
+    theta = np.array(draw(st.lists(st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0])),
+                                   min_size=d, max_size=d)))
+    kinds = draw(st.lists(st.sampled_from(["drawn", "zero", "kink"]), min_size=n, max_size=n))
+    if "kink" in kinds:
+        theta[0] = draw(st.sampled_from([-1.0, 1.0])) * 2.0 ** draw(st.integers(-4, 4))
+    for i, kind in enumerate(kinds):
+        if kind != "drawn":
+            X[i] = 0.0
+        if kind == "kink":
+            X[i, 0] = labels[i] / theta[0]
+    return X, labels, theta, draw(st.sampled_from([0.0, 0.1, 3.0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_hinge_cases())
+def test_label_signed_hinge_is_bitwise_the_textbook_hinge(case):
+    X, labels, theta, lam = case
+    p = problems.make_svm_hinge(X, labels, lam)
+    _assert_same_oracle_bits(p, _reference_oracles("svm", X, labels, lam), theta, "svm")
+
+
 def _max_edge_points(rng, d):
     """Points where the max is tied, a signed zero, NaN or infinite."""
     x = _spread(rng, d)
