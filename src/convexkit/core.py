@@ -150,10 +150,6 @@ class ProblemOracle:
         self.name = name
         self.extra = dict(extra) if extra else {}
 
-    # the gradient, where f is differentiable
-    def gradient(self, x):
-        return self.subgradient(x)
-
     def value_and_grad(self, x):
         g = self.subgradient(x)
         return self.value(x), g

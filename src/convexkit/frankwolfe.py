@@ -78,20 +78,18 @@ def run_fw(problem, loo, x0, N):
     return trace, list(zip(vertices, weights))
 
 
-def approx_caratheodory(x, loo, eps, diameter, max_iter=None):
+def approx_caratheodory(x, loo, eps, diameter):
     """Express x (a point of C) as a sparse convex combination of vertices.
 
     Runs FW on z -> ||x - z||^2 from a vertex; the error after N steps obeys
-    ||z_N - x||^2 <= 4 D^2 / (N + 1), so N <= 4/eps^2 suffices for error eps*D.
-    Returns (vertices, weights, error).
+    ||z_N - x||^2 <= 4 D^2 / (N + 1), so N <= 4/eps^2 suffices for error eps*D;
+    it takes ceil(4/eps^2) + 1 steps at most. Returns (vertices, weights, error).
     """
     x = as_vector(x)
-    if max_iter is None:
-        max_iter = int(math.ceil(4.0 / (eps * eps))) + 1
     z = loo(-x)  # any vertex works as the start
     vertices, weights, index = [], [], {}
     _add_vertex(vertices, weights, index, z, 1.0)
-    for n in range(max_iter):
+    for n in range(int(math.ceil(4.0 / (eps * eps))) + 1):
         err = norm(z - x)
         if err <= eps * diameter:
             return vertices, weights, err

@@ -92,7 +92,7 @@ def run_asgd(problem, gamma, x0, n, seed=0):
     return theta_bar, trace
 
 
-def clt_check(A, theta_star, gamma, n, trials, seed=0, noise_scale=1.0):
+def clt_check(A, theta_star, gamma, n, trials, seed=0):
     """Empirical CLT for averaged SGD on Gaussian mean estimation.
 
     theta_{k+1} = theta_k - h_{k+1} A (theta_k - X_{k+1}) with samples
@@ -109,23 +109,21 @@ def clt_check(A, theta_star, gamma, n, trials, seed=0, noise_scale=1.0):
     theta* is added from a (trials, d) copy: added as a broadcast d-vector,
     numpy runs its inner loop once per row.
 
-    InvalidInput unless n >= 1, trials >= 1, 1/2 < gamma < 1, noise_scale is
-    positive and finite, and A is a finite, symmetric, positive definite
-    d x d matrix, d the size of theta*.
+    InvalidInput unless n >= 1, trials >= 1, 1/2 < gamma < 1, and A is a
+    finite, symmetric, positive definite d x d matrix, d the size of theta*.
     """
     A = np.asarray(A, dtype=float)
     theta_star = as_vector(theta_star)
     d = theta_star.size
     if n < 1 or trials < 1:
         raise InvalidInput("need n >= 1 and trials >= 1, not %r and %r" % (n, trials))
-    if not (0.5 < gamma < 1.0 and 0.0 < noise_scale < math.inf):
-        raise InvalidInput("need 1/2 < gamma < 1 and a positive finite noise_scale, not %r "
-                           "and %r" % (gamma, noise_scale))
+    if not 0.5 < gamma < 1.0:
+        raise InvalidInput("need 1/2 < gamma < 1, not %r" % (gamma,))
     if A.shape != (d, d) or not np.isfinite(A).all() or not np.array_equal(A, A.T):
         raise InvalidInput("A must be a finite symmetric %d x %d matrix, as theta* has %d "
                            "entries" % (d, d, d))
     try:
-        C = np.linalg.cholesky(np.linalg.inv(A)) * noise_scale
+        C = np.linalg.cholesky(np.linalg.inv(A))
     except np.linalg.LinAlgError as exc:
         raise InvalidInput("A must be positive definite") from exc
     rng = make_rng(seed)
@@ -148,7 +146,7 @@ def clt_check(A, theta_star, gamma, n, trials, seed=0, noise_scale=1.0):
     theta_bar = total / n
     err = math.sqrt(n) * (theta_bar - theta_star[None, :])
     cov = err.T @ err / trials
-    target = np.linalg.inv(A) * noise_scale ** 2
+    target = np.linalg.inv(A)
     rel = float(np.linalg.norm(cov - target) / np.linalg.norm(target))
     return cov, target, rel
 
@@ -159,9 +157,9 @@ def svrg_estimator(problem, i, x, anchor, anchor_grad):
     return f_i.subgradient(x) - f_i.subgradient(anchor) + anchor_grad
 
 
-def svrg_epoch_length(problem, g, h):
+def svrg_epoch_length(problem, h):
     """Constant epoch length for the strongly convex regime: lambda_h^N <= 1/2."""
-    lam = smpgd_lambda(problem.alpha, 0.0 if g is None else g.alpha, h)
+    lam = smpgd_lambda(problem.alpha, 0.0, h)
     if lam >= 1.0:
         raise InvalidInput("needs a strongly convex problem")
     if lam <= 0.0:
@@ -169,58 +167,49 @@ def svrg_epoch_length(problem, g, h):
     return int(math.ceil(math.log(2.0) / -math.log(lam)))
 
 
-def run_svrg(problem, g=None, h=None, x0=None, epochs=20, epoch_plan="constant",
-             seed=0, target_gap=None):
+def run_svrg(problem, x0, epochs, seed=0, target_gap=None):
     """SVRG over a finite-sum problem; returns (trace, gradient evaluation count).
 
-    One epoch: compute the anchor's full gradient (one evaluation per component),
-    run N_t inner steps with the variance-reduced estimator (counted as one
-    fresh component evaluation each; the anchor's component gradients are
-    treated as cached from the full-gradient pass), then move the anchor to
-    the lambda_h-weighted average of the epoch's iterates. epoch_plan is
-    "constant" (N_t from the strongly convex tuning) or "doubling". Given
-    target_gap and a declared f*, the trace ends after the first epoch whose
-    anchor is within target_gap of f*; at least one epoch runs. The running
-    count is the custom column "evals".
+    The step is h = 1/(8 max_i beta_i). One epoch: compute the anchor's full
+    gradient (one evaluation per component), run svrg_epoch_length inner
+    steps with the variance-reduced estimator (counted as one fresh component
+    evaluation each; the anchor's component gradients are treated as cached
+    from the full-gradient pass), then move the anchor to the
+    lambda_h-weighted average of the epoch's iterates. Given target_gap and a
+    declared f*, the trace ends after the first epoch whose anchor is within
+    target_gap of f*; at least one epoch runs. The running count is the
+    custom column "evals".
     """
     components = problem.require("components")
     n_comp = len(components)
-    if h is None:
-        h = 1.0 / (8.0 * max(c.beta for c in components))
-    lam = smpgd_lambda(problem.alpha, 0.0 if g is None else g.alpha, h)
-    total = composite_value(problem, g)
-    N_0 = svrg_epoch_length(problem, g, h) if epoch_plan == "constant" else 2
+    h = 1.0 / (8.0 * max(c.beta for c in components))
+    lam = smpgd_lambda(problem.alpha, 0.0, h)
+    N = svrg_epoch_length(problem, h)
 
     def iterates(anchor, rng):
-        N_t, evals = N_0, 0
-        yield anchor, total(anchor), None, {}
+        evals = 0
+        yield anchor, problem.value(anchor), None, {}
         while True:
             full = problem.subgradient(anchor)
             evals += n_comp
-            x = anchor.copy()
-            avg = x.copy()
+            x = avg = anchor
             W = 1.0
-            for _ in range(N_t):
+            for _ in range(N):
                 i = int(rng.integers(n_comp))
                 v = svrg_estimator(problem, i, x, anchor, full)
                 evals += 1
                 x = x - h * v
-                if g is not None:
-                    x = g.prox(x, h)
                 if not np.isfinite(x).all():
                     raise DivergenceError("SVRG iterate diverged")
                 W = lam * W + 1.0
                 avg = avg + (x - avg) / W
             anchor = avg
-            value = total(anchor)
+            value = problem.value(anchor)
             yield anchor, value, None, {"evals": float(evals)}
-            if epoch_plan == "doubling":
-                N_t *= 2
             if target_gap is not None and problem.f_star is not None:
                 if value - problem.f_star <= target_gap:
                     return
 
-    trace = record(iterates, np.zeros(problem.dim) if x0 is None else x0, epochs,
-                   problem.f_star, seed)
+    trace = record(iterates, x0, epochs, problem.f_star, seed)
     evals = trace.custom("evals")[-1]  # NaN when no epoch ran
     return trace, 0 if math.isnan(evals) else int(evals)

@@ -1,7 +1,8 @@
 """Golden sha256 hashes of results that refactors must keep bit-identical.
 
     PYTHONPATH=src python tests/golden.py           # rewrite tests/golden_traces.json
-    PYTHONPATH=src python tests/golden.py --check   # list changed cases, write nothing
+    PYTHONPATH=src python tests/golden.py --check   # list changed, removed and added
+                                                    # cases, write nothing
 
 Run it only at a commit whose results are known good: the test in
 tests/test_golden.py recomputes every case and compares. Each case maps to a
@@ -26,8 +27,8 @@ Cases:
          (plus that name as "error"). Also: run_sgd and run_smpgd at seeds
          1-2 (seed 0 is the loop case) and at seed 0 on a finite sum of four
          3-row least-squares components (<function>/multi-row), run_asgd at
-         seeds 0-2 and run_svrg with both epoch plans on a strongly convex
-         d = 5 finite sum (whose "evals" count is kept), and
+         seeds 0-2 and run_svrg on a strongly convex d = 5 finite sum (whose
+         "evals" count is kept), and
          run_psd/run_psd_strong on the d = 5 worst-case nonsmooth instance.
          Loops that return more than a trace: run_am on check 14's two-block
          quadratic; cg_solve stopping early at three tolerances on a d = 40
@@ -56,12 +57,12 @@ Cases:
          too, as "smooth.X") are hashed through their bytes, under the keys
          "extra.A" and so on, as are the radius of a declared ball, alpha,
          beta and f* (the bytes of "None" when f* is unknown).
-  clt/*  clt_check at n = 300 steps and 64 trials on I, diag(1, 4), a
-         non-diagonal 2 x 2 A with theta* != 0 and noise_scale 2, and a 3 x 3
-         A. "cov" hashes the empirical covariance's bytes, "rel" the relative
-         error.
+  clt/*  clt_check at n = 300 steps and 64 trials on I, diag(1, 4) and a
+         non-diagonal 3 x 3 A with theta* != 0. "cov" hashes the empirical
+         covariance's bytes, "rel" the relative error.
 """
 
+import collections
 import hashlib
 import json
 import os
@@ -265,17 +266,15 @@ def _trace_cases():
         yield ("trace/loop/stochastic.run_asgd/seed-%d" % seed,
                lambda seed=seed: stochastic.run_asgd(sc, 0.75, x0, LOOP_N, seed)[1])
 
-    def svrg(prob, plan, epochs, seed, target_gap=None):
-        trace, evals = stochastic.run_svrg(prob, x0=x0, epochs=epochs, epoch_plan=plan,
-                                           seed=seed, target_gap=target_gap)
+    def svrg(prob, epochs, seed, target_gap=None):
+        trace, evals = stochastic.run_svrg(prob, x0, epochs, seed=seed, target_gap=target_gap)
         return trace, {"evals": evals}
 
-    yield "trace/loop/stochastic.run_svrg/constant", lambda: svrg(sc, "constant", 8, 0)
-    yield "trace/loop/stochastic.run_svrg/doubling", lambda: svrg(sc, "doubling", 6, 1)
+    yield "trace/loop/stochastic.run_svrg/constant", lambda: svrg(sc, 8, 0)
     sct = _strongly_convex_finite_sum()
     sct.f_star = sct.value(sct.x_star)
     yield ("trace/loop/stochastic.run_svrg/target-gap",
-           lambda: svrg(sct, "constant", 200, 2, target_gap=1e-6))
+           lambda: svrg(sct, 200, 2, target_gap=1e-6))
     w = problems.make_worst_case_nonsmooth(TRACE_D - 1, 2.0, 1.0)
     R = w.domain.radius
     wproj = lambda z: nonsmooth.project_ball(z, np.zeros(w.dim), R)
@@ -423,20 +422,18 @@ CLT_TRIALS = 64
 
 
 def _clt_cases():
-    """name -> clt_check arguments (A, theta*, seed, noise_scale)."""
+    """name -> clt_check arguments (A, theta*, seed)."""
     A3 = [[3.0, 0.4, 0.2], [0.4, 2.0, -0.3], [0.2, -0.3, 1.5]]
     return {
-        "clt/identity-seed41": (np.eye(2), np.zeros(2), 41, 1.0),
-        "clt/diag-1-4-seed42": (np.diag([1.0, 4.0]), np.zeros(2), 42, 1.0),
-        "clt/full-2x2-shifted-noise2": ([[2.0, 0.5], [0.5, 1.0]], [0.5, -1.0], 43, 2.0),
-        "clt/full-3x3": (A3, [1.0, -0.5, 0.25], 44, 1.0),
+        "clt/identity-seed41": (np.eye(2), np.zeros(2), 41),
+        "clt/diag-1-4-seed42": (np.diag([1.0, 4.0]), np.zeros(2), 42),
+        "clt/full-3x3": (A3, [1.0, -0.5, 0.25], 44),
     }
 
 
-def _clt_case(A, theta_star, seed, noise_scale):
+def _clt_case(A, theta_star, seed):
     from convexkit import stochastic
-    cov, _, rel = stochastic.clt_check(A, theta_star, 0.75, CLT_N, CLT_TRIALS, seed=seed,
-                                       noise_scale=noise_scale)
+    cov, _, rel = stochastic.clt_check(A, theta_star, 0.75, CLT_N, CLT_TRIALS, seed=seed)
     return {"cov": _sha([cov.tobytes()]), "rel": _sha([rel])}
 
 
@@ -538,15 +535,24 @@ def load():
 
 
 def check():
-    """Print the cases whose hashes differ from the file; exit 1 if any do."""
+    """Print each case whose hashes differ from the file, with the keys that
+    differ, or "removed" (only in the file) or "added" (only in the code);
+    exit 1 if any case does."""
     want = load()
     if want["numpy"] != np.__version__:
         print("note: the file was made with numpy %s, this is numpy %s"
               % (want["numpy"], np.__version__))
-    diff = changes(want["cases"], cases())
+    got = cases()
+    diff = changes(want["cases"], got)
+    tally = collections.Counter()
     for name, keys in diff.items():
-        print("%s: %s" % (name, ", ".join(keys)))
-    print("%d of %d cases changed" % (len(diff), len(want["cases"])), file=sys.stderr)
+        kind = ("removed" if name not in got else "added" if name not in want["cases"]
+                else "changed")
+        tally[kind] += 1
+        print("%s: %s" % (name, ", ".join(keys) if kind == "changed" else kind))
+    print("%d changed, %d removed, %d added, of %d cases in the file"
+          % (tally["changed"], tally["removed"], tally["added"], len(want["cases"])),
+          file=sys.stderr)
     return 1 if diff else 0
 
 

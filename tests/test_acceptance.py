@@ -34,7 +34,7 @@ def test_ids_sorted_and_unique():
 def test_clt_instances_run_in_the_calling_thread(monkeypatch):
     calls = []
 
-    def clt_check(A, theta_star, gamma, n, trials, seed=0, noise_scale=1.0):
+    def clt_check(A, theta_star, gamma, n, trials, seed=0):
         calls.append((seed, threading.current_thread() is threading.main_thread()))
         return None, None, 0.0
 
@@ -89,6 +89,21 @@ def _svm_fused_without_ridge(make_svm_hinge):
     return make
 
 
+def _svrg_without_anchor_terms(run_svrg):
+    """run_svrg whose inner step takes the plain component gradient grad f_i(x):
+    the estimator drops - grad f_i(anchor) + grad f(anchor), so the run is SGD."""
+    def run(*args, **kwargs):
+        estimator = stochastic.svrg_estimator
+        stochastic.svrg_estimator = lambda problem, i, x, anchor, anchor_grad: (
+            problem.components[i].subgradient(x))
+        try:
+            return run_svrg(*args, **kwargs)
+        finally:
+            stochastic.svrg_estimator = estimator
+
+    return run
+
+
 # check id, part, the owner and name of the library code that the part runs, the
 # defect (a function of the shipped code), and the statement that fails under it
 PLANTED = [
@@ -104,6 +119,8 @@ PLANTED = [
      lambda run_ppm: lambda q, h, x0, N: run_ppm(q, h / 2.0, x0, N), "new_gap <= gap"),
     ("12-pinsker-bregman", 0, mirror, "bregman_project_simplex",
      lambda project: lambda x: np.full(len(x), 1.0 / len(x)), "slack >= -1e-9"),  # uniform
+    ("15-smpgd-svrg", 0, stochastic, "run_svrg", _svrg_without_anchor_terms,
+     "tr.gaps()[-1] <= eps"),
 ]
 
 

@@ -808,7 +808,7 @@ def test_run_md_large_gradient_does_not_overflow():
     # the symmetric problem keeps every iterate at the uniform point. No file
     # kind declares the simplex, so the quadratic is declared on it here.
     q = problems.make_quadratic(np.eye(2), np.array([2e3, 2e3]))
-    on_simplex = ProblemOracle(2, q.value, q.gradient, L=1.0, domain=Simplex())  # step 0.68
+    on_simplex = ProblemOracle(2, q.value, q.subgradient, L=1.0, domain=Simplex())  # step 0.68
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         trace = run_solver(on_simplex, "md", 3)

@@ -464,8 +464,8 @@ def test_run_solver_needs_the_declared_domain(algo, domain):
     q = problems.make_quadratic(np.diag([2.0, 1.0]), np.array([1.0, 1.0]))
     for declared, named in ((None, "no domain"), (Ball(1.0), "Ball(radius=1.0)"),
                             (Simplex(), "Simplex()")):
-        p = ProblemOracle(2, q.value, q.gradient, prox=q.prox, beta=q.beta, L=1.0,
-                          domain=declared, stochastic_gradient=lambda x, rng: q.gradient(x),
+        p = ProblemOracle(2, q.value, q.subgradient, prox=q.prox, beta=q.beta, L=1.0,
+                          domain=declared, stochastic_gradient=lambda x, rng: q.subgradient(x),
                           quadratic=q.quadratic)
         if declared == domain or domain is None and not isinstance(declared, Simplex):
             assert len(run_solver(p, algo, 3)) == 4

@@ -91,9 +91,9 @@ def test_caratheodory_sparse_representation():
 
 def test_caratheodory_budget_exhaustion():
     loo = lambda p: frankwolfe.loo_box(p, -1.0, 1.0)
+    # a point outside the box: FW stays in the box, so no step count reaches it
     with pytest.raises(NumericalError):
-        frankwolfe.approx_caratheodory(np.zeros(3), loo, 1e-9, 2 * np.sqrt(3),
-                                       max_iter=3)
+        frankwolfe.approx_caratheodory(np.array([3.0, 0.0, 0.0]), loo, 0.25, 2 * np.sqrt(3))
 
 
 def _add_vertex_scan(vertices, weights, s, h):

@@ -54,7 +54,7 @@ def test_value_and_grad_is_value_and_gradient_bytewise(kind, seed, x):
     v, g = p.value_and_grad(x)
     assert type(v) is float
     assert np.float64(v).tobytes() == np.float64(p.value(x)).tobytes()
-    assert g.dtype == np.float64 and g.tobytes() == p.gradient(x).tobytes()
+    assert g.dtype == np.float64 and g.tobytes() == p.subgradient(x).tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -99,16 +99,16 @@ def test_quadratic_row_matrix_path_is_unchanged():
     q = _problem("quadratic", 3)
     X = np.arange(3.0 * D).reshape(3, D) / 10.0
     v, g = q.value_and_grad(X)
-    assert np.array_equal(v, q.value(X)) and np.array_equal(g, q.gradient(X))
+    assert np.array_equal(v, q.value(X)) and np.array_equal(g, q.subgradient(X))
 
 
 def test_worst_case_smooth_oracle_is_row_wise():
     w = _problem("worst-case-smooth", 3)
     X = np.arange(3.0 * D).reshape(3, D) / 10.0
     v, g = w.value_and_grad(X)
-    assert np.array_equal(v, w.value(X)) and np.array_equal(g, w.gradient(X))
+    assert np.array_equal(v, w.value(X)) and np.array_equal(g, w.subgradient(X))
     for row, x in enumerate(X):
-        assert np.isclose(v[row], w.value(x)) and np.allclose(g[row], w.gradient(x))
+        assert np.isclose(v[row], w.value(x)) and np.allclose(g[row], w.subgradient(x))
 
 
 # --- oracle passes per iteration ------------------------------------------------

@@ -27,12 +27,6 @@ ALLOWED = {
     "ipm.path_follow.c0": "the only way the tests reach its NumericalError path",
     "ipm.preliminary_stage.c0": "the only way the tests reach its CenteringFailed path",
     "ipm.damped_newton.max_iter": "the only way the tests reach its NumericalError path",
-    "frankwolfe.approx_caratheodory.max_iter":
-        "the only way the tests reach its NumericalError path",
-    "stochastic.run_svrg.g": "golden case run_svrg/doubling pins it",
-    "stochastic.run_svrg.h": "golden case run_svrg/doubling pins it",
-    "stochastic.run_svrg.epoch_plan": "golden case run_svrg/doubling pins it",
-    "stochastic.clt_check.noise_scale": "golden case clt/full-2x2-shifted-noise2 pins it",
     "core.ProblemOracle.loo": "a capability slot that require and the registry read",
     "core.ProblemOracle.block_argmin": "a capability slot that require and the registry read",
     "core.ProblemOracle.n_blocks": "the block count that goes with block_argmin",

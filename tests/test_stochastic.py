@@ -96,28 +96,25 @@ def test_clt_check_identity_small():
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("A, theta_star, n, trials, gamma, noise_scale", [
-    (np.eye(2), np.zeros(2), 0, 8, 0.75, 1.0),  # was rel = nan under a RuntimeWarning
-    (np.eye(2), np.zeros(2), 10, 0, 0.75, 1.0),
-    (np.eye(2), np.zeros(2), -1, 8, 0.75, 1.0),
-    ([[1.0, math.nan], [math.nan, 1.0]], np.zeros(2), 10, 8, 0.75, 1.0),  # was rel = nan
-    ([[1.0, 0.0], [0.0, math.inf]], np.zeros(2), 10, 8, 0.75, 1.0),
-    ([[2.0, 0.5], [0.0, 1.0]], np.zeros(2), 10, 8, 0.75, 1.0),  # ran on its lower triangle
-    (np.eye(3), np.zeros(2), 10, 8, 0.75, 1.0),  # ended in numpy's matmul ValueError
-    (np.eye(2), np.zeros(3), 10, 8, 0.75, 1.0),
-    (np.ones(2), np.zeros(2), 10, 8, 0.75, 1.0),
-    ([[1.0, 2.0], [2.0, 1.0]], np.zeros(2), 10, 8, 0.75, 1.0),  # not positive definite
-    (np.zeros((2, 2)), np.zeros(2), 10, 8, 0.75, 1.0),
-    (np.eye(2), np.zeros(2), 10, 8, 0.75, 0.0),  # was rel = nan under a RuntimeWarning
-    (np.eye(2), np.zeros(2), 10, 8, 0.75, math.nan),  # was rel = nan
-    (np.eye(2), np.zeros(2), 10, 8, 1.0, 1.0),  # run_asgd's range, (1/2, 1)
-    (np.eye(2), np.zeros(2), 10, 8, 0.5, 1.0),
+@pytest.mark.parametrize("A, theta_star, n, trials, gamma", [
+    (np.eye(2), np.zeros(2), 0, 8, 0.75),  # was rel = nan under a RuntimeWarning
+    (np.eye(2), np.zeros(2), 10, 0, 0.75),
+    (np.eye(2), np.zeros(2), -1, 8, 0.75),
+    ([[1.0, math.nan], [math.nan, 1.0]], np.zeros(2), 10, 8, 0.75),  # was rel = nan
+    ([[1.0, 0.0], [0.0, math.inf]], np.zeros(2), 10, 8, 0.75),
+    ([[2.0, 0.5], [0.0, 1.0]], np.zeros(2), 10, 8, 0.75),  # ran on its lower triangle
+    (np.eye(3), np.zeros(2), 10, 8, 0.75),  # ended in numpy's matmul ValueError
+    (np.eye(2), np.zeros(3), 10, 8, 0.75),
+    (np.ones(2), np.zeros(2), 10, 8, 0.75),
+    ([[1.0, 2.0], [2.0, 1.0]], np.zeros(2), 10, 8, 0.75),  # not positive definite
+    (np.zeros((2, 2)), np.zeros(2), 10, 8, 0.75),
+    (np.eye(2), np.zeros(2), 10, 8, 1.0),  # run_asgd's range, (1/2, 1)
+    (np.eye(2), np.zeros(2), 10, 8, 0.5),
 ], ids=["n-0", "trials-0", "n-negative", "A-nan", "A-inf", "A-asymmetric", "A-3x3",
-        "theta-3", "A-vector", "A-indefinite", "A-singular", "noise-0", "noise-nan",
-        "gamma-1", "gamma-half"])
-def test_clt_check_refuses_what_it_cannot_run(A, theta_star, n, trials, gamma, noise_scale):
+        "theta-3", "A-vector", "A-indefinite", "A-singular", "gamma-1", "gamma-half"])
+def test_clt_check_refuses_what_it_cannot_run(A, theta_star, n, trials, gamma):
     with pytest.raises(InvalidInput):
-        stochastic.clt_check(A, theta_star, gamma, n, trials, seed=1, noise_scale=noise_scale)
+        stochastic.clt_check(A, theta_star, gamma, n, trials, seed=1)
 
 
 def test_svrg_estimator_unbiased_and_anchored():
@@ -137,12 +134,12 @@ def test_svrg_estimator_unbiased_and_anchored():
 def test_svrg_epoch_length():
     q = _noisy_quadratic(0.0, seed=7)
     h = 0.1
-    N = stochastic.svrg_epoch_length(q, None, h)
+    N = stochastic.svrg_epoch_length(q, h)
     lam = stochastic.smpgd_lambda(q.alpha, 0.0, h)
     assert lam ** N <= 0.5 < lam ** (N - 1)
     flat = problems.make_quadratic(np.diag([0.0, 1.0]), np.zeros(2))
     with pytest.raises(InvalidInput):
-        stochastic.svrg_epoch_length(flat, None, 0.1)
+        stochastic.svrg_epoch_length(flat, 0.1)
 
 
 def test_svrg_converges_and_counts_evals():
@@ -162,20 +159,6 @@ def test_svrg_converges_and_counts_evals():
     assert evals == tr.custom("evals")[-1]
     # every epoch pays the full-gradient pass plus its inner steps
     assert evals >= 40 * len(fs.components)
-
-
-def test_svrg_doubling_plan():
-    rng = make_rng(9)
-    comps = [problems.make_quadratic(np.eye(2) * (1 + i), rng.normal(size=2))
-             for i in range(3)]
-    fs = problems.make_finite_sum(comps)
-    H = sum(c.quadratic[0] for c in comps) / len(comps)
-    b = sum(c.quadratic[1] for c in comps) / len(comps)
-    fs.x_star = np.linalg.solve(H, b)
-    fs.f_star = fs.value(fs.x_star)
-    tr, _ = stochastic.run_svrg(fs, x0=np.zeros(2), epochs=8,
-                                epoch_plan="doubling", seed=0)
-    assert tr.gaps()[-1] < 1e-6
 
 
 def _assert_rel(a, b, tol=1e-12):
@@ -313,29 +296,27 @@ def test_batch_divergence_guard_names_the_seed():
 
 def test_svrg_default_step_is_from_the_largest_component_beta():
     fs = _finite_sum(17)
-    beta_max = max(c.beta for c in fs.components)
-    assert beta_max > fs.beta  # fs.beta is the mean, which the step must not use
-    default, _ = stochastic.run_svrg(fs, x0=np.zeros(3), epochs=3, seed=0)
-    given, _ = stochastic.run_svrg(fs, h=1.0 / (8.0 * beta_max), x0=np.zeros(3), epochs=3, seed=0)
-    assert default.to_csv() == given.to_csv()
-
-
-def test_svrg_with_l1_prox_reaches_the_composite_minimizer():
-    fs = _finite_sum(16)
-    lam = 0.3
-    g = core.ProblemOracle(3, lambda x: lam * float(np.abs(x).sum()),
-                           prox=lambda y, h: proximal.prox_l1(y, lam * h))
-    ref = proximal.run_pgd(fs, g, 1.0 / fs.beta, np.zeros(3), 3000).final_point
-    assert np.linalg.norm(ref - fs.x_star) > 0.1  # the l1 term moves the minimizer
-    tr, _ = stochastic.run_svrg(fs, g=g, x0=np.zeros(3), epochs=40, seed=0)
-    assert np.allclose(tr.final_point, ref, rtol=0.0, atol=1e-9)
+    betas = [c.beta for c in fs.components]
+    assert max(betas) > fs.beta  # fs.beta is the mean, which the step must not use
+    default, _ = stochastic.run_svrg(fs, np.zeros(3), 3, seed=0)
+    # a lower declared beta on a component that is not the largest moves the mean, not the max
+    lower = fs.components[min(range(len(betas)), key=betas.__getitem__)]
+    lower.beta = lower.alpha
+    assert lower.beta < min(betas)
+    lowered, _ = stochastic.run_svrg(fs, np.zeros(3), 3, seed=0)
+    assert default.to_csv() == lowered.to_csv()
 
 
 def test_svrg_divergence_raises():
+    # components that declare beta/100 set the step to 12.5/beta_max, past 2/beta_max
     fs = _finite_sum(16)
+    for c in fs.components:
+        c.beta /= 100.0
+    fs.alpha = 1e-2  # small, so that 1 - alpha h stays in (0, 1)
     with pytest.raises(DivergenceError):
-        stochastic.run_svrg(fs, h=50.0, x0=np.ones(3), epochs=30,
-                            epoch_plan="doubling", seed=0)
-    # past 1/alpha the constant plan has no epoch length
+        stochastic.run_svrg(fs, np.ones(3), 30, seed=0)
+    # past 1/alpha there is no epoch length
+    fs = _finite_sum(16)
+    fs.alpha = 16.0 * max(c.beta for c in fs.components)
     with pytest.raises(InvalidInput, match="1/alpha"):
-        stochastic.run_svrg(fs, h=50.0, x0=np.ones(3), epochs=30, seed=0)
+        stochastic.run_svrg(fs, np.ones(3), 30, seed=0)
